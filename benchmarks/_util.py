@@ -9,6 +9,11 @@ from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
+#: Where smoke runs (``MP_BENCH_SMOKE=1``) put their tables: a
+#: gitignored directory, so toy shapes never overwrite the committed
+#: full-size results next to it.
+SMOKE_DIR = RESULTS_DIR / "smoke"
+
 #: Schema tag of the normalized machine-readable bench output.  Bump
 #: on breaking changes; CI uploads ``results/BENCH_*.json`` so the
 #: perf trajectory is comparable run-over-run.
@@ -16,9 +21,13 @@ BENCH_SCHEMA = "repro-bench/v1"
 
 
 def save_result(name: str, text: str) -> None:
-    """Print a regenerated table/figure and persist it to results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    """Print a regenerated table/figure and persist it to
+    ``results/<name>.txt`` (``results/smoke/<name>.txt`` in smoke
+    mode)."""
+    smoke = os.environ.get("MP_BENCH_SMOKE", "") == "1"
+    out_dir = SMOKE_DIR if smoke else RESULTS_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.txt").write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}\n")
 
 

@@ -538,6 +538,14 @@ def resume_main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
+def _smoke_program(comm) -> float:
+    """Tiny conformance program behind ``repro run --smoke``: one
+    allreduce, one barrier, returns the reduced value."""
+    total = comm.allreduce(np.array([float(comm.rank + 1)]))
+    comm.barrier()
+    return float(total[0])
+
+
 def run_main(argv: Sequence[str] | None = None) -> int:
     """``repro run``: execute on the process-parallel layer with an
     explicit transport backend.
@@ -547,12 +555,8 @@ def run_main(argv: Sequence[str] | None = None) -> int:
     connects the ranks over loopback TCP sockets instead — same
     drivers, same collectives, bit-identical results (the
     backend-parameterized conformance matrix in the test suite holds
-    them to that).  ``--smoke`` runs a tiny conformance program:
-    under tcp it exercises the full launcher shim
-    (:mod:`repro.distributed.launch`) — independent ``python -m
-    repro.distributed.launch`` subprocesses joining the job through
-    the ``REPRO_*`` env contract — which is the path a future
-    multi-host runner will take.
+    them to that).  ``--smoke`` runs a tiny conformance program
+    through :func:`~repro.vmpi.mp_comm.run_spmd` on the chosen wire.
     """
     parser = argparse.ArgumentParser(
         prog="repro run",
@@ -567,10 +571,7 @@ def run_main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help=(
-            "run a tiny conformance program instead of a driver "
-            "(tcp: via spawned launcher subprocesses)"
-        ),
+        help="run a tiny conformance program instead of a driver",
     )
     parser.add_argument(
         "--np",
@@ -593,19 +594,16 @@ def run_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        from repro.distributed.launch import _smoke_program, launch_spmd
         from repro.vmpi.mp_comm import run_spmd
 
         if args.nprocs < 1:
             raise ConfigError("--np must be positive")
-        if args.backend == "tcp":
-            out = launch_spmd(_smoke_program, args.nprocs)
-            how = "spawned launcher subprocesses over loopback TCP"
-        else:
-            out = run_spmd(
-                _smoke_program, args.nprocs, transport="shm"
-            )
-            how = "forked ranks over pooled shared memory"
+        out = run_spmd(_smoke_program, args.nprocs, transport=args.backend)
+        how = (
+            "forked ranks over loopback TCP"
+            if args.backend == "tcp"
+            else "forked ranks over pooled shared memory"
+        )
         expected = float(
             args.nprocs * (args.nprocs + 1) // 2
         )

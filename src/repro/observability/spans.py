@@ -47,6 +47,11 @@ __all__ = [
 #: collectives.
 SPAN_CATEGORIES = ("sweep", "phase", "kernel", "collective")
 
+#: Span-buffer capacity per rank; once full, further spans are counted
+#: in ``RankProfile.dropped`` instead of recorded (metrics keep
+#: accumulating), bounding profiler memory.
+MAX_SPANS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Span:
@@ -265,7 +270,7 @@ class SpanProfiler:
         "_stack",
     )
 
-    def __init__(self, rank: int, capacity: int = 1 << 16) -> None:
+    def __init__(self, rank: int, capacity: int = MAX_SPANS) -> None:
         self.rank = rank
         self.capacity = capacity
         self.metrics = MetricsRegistry()

@@ -75,6 +75,11 @@ _STAGE = {"collective_begin": 0, "post": 1, "collective_end": 2}
 
 TELEMETRY_SCHEMA_VERSION = 1
 
+#: Ring capacity (events per rank) of the flight recorder.  Once full,
+#: the oldest events are dropped (the monotone ``seq`` makes the drop
+#: count visible in the snapshot).
+FLIGHT_CAPACITY = 256
+
 _RECORD_KINDS = frozenset({"run", "heartbeat", "stall", "final", "postmortem"})
 _REQUIRED_FIELDS = {
     "run": ("size", "backend"),
@@ -119,7 +124,7 @@ class FlightRecorder:
 
     __slots__ = ("rank", "capacity", "wall_origin", "_origin", "_events", "seq")
 
-    def __init__(self, rank: int, capacity: int = 256) -> None:
+    def __init__(self, rank: int, capacity: int = FLIGHT_CAPACITY) -> None:
         self.rank = int(rank)
         self.capacity = max(8, int(capacity))
         self.wall_origin = time.time()

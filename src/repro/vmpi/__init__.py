@@ -36,7 +36,6 @@ from repro.vmpi.mp_comm import (
     CommConfig,
     ProcessComm,
     RankFailureError,
-    StarComm,
     run_spmd,
 )
 from repro.vmpi.trace import CollectiveRecord, CommTrace
@@ -65,7 +64,6 @@ __all__ = [
     "ProcessorGrid",
     "RankFailureError",
     "ShmPoolTransport",
-    "StarComm",
     "TcpSocketTransport",
     "Transport",
     "TransportClosedError",

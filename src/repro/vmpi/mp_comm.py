@@ -6,7 +6,7 @@ communicator supporting the collectives the Tucker algorithms need
 (allreduce, reduce-scatter, allgather, broadcast, gather, barrier) with
 sub-communicators for the per-mode operations.
 
-Three transports are available:
+Two wires carry the same communicator:
 
 * ``"p2p"`` (alias ``"shm"``; default, :class:`ProcessComm` over
   :class:`~repro.vmpi.transport.ShmPoolTransport`) — a peer-to-peer
@@ -27,16 +27,10 @@ Three transports are available:
 * ``"tcp"`` (:class:`ProcessComm` over
   :class:`~repro.vmpi.transport.TcpSocketTransport`) — the same
   communicator and collective algorithms over length-prefixed frames
-  on per-peer persistent TCP connections, meshed through a rendezvous
-  server.  Bit-identical results and identical collective traces
-  (``shm_messages`` aside), just a slower wire; the backend that
-  generalizes to multi-host runs via
-  :mod:`repro.distributed.launch`.
-* ``"star"`` (legacy, :class:`StarComm`) — every collective routed
-  through a coordinator process.  Correct but neither
-  bandwidth-optimal nor latency-optimal; kept as a conformance
-  reference and benchmark baseline
-  (``benchmarks/bench_mp_transport.py``).
+  on per-peer persistent TCP connections, meshed through a loopback
+  rendezvous the launcher serves.  Bit-identical results and
+  identical collective traces (``shm_messages`` aside), just a
+  different wire.
 
 Programs must be *loosely synchronous*: every member of a collective's
 group must reach that collective after the same number of prior
@@ -66,7 +60,6 @@ import threading
 import time
 import traceback as traceback_mod
 import uuid
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -103,7 +96,6 @@ __all__ = [
     "ProcessComm",
     "RankFailureError",
     "ShmPoolTransport",
-    "StarComm",
     "TcpSocketTransport",
     "Transport",
     "TransportClosedError",
@@ -121,14 +113,8 @@ TRANSPORT_ALIASES = {
     "p2p": "p2p",
     "shm": "p2p",
     "tcp": "tcp",
-    "star": "star",
 }
 
-#: Backwards-compatible name for the extracted shm backend (PR 6 moved
-#: it to :mod:`repro.vmpi.transport` as :class:`ShmPoolTransport`).
-_PeerTransport = ShmPoolTransport
-
-_SENTINEL = "__done__"
 
 #: Liveness poll cadence of the launcher while awaiting results.
 _LIVENESS_POLL = 0.25
@@ -216,7 +202,7 @@ class CommConfig:
     Attributes
     ----------
     collective_timeout:
-        Seconds any single message/coordinator wait may block before a
+        Seconds any single message wait may block before a
         :class:`CollectiveTimeoutError` is raised.
     shm_min_bytes:
         Array payloads of at least this many bytes travel through a
@@ -294,8 +280,7 @@ class CommConfig:
         pooled segment for use-after-release, double-release, and
         leak-at-exit.  Control traffic is counter-neutral (like the
         ``shmfree`` credits), so traces and reductions stay
-        bit-identical to a non-verify run.  Requires the ``"p2p"``
-        transport.
+        bit-identical to a non-verify run.
     profile:
         Arm the per-rank span profiler and metrics registry
         (:mod:`repro.observability`): nested spans for sweeps, phases,
@@ -307,11 +292,8 @@ class CommConfig:
         path is touched, so profiled runs stay bit- and
         trace-identical to plain runs; when off (default) no profiler
         exists and every boundary pays a single ``is None`` test, like
-        ``fault_plan``.  Requires the ``"p2p"`` transport.
-    profile_max_spans:
-        Span-buffer capacity per rank; once full, further spans are
-        counted in ``RankProfile.dropped`` instead of recorded
-        (metrics keep accumulating), bounding profiler memory.
+        ``fault_plan``.  Span buffers hold
+        :data:`repro.observability.spans.MAX_SPANS` spans per rank.
     race_detect:
         Arm the tier-2 happens-before race sanitizer
         (:mod:`repro.analysis.verify.races`): every thread that
@@ -329,7 +311,7 @@ class CommConfig:
         interleavings.  Nothing on the payload path changes, so
         clean detect-on runs stay bit- and trace-identical with
         bounded overhead (``bench_race_overhead.py`` gates <10 % in
-        CI).  Requires the ``"p2p"`` transport.
+        CI).
     overlap:
         Pipeline (double-buffer) the deterministic reduction
         collectives: each receive is prefetched on a per-rank overlap
@@ -363,11 +345,10 @@ class CommConfig:
         (``bench_telemetry_overhead.py`` gates <10 % in CI).  On
         failure all rings are collected and merged into a causal
         postmortem timeline attached to :class:`RankFailureError`.
-        On by default; turn off only for overhead baselines.
-    flight_capacity:
-        Ring capacity (events per rank) of the flight recorder.  Once
-        full, the oldest events are dropped (the monotone ``seq``
-        makes the drop count visible in the snapshot).
+        Rings hold
+        :data:`repro.observability.telemetry.FLIGHT_CAPACITY` events
+        per rank.  On by default; turn off only for overhead
+        baselines.
     telemetry_interval:
         Seconds between out-of-band telemetry heartbeats pushed from
         every rank to the launcher over the control plane (sweep
@@ -392,10 +373,8 @@ class CommConfig:
     agree_timeout: float = 2.0
     verify: bool = False
     profile: bool = False
-    profile_max_spans: int = 1 << 16
     race_detect: bool = False
     flight: bool = True
-    flight_capacity: int = 256
     telemetry_interval: float = 0.0
 
 
@@ -435,8 +414,6 @@ class ProcessComm:
     with :class:`CollectiveTimeoutError` rather than deadlocking.
     """
 
-    transport = "p2p"
-
     def __init__(
         self,
         rank: int,
@@ -468,7 +445,7 @@ class ProcessComm:
         if self.config.flight:
             from repro.observability.telemetry import FlightRecorder
 
-            self.flight = FlightRecorder(rank, self.config.flight_capacity)
+            self.flight = FlightRecorder(rank)
             channel.flight = self.flight
         #: lazily created single-thread executor for CommConfig.overlap
         #: receive prefetching (None until the first overlapped
@@ -507,9 +484,7 @@ class ProcessComm:
         if self.config.profile:
             from repro.observability.spans import SpanProfiler
 
-            self.profiler = SpanProfiler(
-                rank, capacity=self.config.profile_max_spans
-            )
+            self.profiler = SpanProfiler(rank)
             channel.profiler = self.profiler
         #: tier-2 happens-before race detector
         #: (repro.analysis.verify.races), imported lazily like the
@@ -571,7 +546,7 @@ class ProcessComm:
             return
         for a in arrays:
             if a.dtype.kind in "fc" and not np.all(np.isfinite(a)):
-                fr = getattr(self, "flight", None)
+                fr = self.flight
                 if fr is not None:
                     fr.record(
                         "guard", self._op_id, self.phase,
@@ -1467,260 +1442,6 @@ class ProcessComm:
 
 
 # ---------------------------------------------------------------------------
-# legacy star transport (coordinator process)
-# ---------------------------------------------------------------------------
-
-
-def _star_payload_size(obj: object) -> tuple[int, int]:
-    """(words, bytes) of the arrays inside a star request/reply."""
-    if isinstance(obj, np.ndarray):
-        return obj.size, obj.nbytes
-    if isinstance(obj, tuple) and obj and isinstance(obj[0], np.ndarray):
-        return obj[0].size, obj[0].nbytes
-    if isinstance(obj, (list, dict)):
-        vals = obj.values() if isinstance(obj, dict) else obj
-        arrays = [v for v in vals if isinstance(v, np.ndarray)]
-        return sum(a.size for a in arrays), sum(a.nbytes for a in arrays)
-    return 0, 0
-
-
-@dataclass
-class _Request:
-    op: str
-    op_id: int
-    group: tuple[int, ...]
-    rank: int
-    payload: object
-    root: int | None = None
-
-
-class StarComm:
-    """Legacy communicator: every collective through a coordinator.
-
-    Correct but star-shaped (the coordinator serializes and pickles
-    every block twice per collective); kept as the conformance
-    reference and the benchmark baseline for the peer-to-peer
-    transport.  Interface-compatible with :class:`ProcessComm` for the
-    collective subset (no point-to-point ``send``/``recv``).
-    """
-
-    transport = "star"
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        to_coord: "mp.Queue",
-        from_coord: "mp.Queue",
-        config: CommConfig | None = None,
-    ) -> None:
-        self.rank = rank
-        self.size = size
-        self._to_coord = to_coord
-        self._from_coord = from_coord
-        self.config = config or CommConfig()
-        if self.config.verify:
-            raise ValueError(
-                "verify mode requires the p2p transport (StarComm routes "
-                "every collective through the coordinator, which already "
-                "serializes matching)"
-            )
-        if self.config.profile:
-            raise ValueError(
-                "profile mode requires the p2p transport (the star "
-                "coordinator serializes every collective, so its timings "
-                "measure the coordinator, not the algorithm)"
-            )
-        self.trace = CommTrace()
-        #: caller-set phase label (interface parity with ProcessComm).
-        self.phase = ""
-        #: interface parity with ProcessComm (always None here: the
-        #: flight recorder and telemetry ride the p2p transports).
-        self.profiler = None
-        self.flight = None
-        self._op_id = 0
-        plan = self.config.fault_plan
-        self._inj: FaultInjector | None = (
-            FaultInjector(plan, rank)
-            if plan is not None and plan.for_rank(rank)
-            else None
-        )
-
-    def _exchange(
-        self,
-        op: str,
-        payload: object,
-        group: Sequence[int] | None = None,
-        root: int | None = None,
-    ) -> object:
-        group_t = (
-            tuple(range(self.size)) if group is None else tuple(group)
-        )
-        if self.rank not in group_t:
-            raise ValueError(
-                f"rank {self.rank} not in collective group {group_t}"
-            )
-        self._op_id += 1
-        dropped = False
-        if self._inj is not None:
-            self._inj.at_collective(self._op_id, self.phase)
-            payload, dropped = self._inj.on_send(payload)
-        if not dropped:
-            self._to_coord.put(
-                _Request(
-                    op=op,
-                    op_id=self._op_id,
-                    group=group_t,
-                    rank=self.rank,
-                    payload=payload,
-                    root=root,
-                )
-            )
-        wait = self.config.collective_timeout
-        retries = self.config.transient_retries
-        while True:
-            try:
-                result = self._from_coord.get(timeout=wait)
-                break
-            except queue_mod.Empty:
-                if retries > 0:
-                    retries -= 1
-                    wait *= self.config.retry_backoff
-                    continue
-                raise CollectiveTimeoutError(
-                    f"rank {self.rank}: coordinator did not answer {op!r} "
-                    f"within {wait:.1f}s — "
-                    f"collective call sequences have diverged across ranks"
-                ) from None
-        sent_words, sent_bytes = _star_payload_size(payload)
-        recv_words, recv_bytes = _star_payload_size(result)
-        self.trace.add(
-            CollectiveRecord(
-                op=op,
-                algorithm="star",
-                group_size=len(group_t),
-                sent_messages=1,
-                sent_words=sent_words,
-                sent_bytes=sent_bytes,
-                recv_messages=1,
-                recv_words=recv_words,
-                recv_bytes=recv_bytes,
-                shm_messages=0,
-                phase=self.phase,
-            )
-        )
-        self._guard_numerics(op, result)
-        return result
-
-    # Same screen as the p2p communicator (reads only config/rank/
-    # _op_id/phase, all of which StarComm shares).
-    _guard_numerics = ProcessComm._guard_numerics
-
-    def allreduce(
-        self, block: np.ndarray, group: Sequence[int] | None = None
-    ) -> np.ndarray:
-        """Sum over the group; every member receives the total."""
-        return self._exchange("allreduce", block, group)
-
-    def reduce_scatter(
-        self,
-        block: np.ndarray,
-        axis: int = 0,
-        group: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Sum over the group, then scatter slabs along ``axis``."""
-        return self._exchange("reduce_scatter", (block, axis), group)
-
-    def allgather(
-        self,
-        block: np.ndarray,
-        axis: int = 0,
-        group: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Concatenate group members' blocks along ``axis``."""
-        return self._exchange("allgather", (block, axis), group)
-
-    def bcast(
-        self,
-        block: np.ndarray | None,
-        root: int,
-        group: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Broadcast ``root``'s block to the group."""
-        return self._exchange("bcast", block, group, root=root)
-
-    def gather(
-        self,
-        block: np.ndarray,
-        root: int,
-        group: Sequence[int] | None = None,
-    ) -> list[np.ndarray] | None:
-        """Collect blocks at ``root`` (group order); others get None."""
-        return self._exchange("gather", block, group, root=root)
-
-    def barrier(self, group: Sequence[int] | None = None) -> None:
-        """Block until every group member reaches the barrier."""
-        self._exchange("barrier", None, group)
-
-
-def _coordinator(
-    size: int,
-    to_coord: "mp.Queue",
-    reply_queues: list["mp.Queue"],
-) -> None:
-    """Collect per-collective contributions, combine, reply."""
-    pending: dict[tuple, dict[int, _Request]] = {}
-    done = 0
-    while done < size:
-        msg = to_coord.get()
-        if msg == _SENTINEL:
-            done += 1
-            continue
-        key = (msg.op, msg.op_id, msg.group)
-        bucket = pending.setdefault(key, {})
-        bucket[msg.rank] = msg
-        if len(bucket) < len(msg.group):
-            continue
-        # Complete: combine and reply in group order.
-        del pending[key]
-        group = msg.group
-        reqs = [bucket[r] for r in group]
-        op = msg.op
-        if op == "allreduce":
-            total = reqs[0].payload.copy()
-            for r in reqs[1:]:
-                total += r.payload
-            results = [total] * len(group)
-        elif op == "reduce_scatter":
-            axis = reqs[0].payload[1]
-            total = reqs[0].payload[0].copy()
-            for r in reqs[1:]:
-                total += r.payload[0]
-            results = [
-                np.ascontiguousarray(s)
-                for s in np.array_split(total, len(group), axis=axis)
-            ]
-        elif op == "allgather":
-            axis = reqs[0].payload[1]
-            cat = np.concatenate([r.payload[0] for r in reqs], axis=axis)
-            results = [cat] * len(group)
-        elif op == "bcast":
-            root_req = next(r for r in reqs if r.rank == r.root)
-            results = [root_req.payload] * len(group)
-        elif op == "gather":
-            blocks = [r.payload for r in reqs]
-            results = [
-                blocks if rank == msg.root else None for rank in group
-            ]
-        elif op == "barrier":
-            results = [None] * len(group)
-        else:  # pragma: no cover - defensive
-            results = [RuntimeError(f"unknown op {op}")] * len(group)
-        for rank, result in zip(group, results):
-            reply_queues[rank].put(result)
-
-
-# ---------------------------------------------------------------------------
 # SPMD launcher
 # ---------------------------------------------------------------------------
 
@@ -1729,11 +1450,11 @@ def _flight_snapshot(comm) -> object | None:
     """Snapshot a comm's flight ring (None when disarmed), stamped
     with the rank's final vector clock when the race sanitizer is on
     so postmortem merging can order last-known states causally."""
-    fr = getattr(comm, "flight", None)
+    fr = comm.flight
     if fr is None:
         return None
     clock = None
-    det = getattr(comm, "_race", None)
+    det = comm._race
     if det is not None:
         try:
             clock = det.fork_point().clocks
@@ -1759,7 +1480,7 @@ def _failure_report(exc: BaseException, comm) -> dict:
             exc, (TransportClosedError, WorldRevokedError)
         ),
     }
-    fr = getattr(comm, "flight", None)
+    fr = comm.flight
     if fr is not None:
         fr.record("error", comm._op_id, comm.phase, repr(exc)[:200])
         report["flight"] = _flight_snapshot(comm)
@@ -1768,35 +1489,6 @@ def _failure_report(exc: BaseException, comm) -> dict:
         prof.finalize_transport(comm._t)
         report["profile"] = prof.rank_profile()
     return report
-
-
-def _star_worker(
-    fn_bytes: bytes,
-    rank: int,
-    size: int,
-    to_coord: "mp.Queue",
-    from_coord: "mp.Queue",
-    result_queue: "mp.Queue",
-    config: CommConfig,
-    args: tuple,
-) -> None:
-    comm = StarComm(rank, size, to_coord, from_coord, config)
-    try:
-        fn = pickle.loads(fn_bytes)
-        out = fn(comm, *args)
-        result_queue.put((rank, "ok", out))
-    except InjectedRankCrash as exc:
-        result_queue.put((rank, "crashed", _failure_report(exc, comm)))
-        if exc.hard:
-            # Simulated node loss: give the queue feeder a moment to
-            # flush the crash report, then die without cleanup — no
-            # coordinator sentinel, exactly like a killed node.
-            time.sleep(0.2)
-            os._exit(EXIT_INJECTED_CRASH)
-    except Exception as exc:
-        result_queue.put((rank, "error", _failure_report(exc, comm)))
-    finally:
-        to_coord.put(_SENTINEL)
 
 
 def _rank_body(
@@ -2000,8 +1692,8 @@ def run_spmd(
     that dies without posting a result (a hard crash, an ``os._exit``,
     a kill) aborts the job within poll + ``_ABORT_GRACE`` + teardown —
     a few seconds.  Shared-memory segments are swept on every exit
-    path, and the star coordinator is drained (stand-in sentinels for
-    ranks that never posted theirs) so it cannot linger.
+    path.  Every argument is validated before anything is spawned or
+    reported to ``monitor``, so a rejected call has no side effects.
 
     Parameters
     ----------
@@ -2010,8 +1702,7 @@ def run_spmd(
         :class:`ProcessComm` over the pooled shared-memory
         point-to-point layer; ``"tcp"`` hands out the same
         communicator over per-peer TCP connections meshed through a
-        loopback rendezvous; ``"star"`` hands out the legacy
-        coordinator-routed :class:`StarComm`.
+        loopback rendezvous.
     config:
         :class:`CommConfig` for timeouts, the shared-memory threshold,
         algorithm determinism, the short/long allreduce threshold,
@@ -2031,7 +1722,6 @@ def run_spmd(
         (``CommConfig.telemetry_interval``, defaulted to 0.5 s when
         unset) whose heartbeats are routed to the monitor from the
         launcher's drain loop — the live feed behind ``repro top``.
-        Requires a peer-to-peer transport.
     host_map:
         Optional partition of ``range(size)`` into per-process groups:
         entry ``p`` lists the logical ranks process ``p`` hosts (extra
@@ -2043,42 +1733,22 @@ def run_spmd(
     if size < 1:
         raise ValueError("size must be positive")
     if transport not in TRANSPORT_ALIASES:
-        raise ValueError(f"unknown transport {transport!r}")
+        raise ValueError(
+            f"unknown transport {transport!r} "
+            f"(expected one of {sorted(TRANSPORT_ALIASES)})"
+        )
     transport = TRANSPORT_ALIASES[transport]
     cfg = config or CommConfig()
     if collective_timeout is not None:
         cfg = replace(cfg, collective_timeout=collective_timeout)
-    if cfg.verify and transport == "star":
-        raise ValueError(
-            "verify mode requires a peer-to-peer transport (p2p/shm or tcp)"
-        )
-    if cfg.profile and transport == "star":
-        raise ValueError(
-            "profile mode requires a peer-to-peer transport (p2p/shm or tcp)"
-        )
-    if cfg.race_detect and transport == "star":
-        raise ValueError(
-            "race_detect requires a peer-to-peer transport (p2p/shm or tcp)"
-        )
-    if monitor is not None and transport == "star":
-        raise ValueError(
-            "telemetry monitoring requires a peer-to-peer transport "
-            "(p2p/shm or tcp)"
-        )
-    if monitor is not None and cfg.telemetry_interval <= 0:
-        cfg = replace(cfg, telemetry_interval=0.5)
-    if monitor is not None:
-        monitor.on_start(size, transport)
     if cfg.recovery not in ("restart",) + ELASTIC_POLICIES:
         raise ValueError(
             f"unknown recovery policy {cfg.recovery!r} "
             f"(expected 'restart', 'respawn', or 'shrink')"
         )
-    if host_map is not None:
-        if transport == "star":
-            raise ValueError(
-                "host_map requires a peer-to-peer transport (p2p/shm or tcp)"
-            )
+    if host_map is None:
+        host_map = [[rank] for rank in range(size)]
+    else:
         if cfg.verify:
             raise ValueError(
                 "host_map is incompatible with verify mode (the ctrl-pipe "
@@ -2091,106 +1761,77 @@ def run_spmd(
                 f"got {[list(e) for e in host_map]!r}"
             )
         host_map = [list(entry) for entry in host_map]
+    fn_bytes = pickle.dumps(fn)  # an unpicklable program fails here
+    if monitor is not None:
+        if cfg.telemetry_interval <= 0:
+            cfg = replace(cfg, telemetry_interval=0.5)
+        monitor.on_start(size, transport)
     ctx = mp.get_context("spawn" if mp.get_start_method() == "spawn" else "fork")
     result_queue: mp.Queue = ctx.Queue()
     run_token = uuid.uuid4().hex[:8]
-    fn_bytes = pickle.dumps(fn)
 
-    coord = None
+    inboxes = (
+        [ctx.Queue() for _ in range(size)] if transport == "p2p" else None
+    )
+    # Verify mode: a lock-free shared board of (waiting_on, op_id,
+    # stamp) triples, one per rank, feeding the wait-for-graph
+    # deadlock detector.  Each rank writes only its own slots.
+    board = (
+        ctx.Array("q", 3 * size, lock=False)
+        if cfg.verify and size > 1
+        else None
+    )
+    if board is not None:
+        for r in range(size):
+            board[3 * r] = -1  # idle, not "waiting on rank 0"
+    # Verify mode, shm backend only: a dedicated duplex pipe per rank
+    # pair carries the control rounds — Connection.send is a
+    # synchronous write with no feeder thread, so the verifier's fixed
+    # latency stays small even with every rank contending for CPU.
+    # The tcp backend rides its control traffic on the ordinary frame
+    # stream instead (no extra descriptors).
     ctrl_mesh = None
+    if cfg.verify and size > 1 and transport == "p2p":
+        ctrl_mesh = [{} for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                end_i, end_j = ctx.Pipe(duplex=True)
+                ctrl_mesh[i][j] = end_i
+                ctrl_mesh[j][i] = end_j
+    # TCP backend: the launcher runs the one-shot rendezvous round
+    # (address exchange) on a loopback listener; ranks mesh up against
+    # it during transport construction.
     rdv_listener = None
-    if transport == "star":
-        to_coord: mp.Queue = ctx.Queue()
-        reply_queues = [ctx.Queue() for _ in range(size)]
-        coord = ctx.Process(
-            target=_coordinator, args=(size, to_coord, reply_queues)
+    rendezvous: tuple[str, int] | None = None
+    if transport == "tcp" and size > 1:
+        rdv_listener = open_rendezvous_listener("127.0.0.1")
+        rendezvous = rdv_listener.getsockname()[:2]
+        threading.Thread(
+            target=_serve_rendezvous_quietly,
+            args=(rdv_listener, size, cfg.tcp_connect_timeout),
+            daemon=True,
+        ).start()
+    workers = [
+        ctx.Process(
+            target=_p2p_worker,
+            args=(
+                fn_bytes,
+                tuple(hosted),
+                size,
+                inboxes,
+                result_queue,
+                run_token,
+                cfg,
+                args,
+                board,
+                ctrl_mesh[hosted[0]] if ctrl_mesh is not None else None,
+                transport,
+                rendezvous,
+            ),
         )
-        coord.start()
-        workers = [
-            ctx.Process(
-                target=_star_worker,
-                args=(
-                    fn_bytes,
-                    rank,
-                    size,
-                    to_coord,
-                    reply_queues[rank],
-                    result_queue,
-                    cfg,
-                    args,
-                ),
-            )
-            for rank in range(size)
-        ]
-        proc_map = {rank: rank for rank in range(size)}
-    else:
-        inboxes = (
-            [ctx.Queue() for _ in range(size)]
-            if transport == "p2p"
-            else None
-        )
-        # Verify mode: a lock-free shared board of (waiting_on, op_id,
-        # stamp) triples, one per rank, feeding the wait-for-graph
-        # deadlock detector.  Each rank writes only its own slots.
-        board = (
-            ctx.Array("q", 3 * size, lock=False)
-            if cfg.verify and size > 1
-            else None
-        )
-        if board is not None:
-            for r in range(size):
-                board[3 * r] = -1  # idle, not "waiting on rank 0"
-        # Verify mode, shm backend only: a dedicated duplex pipe per
-        # rank pair carries the control rounds — Connection.send is a
-        # synchronous write with no feeder thread, so the verifier's
-        # fixed latency stays small even with every rank contending
-        # for CPU.  The tcp backend rides its control traffic on the
-        # ordinary frame stream instead (no extra descriptors).
-        if cfg.verify and size > 1 and transport == "p2p":
-            ctrl_mesh = [{} for _ in range(size)]
-            for i in range(size):
-                for j in range(i + 1, size):
-                    end_i, end_j = ctx.Pipe(duplex=True)
-                    ctrl_mesh[i][j] = end_i
-                    ctrl_mesh[j][i] = end_j
-        # TCP backend: the launcher runs the one-shot rendezvous round
-        # (address exchange) on a loopback listener; ranks mesh up
-        # against it during transport construction.
-        rendezvous: tuple[str, int] | None = None
-        if transport == "tcp" and size > 1:
-            rdv_listener = open_rendezvous_listener("127.0.0.1")
-            rendezvous = rdv_listener.getsockname()[:2]
-            rdv_thread = threading.Thread(
-                target=_serve_rendezvous_quietly,
-                args=(rdv_listener, size, cfg.tcp_connect_timeout),
-                daemon=True,
-            )
-            rdv_thread.start()
-        if host_map is None:
-            host_map = [[rank] for rank in range(size)]
-        workers = [
-            ctx.Process(
-                target=_p2p_worker,
-                args=(
-                    fn_bytes,
-                    tuple(hosted),
-                    size,
-                    inboxes,
-                    result_queue,
-                    run_token,
-                    cfg,
-                    args,
-                    board,
-                    ctrl_mesh[hosted[0]] if ctrl_mesh is not None else None,
-                    transport,
-                    rendezvous,
-                ),
-            )
-            for hosted in host_map
-        ]
-        proc_map = {
-            r: pi for pi, hosted in enumerate(host_map) for r in hosted
-        }
+        for hosted in host_map
+    ]
+    proc_map = {r: pi for pi, hosted in enumerate(host_map) for r in hosted}
     for w in workers:
         w.start()
     if ctrl_mesh is not None:
@@ -2321,29 +1962,11 @@ def run_spmd(
             for w in workers:
                 if w.is_alive():
                     w.terminate()
-        if coord is not None and failure:
-            # Ranks that died before posting their _SENTINEL leave the
-            # coordinator waiting forever; post stand-ins so it can
-            # drain and exit instead of being terminated mid-reply.
-            # A rank that posted a *result* may still have skipped its
-            # sentinel (a hard crash os._exits between the two), so
-            # post a full set: every worker is already terminated, and
-            # the coordinator stops at `size`, ignoring extras.
-            for _ in range(size):
-                try:
-                    to_coord.put(_SENTINEL)
-                except Exception:  # pragma: no cover - queue torn down
-                    break
         for w in workers:
             w.join(timeout=10)
             if w.is_alive():  # pragma: no cover - hang safety
                 w.terminate()
                 w.join(timeout=10)
-        if coord is not None:
-            coord.join(timeout=10)
-            if coord.is_alive():  # pragma: no cover - hang safety
-                coord.terminate()
-                coord.join(timeout=10)
         if rdv_listener is not None:
             try:
                 rdv_listener.close()

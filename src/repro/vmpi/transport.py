@@ -15,11 +15,9 @@ of the stack taps.  Two backends implement it:
   per-peer persistent TCP connections (``socket`` + ``selectors``,
   non-blocking with buffered writes so symmetric exchange patterns
   cannot deadlock on full socket buffers).  Ranks find each other
-  through a tiny rendezvous server (:func:`serve_rendezvous`) reached
-  via a ``host:port`` the launcher plumbs in — the same env contract
-  whether ranks are forked locally, spawned as loopback subprocesses
-  by :mod:`repro.distributed.launch`, or (later) started over ssh on
-  other hosts.
+  through a tiny rendezvous server (:func:`serve_rendezvous`) on a
+  loopback ``host:port`` that :func:`~repro.vmpi.mp_comm.run_spmd`
+  serves and hands to every rank.
 
 The contract that makes backends interchangeable:
 
@@ -933,7 +931,7 @@ def open_rendezvous_listener(
 ) -> socket.socket:
     """A listening socket for :func:`serve_rendezvous` — bind first,
     read the chosen port from ``getsockname()``, then hand the
-    ``host:port`` to the ranks (env var or worker argument)."""
+    ``host:port`` to the ranks as a worker argument."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((host, port))
@@ -950,8 +948,7 @@ def serve_rendezvous(
     own mesh listener), and receives the full ``{rank: (host, port)}``
     map once all ranks have checked in.  Returns the map (the launcher
     may log it).  Closes the accepted connections but not ``listener``
-    — the caller owns that (and may keep serving result traffic on it,
-    as :mod:`repro.distributed.launch` does).
+    — the caller owns that.
     """
     listener.settimeout(timeout)
     conns: list[socket.socket] = []
@@ -1019,9 +1016,6 @@ class TcpSocketTransport(Transport):
         size: int,
         config,
         rendezvous: tuple[str, int] | None = None,
-        *,
-        bind_host: str = "127.0.0.1",
-        advertise_host: str | None = None,
     ) -> None:
         super().__init__(rank, size, config)
         self._sel = selectors.DefaultSelector()
@@ -1037,7 +1031,7 @@ class TcpSocketTransport(Transport):
                     "TcpSocketTransport needs a rendezvous (host, port) "
                     "for size > 1"
                 )
-            self._establish_mesh(rendezvous, bind_host, advertise_host)
+            self._establish_mesh(rendezvous)
 
     # -- mesh setup ---------------------------------------------------------
 
@@ -1078,24 +1072,16 @@ class TcpSocketTransport(Transport):
             f"(last error: {last!r})"
         ) from last
 
-    def _establish_mesh(
-        self,
-        rendezvous: tuple[str, int],
-        bind_host: str,
-        advertise_host: str | None,
-    ) -> None:
+    def _establish_mesh(self, rendezvous: tuple[str, int]) -> None:
         timeout = self._connect_timeout
         deadline = time.monotonic() + timeout
-        listener = open_rendezvous_listener(bind_host)
+        listener = open_rendezvous_listener()
         try:
-            port = listener.getsockname()[1]
+            host, port = listener.getsockname()[:2]
             rdv = self._connect_retry(tuple(rendezvous), deadline)
             try:
                 rdv.settimeout(timeout)
-                _sock_send_obj(
-                    rdv,
-                    ("hello", self.rank, advertise_host or bind_host, port),
-                )
+                _sock_send_obj(rdv, ("hello", self.rank, host, port))
                 addrs = _sock_recv_obj(rdv)
             finally:
                 rdv.close()

@@ -1,12 +1,12 @@
 """Cross-layer collective conformance suite.
 
 One parametrized harness runs every collective (allreduce,
-reduce-scatter, allgather, bcast, gather, barrier) across four
-execution layers — the peer-to-peer ``mp_comm`` transport on both its
-wires (pooled shared memory and TCP sockets; the shm wire in both the
+reduce-scatter, allgather, bcast, gather, barrier) across the
+execution layers — the ``mp_comm`` communicator on both its wires
+(pooled shared memory and TCP sockets; the shm wire in both the
 deterministic rank-order algorithms and the tree-ordered power-of-two
-ones), the legacy coordinator-star transport, and the in-process
-executable block collectives of :mod:`repro.vmpi.collectives` — over
+ones) and the in-process executable block collectives of
+:mod:`repro.vmpi.collectives` — over
 group sizes {1, 2, 3, 4, 7, 8} and payload corners (float32/float64,
 integer dtypes, empty arrays, non-contiguous views, 0-d scalars,
 ragged allgather extents, extents that do not divide the group size),
@@ -20,6 +20,8 @@ tcp).
 
 Payload values are integer-valued floats, so every summation order is
 exact and bit-identity is well-defined for all reduction algorithms.
+The rank-order claim itself is certified separately, on non-integer
+payloads whose sums depend on the order of the adds.
 
 The divergence tests at the bottom certify the deadlock-safety
 guarantee: mismatched collective sequences raise
@@ -47,7 +49,6 @@ GROUP_SIZES = (1, 2, 3, 4, 7, 8)
 TRANSPORTS = (
     "p2p-det",
     "p2p-nondet",
-    "star",
     "blocks",
     pytest.param("tcp", marks=pytest.mark.transport_matrix),
 )
@@ -167,8 +168,6 @@ def _blocks_layer(size: int) -> list[dict[str, object]]:
 def _run_layer(transport: str, size: int) -> tuple:
     if transport == "blocks":
         return tuple(_blocks_layer(size))
-    if transport == "star":
-        return tuple(run_spmd(_conformance_program, size, transport="star"))
     if transport == "tcp":
         return tuple(
             run_spmd(
@@ -293,17 +292,51 @@ def test_shm_and_tcp_traces_identical(size):
             )
 
 
-def test_deterministic_p2p_matches_star_bitwise():
-    """With rank-order reductions the new transport reproduces the
-    star coordinator's left-to-right sums bit-for-bit (exactness of
-    the integer payloads is not needed for this pairing)."""
+# (name, op, shape, kwargs): small payloads take the latency-optimal
+# allreduce, large ones the bandwidth-optimal one (``_P2P_CONFIG``).
+_ORDER_CASES = [
+    ("allreduce-small", "allreduce", (3, 4), {}),
+    ("allreduce-big", "allreduce", (25, 8), {}),
+    ("reduce_scatter-axis0", "reduce_scatter", (7, 5), {"axis": 0}),
+    ("reduce_scatter-axis1", "reduce_scatter", (6, 9), {"axis": 1}),
+]
+
+
+def _order_payload(rank: int, shape: tuple) -> np.ndarray:
+    """Non-integer float64 values spanning several magnitudes, so
+    floating-point sums of them depend on the order of the adds."""
+    rng = np.random.default_rng(2000 + rank)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+
+def _order_program(comm) -> dict[str, np.ndarray]:
+    out = {}
+    for name, op, shape, kwargs in _ORDER_CASES:
+        block = _order_payload(comm.rank, shape)
+        if op == "allreduce":
+            out[name] = comm.allreduce(block)
+        else:
+            out[name] = comm.reduce_scatter(block, **kwargs)
+    return out
+
+
+def test_deterministic_p2p_matches_blocks_bitwise():
+    """With rank-order reductions the shm wire reproduces the
+    left-to-right sums of the in-process block collectives
+    bit-for-bit, on payloads where the summation order shows."""
     for size in (3, 4):
-        p2p = _run_layer("p2p-det", size)
-        star = _run_layer("star", size)
-        for rank in range(size):
-            for name, _, _, _ in CASES:
+        outs = run_spmd(_order_program, size, config=_P2P_CONFIG)
+        for name, op, shape, kwargs in _ORDER_CASES:
+            blocks = [_order_payload(r, shape) for r in range(size)]
+            # The payloads must expose the order: a reversed sum differs.
+            assert not np.array_equal(sum(blocks), sum(blocks[::-1])), name
+            if op == "allreduce":
+                expected = allreduce_blocks(blocks)
+            else:
+                expected = reduce_scatter_blocks(blocks, **kwargs)
+            for rank in range(size):
                 _assert_bit_identical(
-                    p2p[rank][name], star[rank][name], f"p={size} {name}"
+                    outs[rank][name], expected[rank], f"p={size} {name}"
                 )
 
 
@@ -335,7 +368,6 @@ class TestDivergenceTimeout:
         "transport",
         [
             "p2p",
-            "star",
             pytest.param("tcp", marks=pytest.mark.transport_matrix),
         ],
     )

@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.sthosvd import sthosvd
 from repro.distributed.mp_sthosvd import mp_sthosvd
+from repro.observability.telemetry import TelemetryMonitor
 from repro.tensor.random import tucker_plus_noise
-from repro.vmpi.mp_comm import ProcessComm, run_spmd
+from repro.vmpi.mp_comm import CommConfig, ProcessComm, run_spmd
 
 # Module-level SPMD programs (must be picklable).
 
@@ -158,6 +159,35 @@ class TestRunSPMD:
         with pytest.raises(ValueError):
             run_spmd(_prog_allreduce, 0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            # The message names the transports that are accepted.
+            ({"transport": "star"}, r"'star'.*'p2p', 'shm', 'tcp'"),
+            ({"host_map": [[0]]}, "host_map must partition"),
+            (
+                {"host_map": [[0], [1]], "config": CommConfig(verify=True)},
+                "host_map is incompatible with verify",
+            ),
+            ({"config": CommConfig(recovery="bogus")}, "recovery policy"),
+        ],
+        ids=["transport", "host_map", "host_map-verify", "recovery"],
+    )
+    def test_rejected_call_logs_nothing(self, kwargs, match):
+        """Arguments are validated before any side effect: a rejected
+        call leaves no ``run`` event (or anything else) in the
+        monitor."""
+        mon = TelemetryMonitor()
+        with pytest.raises(ValueError, match=match):
+            run_spmd(_prog_allreduce, 2, monitor=mon, **kwargs)
+        assert list(mon.events) == []
+
+    def test_unpicklable_program_logs_nothing(self):
+        mon = TelemetryMonitor()
+        with pytest.raises(Exception, match="pickle"):
+            run_spmd(lambda comm: None, 2, monitor=mon)
+        assert list(mon.events) == []
+
 
 class TestTimeoutHygiene:
     def test_collective_timeout_configurable(self, backend):
@@ -170,16 +200,12 @@ class TestTimeoutHygiene:
         assert out == [7.5, 7.5]
 
     def test_config_object_timeout(self):
-        from repro.vmpi.mp_comm import CommConfig
-
         out = run_spmd(
             _prog_config_timeout, 2, config=CommConfig(collective_timeout=9.0)
         )
         assert out == [9.0, 9.0]
 
     def test_shorthand_overrides_config(self):
-        from repro.vmpi.mp_comm import CommConfig
-
         out = run_spmd(
             _prog_config_timeout,
             2,

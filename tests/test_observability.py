@@ -67,10 +67,6 @@ def _prog_profiled_crash(comm: ProcessComm) -> float:
     return float(out.sum())
 
 
-def _prog_trivial(comm: ProcessComm) -> float:
-    return float(comm.allreduce(np.ones(2)).sum())
-
-
 class TestSpanProfiler:
     def test_nesting_depth_and_order(self):
         prof = SpanProfiler(rank=0)
@@ -360,16 +356,6 @@ class TestFailurePath:
         assert partial.open_span["phase"] == "ttm"
         assert "last open span" in str(err)
         assert "'stuck step'" in str(err)
-
-    def test_profile_requires_p2p(self):
-        with pytest.raises(ValueError, match="p2p"):
-            run_spmd(
-                _prog_trivial,
-                2,
-                transport="star",
-                config=CommConfig(profile=True),
-                timeout=30.0,
-            )
 
 
 class TestAttributionSynthetic:

@@ -294,11 +294,6 @@ class TestRecoveryPieces:
     def test_host_map_validation(self):
         with pytest.raises(ValueError, match="host_map"):
             run_spmd(_prog_replicate, 3, host_map=[[0, 1]])
-        with pytest.raises(ValueError, match="host_map"):
-            run_spmd(
-                _prog_replicate, 2, host_map=[[0], [1]],
-                transport="star",
-            )
 
     def test_run_elastic_without_replicas_reraises(self):
         # Survivor reports exist but no boundary was ever replicated

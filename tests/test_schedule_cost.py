@@ -227,21 +227,3 @@ def test_crossover_consistency():
             continue
         assert select_allreduce_algorithm(n_star * 0.5, p) == "short"
         assert select_allreduce_algorithm(n_star * 2.0, p) == "long"
-
-
-def _star_trace_program(comm):
-    comm.allreduce(np.ones(32))
-    comm.barrier()
-    return comm.trace.records
-
-
-def test_star_transport_traces_traffic():
-    """The legacy star transport records its (coordinator-shaped)
-    traffic too, so benchmarks can compare bytes moved per transport."""
-    records = run_spmd(_star_trace_program, 3, transport="star")[0]
-    assert [r.op for r in records] == ["allreduce", "barrier"]
-    assert all(r.algorithm == "star" for r in records)
-    ar = records[0]
-    assert ar.sent_words == 32  # one request up to the coordinator
-    assert ar.recv_words == 32  # one reply back down
-    assert ar.shm_messages == 0

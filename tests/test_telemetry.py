@@ -549,10 +549,3 @@ class TestLiveTelemetryChannel:
         rec = [e for e in mon.events if e["kind"] == "postmortem"][0]
         assert rec["verdict"] == _DEADLOCK_VERDICT
         assert rec["diverging"] == [1]
-
-    def test_monitor_with_star_transport_rejected(self):
-        with pytest.raises(ValueError, match="monitor"):
-            run_spmd(
-                _prog_clean, 2, np.ones(4), timeout=60.0,
-                transport="star", monitor=TelemetryMonitor(),
-            )

@@ -3,16 +3,13 @@
 The suite drives :class:`TcpSocketTransport` *in process* — two or
 three transports meshed over loopback from threads — so framing,
 timeout, and lifecycle behavior is tested without the launcher in the
-way, plus launcher-shim smoke tests for ``repro run --backend tcp``.
+way, plus a CLI smoke test for ``repro run --backend tcp``.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -297,54 +294,13 @@ class TestTransportContract:
 
 
 class TestLauncherShim:
-    def test_detect_runners_always_has_local(self):
-        from repro.distributed.launch import detect_runners
-
-        runners = detect_runners()
-        assert runners[:2] == ["fork", "loopback"]
-
-    def test_build_rank_command_env_contract(self):
-        from repro.distributed import launch
-
-        argv, env = launch.build_rank_command(
-            2, 4, ("127.0.0.1", 5555), "/tmp/job.pkl"
-        )
-        assert argv[0] == sys.executable
-        assert argv[1:] == ["-m", "repro.distributed.launch"]
-        assert env[launch.ENV_RANK] == "2"
-        assert env[launch.ENV_WORLD_SIZE] == "4"
-        assert env[launch.ENV_RENDEZVOUS] == "127.0.0.1:5555"
-        assert env[launch.ENV_BACKEND] == "tcp"
-        assert env[launch.ENV_PROGRAM] == "/tmp/job.pkl"
-        assert "PYTHONPATH" in env
-
-    def test_launch_spmd_loopback(self):
-        from repro.distributed.launch import _smoke_program, launch_spmd
-
-        assert launch_spmd(_smoke_program, 3) == [6.0, 6.0, 6.0]
-
-    def test_launch_spmd_surfaces_failures(self):
-        from repro.distributed.launch import launch_spmd
-        from repro.vmpi.mp_comm import RankFailureError
-
-        with pytest.raises(RankFailureError, match="boom"):
-            launch_spmd(_prog_fail_rank1, 2, timeout=60.0)
-
-    def test_unknown_runner_rejected(self):
-        from repro.distributed.launch import _smoke_program, launch_spmd
-
-        with pytest.raises(ValueError, match="unknown runner"):
-            launch_spmd(_smoke_program, 2, runner="carrier-pigeon")
+    """``repro run`` is a thin CLI over the one launcher,
+    :func:`~repro.vmpi.mp_comm.run_spmd`."""
 
     def test_repro_run_tcp_smoke_cli(self):
         """End-to-end loopback smoke of ``repro run --backend tcp``:
-        umbrella CLI -> launcher shim -> spawned subprocess ranks."""
+        umbrella CLI -> ``run_spmd(transport="tcp")`` -> forked ranks
+        meshed over TCP."""
         from repro.cli import main
 
         assert main(["run", "--backend", "tcp", "--smoke", "--np", "2"]) == 0
-
-
-def _prog_fail_rank1(comm):
-    if comm.rank == 1:
-        raise ValueError("boom")
-    return comm.rank

@@ -382,10 +382,6 @@ class TestCleanRunsUnperturbed:
         out = run_spmd(_prog_stalled, 2, config=cfg)
         assert out == [2.0, 2.0]
 
-    def test_verify_requires_p2p(self):
-        with pytest.raises(ValueError, match="p2p"):
-            run_spmd(_prog_stalled, 2, transport="star", config=VERIFY)
-
 
 def _prog_sanitizer_probe(comm: ProcessComm):
     # verify=True on a non-shm wire: signature matching stays armed,
