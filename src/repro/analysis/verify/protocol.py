@@ -98,10 +98,12 @@ DEFAULT_WORLD = 4
 #: raw transport channel must stay out of this namespace: ``buddy`` /
 #: ``agree`` are the elastic-recovery rounds
 #: (:mod:`repro.distributed.recovery`), ``shmfree`` the segment-pool
-#: credits, ``revoke`` the failure notices, ``ctl``/``vfy``/``vok``
-#: the tier-2 verifier rounds, and ``p2p`` the user send/recv wrapper.
+#: credits, ``revoke`` the failure notices, ``fin`` the finished-rank
+#: notices, ``ctl``/``vfy``/``vok`` the tier-2 verifier rounds, and
+#: ``p2p`` the user send/recv wrapper.
 RESERVED_TAG_KINDS = frozenset(
-    {"buddy", "agree", "shmfree", "revoke", "ctl", "vfy", "vok", "p2p"}
+    {"buddy", "agree", "shmfree", "revoke", "fin", "ctl", "vfy", "vok",
+     "p2p"}
 )
 
 #: Raw transport entry points whose tag argument shares the wire's tag

@@ -272,13 +272,6 @@ SPMDTreeEngine`, but each state carries a *signature* identifying the
 
 def _stamp_engine_metrics(prof, engine: MPTreeEngine) -> None:
     """End-of-program gauges: the engine's lifetime TTM/cache counters."""
-    from repro import kernels
-
-    # Which local-kernel backend produced this profile (0 = numpy,
-    # 1 = numba): lets the attribution report group runs by backend.
-    prof.metrics.gauge(
-        "kernels_numba", 1.0 if kernels.backend_name() == "numba" else 0.0
-    )
     prof.metrics.gauge("ttm_count", float(engine.ttm_count))
     prof.metrics.gauge("cache_hits", float(engine.cache_hits))
     prof.metrics.gauge("cache_misses", float(engine.cache_misses))

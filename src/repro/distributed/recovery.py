@@ -18,10 +18,10 @@ certified cost accounting.
 
 **Failure agreement** (:meth:`RecoveryManager.on_failure`).  On a peer
 death — :class:`~repro.vmpi.transport.TransportClosedError` in-band on
-tcp, a launcher-posted revoke sentinel
-(:class:`~repro.vmpi.transport.WorldRevokedError`) on shm — the
-survivor revokes the world (ULFM-style: a revoke notice wakes every
-peer still blocked on a *live* rank) and runs a bounded two-round
+either wire, or another survivor's revoke notice
+(:class:`~repro.vmpi.transport.WorldRevokedError`) — the survivor
+revokes the world (ULFM-style: a revoke notice wakes every peer still
+blocked on a *live* rank) and runs a bounded two-round
 suspect-set exchange so survivors converge on the same failed set.
 The round is best-effort by construction (a survivor that never
 enters a collective cannot answer and is over-suspected); the

@@ -53,8 +53,8 @@ def ttm(
         Multiply by ``matrix.T`` instead of ``matrix``.
     """
     mode = check_mode(tensor.ndim, mode)
-    # The reshape-GEMM-reshape body lives in repro.kernels (selectable
-    # NumPy/numba backends); it validates the operand shapes.
+    # The reshape-GEMM-reshape body lives in repro.kernels; it
+    # validates the operand shapes.
     return kernels.ttm(tensor, matrix, mode, transpose=transpose)
 
 

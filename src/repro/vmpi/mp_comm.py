@@ -10,11 +10,11 @@ Two wires carry the same communicator:
 
 * ``"p2p"`` (alias ``"shm"``; default, :class:`ProcessComm` over
   :class:`~repro.vmpi.transport.ShmPoolTransport`) — a peer-to-peer
-  point-to-point layer (per-rank inbox queues carrying tagged
-  messages; NumPy payloads above a size threshold travel through
-  *pooled* ``multiprocessing.shared_memory`` segments without
-  pickling, smaller or non-array payloads fall back to pickle) with
-  *real* collective
+  point-to-point layer (tagged, length-prefixed frames over one
+  AF_UNIX socketpair per rank pair, made before the fork; NumPy
+  payloads of at least a size threshold travel through *pooled*
+  ``multiprocessing.shared_memory`` segments without pickling and only
+  their handles ride the stream) with *real* collective
   algorithms on top: pairwise-exchange / recursive-halving
   reduce-scatter, ring / recursive-doubling allgather, Bruck /
   recursive-doubling / Rabenseifner allreduce, binomial-tree
@@ -26,11 +26,14 @@ Two wires carry the same communicator:
   :class:`~repro.vmpi.trace.CollectiveRecord` counters).
 * ``"tcp"`` (:class:`ProcessComm` over
   :class:`~repro.vmpi.transport.TcpSocketTransport`) — the same
-  communicator and collective algorithms over length-prefixed frames
-  on per-peer persistent TCP connections, meshed through a loopback
-  rendezvous the launcher serves.  Bit-identical results and
-  identical collective traces (``shm_messages`` aside), just a
-  different wire.
+  communicator, collective algorithms, and frames on per-peer
+  persistent TCP connections, meshed through a loopback rendezvous the
+  launcher serves.  Bit-identical results and identical collective
+  traces (``shm_messages`` aside), just a different socket.
+
+Both wires detect failures in-band: a rank that raises, exits, or
+dies closes its sockets, so a peer waiting on it sees EOF and raises
+:class:`TransportClosedError` at once, with its flight ring intact.
 
 Programs must be *loosely synchronous*: every member of a collective's
 group must reach that collective after the same number of prior
@@ -55,6 +58,7 @@ import math
 import os
 import pickle
 import queue as queue_mod
+import socket
 import sys
 import threading
 import time
@@ -83,7 +87,6 @@ from repro.vmpi.transport import (  # noqa: F401  (re-exported)
     TransportClosedError,
     WorldRevokedError,
     _FREE_TAG,
-    _REVOKE_TAG,
     _contig,
     _payload_arrays,
     open_rendezvous_listener,
@@ -121,8 +124,8 @@ _LIVENESS_POLL = 0.25
 
 #: Once a failure is observed (error result or dead process), how long
 #: the launcher keeps draining in-flight results before aborting the
-#: survivors.  Detection latency is bounded by poll + grace + teardown,
-#: a few seconds — not the full run timeout.
+#: survivors that neither reported nor exited.  The launcher leaves
+#: earlier once every rank has, so this bounds only the stuck case.
 _ABORT_GRACE = 2.0
 
 
@@ -207,9 +210,12 @@ class CommConfig:
     shm_min_bytes:
         Array payloads of at least this many bytes travel through a
         pooled ``multiprocessing.shared_memory`` segment (no pickling);
-        smaller ones are pickled through the inbox queue.  The default
-        (256 KiB) is where the two-memcpy segment path overtakes
-        pickling through a pipe in 64 KiB chunks.
+        smaller ones are pickled into the frame on the rank pair's
+        socket stream.  The default (256 KiB) is a compromise: with a
+        warm pool a segment already beats the socket from 32 KiB, but
+        a rank process's first segment also starts a
+        ``multiprocessing`` resource tracker (about 10 ms on a 2-vCPU
+        VM), which the socket beats up to 1 MiB.
     deterministic:
         Reduce in group-rank order (bit-identical to the sequential
         left-to-right block collectives).  When ``False``, power-of-two
@@ -1472,7 +1478,7 @@ def _failure_report(exc: BaseException, comm) -> dict:
         "error": repr(exc),
         "traceback": traceback_mod.format_exc(),
         "trace_tail": comm.trace.tail(),
-        # A closed-peer abort (or a launcher-revoked world) is a
+        # A closed-peer abort (or a survivor-revoked world) is a
         # casualty of some other rank's death, not a primary failure:
         # the launcher demotes it to the aborted set when a primary
         # failure explains it.
@@ -1495,13 +1501,12 @@ def _rank_body(
     fn_bytes: bytes,
     rank: int,
     size: int,
-    inboxes: list["mp.Queue"] | None,
+    peers: dict[int, socket.socket] | None,
     result_queue: "mp.Queue",
     run_token: str,
     config: CommConfig,
     args: tuple,
     board: object | None = None,
-    ctrl_conns: dict[int, object] | None = None,
     backend: str = "p2p",
     rendezvous: tuple[str, int] | None = None,
 ) -> None:
@@ -1524,8 +1529,7 @@ def _rank_body(
             )
             return
     else:
-        channel = ShmPoolTransport(rank, size, inboxes, run_token, config)
-        channel.ctrl_conns = ctrl_conns
+        channel = ShmPoolTransport(rank, size, peers, run_token, config)
     comm = ProcessComm(rank, size, channel, config, board=board)
     pusher = None
     if config.telemetry_interval > 0:
@@ -1545,6 +1549,9 @@ def _rank_body(
         # Verify mode: a leaked shm segment turns the rank's result
         # into an error *before* it is posted (SPMD213).
         comm.verify_shutdown()
+        # From here a peer still waiting on this rank has diverged
+        # rather than lost it.
+        channel.finish()
         if comm.profiler is not None:
             comm.profiler.finalize_transport(channel)
             result_queue.put(
@@ -1598,13 +1605,12 @@ def _p2p_worker(
     fn_bytes: bytes,
     ranks: Sequence[int],
     size: int,
-    inboxes: list["mp.Queue"] | None,
+    mesh: list | None,
     result_queue: "mp.Queue",
     run_token: str,
     config: CommConfig,
     args: tuple,
     board: object | None = None,
-    ctrl_conns: dict[int, object] | None = None,
     backend: str = "p2p",
     rendezvous: tuple[str, int] | None = None,
 ) -> None:
@@ -1613,24 +1619,36 @@ def _p2p_worker(
     The common case is one rank per process.  The shrink recovery
     policy re-launches a smaller process world whose surviving
     processes *host* the failed logical ranks as extra threads — each
-    hosted rank gets its own transport endpoint (its own inbox queue /
-    its own socket mesh) and its own :class:`ProcessComm`, so the
-    logical world size, and with it every collective schedule and
-    reduction order, is exactly that of the original run.
+    hosted rank gets its own transport endpoint (its own socket ends)
+    and its own :class:`ProcessComm`, so the logical world size, and
+    with it every collective schedule and reduction order, is exactly
+    that of the original run.
+
+    ``mesh[r]`` maps each peer to rank ``r``'s end of their shm
+    socketpair (``None`` on tcp).  The fork copied every end into this
+    process; all but the hosted ranks' own are closed first, since a
+    peer's exit reads as EOF only once no other process holds its end.
     """
     ranks = list(ranks)
+    if mesh is None:
+        mesh = [None] * size
+    else:
+        for r, ends in enumerate(mesh):
+            if r not in ranks:
+                for sock in ends.values():
+                    sock.close()
     if len(ranks) == 1:
         _rank_body(
-            fn_bytes, ranks[0], size, inboxes, result_queue, run_token,
-            config, args, board, ctrl_conns, backend, rendezvous,
+            fn_bytes, ranks[0], size, mesh[ranks[0]], result_queue,
+            run_token, config, args, board, backend, rendezvous,
         )
         return
     threads = [
         threading.Thread(
             target=_rank_body,
             args=(
-                fn_bytes, r, size, inboxes, result_queue, run_token,
-                config, args, board, ctrl_conns, backend, rendezvous,
+                fn_bytes, r, size, mesh[r], result_queue, run_token,
+                config, args, board, backend, rendezvous,
             ),
             name=f"hosted-rank-{r}",
         )
@@ -1687,11 +1705,13 @@ def run_spmd(
     carrying each failed rank's remote traceback and collective-trace
     tail plus the succeeded/aborted rank sets.
 
-    Failure detection does not wait out ``timeout``: the launcher
-    polls worker liveness every ``_LIVENESS_POLL`` seconds, so a rank
-    that dies without posting a result (a hard crash, an ``os._exit``,
-    a kill) aborts the job within poll + ``_ABORT_GRACE`` + teardown —
-    a few seconds.  Shared-memory segments are swept on every exit
+    Failure detection does not wait out ``timeout``: a rank that
+    raises or dies closes its sockets, so its peers fail in-band and
+    report at once, and the launcher returns as soon as every rank has
+    reported or exited.  Its liveness poll (every ``_LIVENESS_POLL``
+    seconds) notices ranks that died without posting a result; ranks
+    still blocked ``_ABORT_GRACE`` seconds after a failure are
+    terminated.  Shared-memory segments are swept on every exit
     path.  Every argument is validated before anything is spawned or
     reported to ``monitor``, so a rejected call has no side effects.
 
@@ -1749,11 +1769,6 @@ def run_spmd(
     if host_map is None:
         host_map = [[rank] for rank in range(size)]
     else:
-        if cfg.verify:
-            raise ValueError(
-                "host_map is incompatible with verify mode (the ctrl-pipe "
-                "mesh and wait-for board assume one rank per process)"
-            )
         hosted_ranks = sorted(r for entry in host_map for r in entry)
         if hosted_ranks != list(range(size)):
             raise ValueError(
@@ -1770,9 +1785,14 @@ def run_spmd(
     result_queue: mp.Queue = ctx.Queue()
     run_token = uuid.uuid4().hex[:8]
 
-    inboxes = (
-        [ctx.Queue() for _ in range(size)] if transport == "p2p" else None
-    )
+    # shm backend: one AF_UNIX socketpair per rank pair, made before
+    # the fork; mesh[r][p] is rank r's end of the (r, p) pair.
+    mesh = None
+    if transport == "p2p":
+        mesh = [{} for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                mesh[i][j], mesh[j][i] = socket.socketpair()
     # Verify mode: a lock-free shared board of (waiting_on, op_id,
     # stamp) triples, one per rank, feeding the wait-for-graph
     # deadlock detector.  Each rank writes only its own slots.
@@ -1784,20 +1804,6 @@ def run_spmd(
     if board is not None:
         for r in range(size):
             board[3 * r] = -1  # idle, not "waiting on rank 0"
-    # Verify mode, shm backend only: a dedicated duplex pipe per rank
-    # pair carries the control rounds — Connection.send is a
-    # synchronous write with no feeder thread, so the verifier's fixed
-    # latency stays small even with every rank contending for CPU.
-    # The tcp backend rides its control traffic on the ordinary frame
-    # stream instead (no extra descriptors).
-    ctrl_mesh = None
-    if cfg.verify and size > 1 and transport == "p2p":
-        ctrl_mesh = [{} for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                end_i, end_j = ctx.Pipe(duplex=True)
-                ctrl_mesh[i][j] = end_i
-                ctrl_mesh[j][i] = end_j
     # TCP backend: the launcher runs the one-shot rendezvous round
     # (address exchange) on a loopback listener; ranks mesh up against
     # it during transport construction.
@@ -1818,13 +1824,12 @@ def run_spmd(
                 fn_bytes,
                 tuple(hosted),
                 size,
-                inboxes,
+                mesh,
                 result_queue,
                 run_token,
                 cfg,
                 args,
                 board,
-                ctrl_mesh[hosted[0]] if ctrl_mesh is not None else None,
                 transport,
                 rendezvous,
             ),
@@ -1832,14 +1837,15 @@ def run_spmd(
         for hosted in host_map
     ]
     proc_map = {r: pi for pi, hosted in enumerate(host_map) for r in hosted}
-    for w in workers:
-        w.start()
-    if ctrl_mesh is not None:
-        # The launcher keeps no ctrl endpoints: workers own them now
-        # (dup'd into each child), so drop the parent's copies.
-        for conns in ctrl_mesh:
-            for conn in conns.values():
-                conn.close()
+    try:
+        for w in workers:
+            w.start()
+    finally:
+        # The workers own the socket ends now: drop the launcher's
+        # copies so a rank's exit is EOF to its peers.
+        for ends in mesh or ():
+            for sock in ends.values():
+                sock.close()
 
     results: dict[int, object] = {}
     errors: dict[int, dict] = {}
@@ -1858,7 +1864,50 @@ def run_spmd(
     abort_grace = _ABORT_GRACE + (
         2.0 * cfg.agree_timeout * size if elastic else 0.0
     )
-    revoke_sent = False
+
+    def exited() -> dict[int, int]:
+        """``rank -> exitcode`` of unreported ranks whose process has
+        exited."""
+        return {
+            r: code
+            for r in range(size)
+            if r not in results and r not in errors and r not in recoveries
+            and (code := workers[proc_map[r]].exitcode) is not None
+        }
+
+    def take(rank: int, status: str, payload: object) -> None:
+        nonlocal abort_deadline
+        if status == "profile":
+            # Precedes the rank's "ok"; not a completion signal.
+            profiles[rank] = payload
+            return
+        if status == "flight":
+            # Precedes the rank's "ok"; not a completion signal.
+            flights[rank] = payload
+            return
+        if status == "telemetry":
+            # Out-of-band heartbeat; never a completion signal.
+            if monitor is not None:
+                monitor.on_sample(rank, payload)
+            return
+        if status == "ok":
+            results[rank] = payload
+        elif status == "recovery":
+            # A survivor finished its agreement round and
+            # self-extracted with its replica: terminal for the rank,
+            # but the run as a whole has failed.
+            recoveries[rank] = payload
+        else:  # "error" or "crashed"
+            errors[rank] = payload
+            if status == "crashed":
+                # The rank's process is about to os._exit (or already
+                # has): a hard crash for the postmortem.
+                hard_crashed.add(rank)
+        if status != "ok" and abort_deadline is None:
+            abort_deadline = time.monotonic() + abort_grace
+        if monitor is not None:
+            monitor.on_done(rank, status)
+
     try:
         deadline = time.monotonic() + timeout
         while len(results) + len(errors) + len(recoveries) < size:
@@ -1868,92 +1917,35 @@ def run_spmd(
                 break
             if abort_deadline is not None and now >= abort_deadline:
                 break
+            if len(exited()) == size - len(results) - len(errors) - len(
+                recoveries
+            ):
+                # Every rank reported or exited: nothing more can come
+                # but results that raced their process's exit.
+                while True:
+                    try:
+                        take(*result_queue.get_nowait())
+                    except queue_mod.Empty:
+                        break
+                break
             try:
-                rank, status, payload = result_queue.get(
-                    timeout=min(_LIVENESS_POLL, deadline - now)
+                take(
+                    *result_queue.get(
+                        timeout=min(_LIVENESS_POLL, deadline - now)
+                    )
                 )
             except queue_mod.Empty:
                 # Liveness check: a rank that died without posting a
                 # result will never answer — don't wait out `timeout`.
-                dead = {
-                    r: workers[proc_map[r]].exitcode
-                    for r in range(size)
-                    if r not in results
-                    and r not in errors
-                    and r not in recoveries
-                    and workers[proc_map[r]].exitcode is not None
-                }
-                if (dead or errors) and abort_deadline is None:
+                if exited() or errors or recoveries:
                     # Brief drain window before aborting: in-flight
-                    # results (a clean exit racing the poll, peers
-                    # blocked on the failed rank posting their own
-                    # failures) are still collected.
-                    abort_deadline = time.monotonic() + abort_grace
-                elif not dead and not errors and not recoveries:
+                    # results (peers failing in-band on the dead rank)
+                    # are still collected.
+                    if abort_deadline is None:
+                        abort_deadline = time.monotonic() + abort_grace
+                else:  # the "death" was a clean exit racing its result
                     abort_deadline = None
-                if (
-                    not revoke_sent
-                    and transport == "p2p"
-                    and (dead or hard_crashed or (elastic and errors))
-                ):
-                    # The shm wire has no in-band death signal: the
-                    # launcher *is* the failure detector, and it wakes
-                    # blocked survivors by posting a revoke notice
-                    # straight into their inbox queues (src = -1, a
-                    # launcher-origin sentinel).  Elastic runs revoke
-                    # on any failure (survivors must run the agreement
-                    # round); non-elastic runs revoke on process death
-                    # only, so the woken survivors post their flight
-                    # rings (as demoted-secondary errors) instead of
-                    # being terminated ringless — ordinary raised
-                    # exceptions keep the PR-3 timeout semantics.
-                    suspects = sorted(set(dead) | set(errors))
-                    for r in range(size):
-                        if (
-                            r in results or r in errors
-                            or r in recoveries or r in dead
-                        ):
-                            continue
-                        try:
-                            inboxes[r].put((-1, _REVOKE_TAG, suspects))
-                        except Exception:  # pragma: no cover - torn queue
-                            pass
-                    revoke_sent = True
-                continue
-            if status == "profile":
-                # Precedes the rank's "ok"; not a completion signal.
-                profiles[rank] = payload
-                continue
-            if status == "flight":
-                # Precedes the rank's "ok"; not a completion signal.
-                flights[rank] = payload
-                continue
-            if status == "telemetry":
-                # Out-of-band heartbeat; never a completion signal.
-                if monitor is not None:
-                    monitor.on_sample(rank, payload)
-                continue
-            if status == "ok":
-                results[rank] = payload
-            elif status == "recovery":
-                # A survivor finished its agreement round and
-                # self-extracted with its replica: terminal for the
-                # rank, but the run as a whole has failed.
-                recoveries[rank] = payload
-                if abort_deadline is None:
-                    abort_deadline = time.monotonic() + abort_grace
-            else:  # "error" or "crashed"
-                errors[rank] = payload
-                if status == "crashed":
-                    # The rank's process is about to os._exit (or
-                    # already has): treat like an observed death so
-                    # blocked shm survivors are woken for their rings.
-                    hard_crashed.add(rank)
-                if abort_deadline is None:
-                    abort_deadline = time.monotonic() + abort_grace
-            if monitor is not None:
-                monitor.on_done(rank, status)
-            dead.pop(rank, None)
+        dead = exited()
     finally:
         failure = (
             bool(errors) or bool(dead) or bool(recoveries) or timed_out
@@ -1975,13 +1967,11 @@ def run_spmd(
         if transport == "p2p":
             _sweep_shm(run_token)
     if errors or dead or recoveries or timed_out:
-        # tcp detects a vanished peer in-band (TransportClosedError),
+        # A vanished peer is detected in-band (TransportClosedError),
         # so the victim's neighbours self-report before the launcher's
-        # liveness poll fires.  On the shm wire those ranks block and
-        # end up terminated-without-a-report — the aborted set.  Fold
-        # the self-reported casualties into the same set whenever a
-        # primary failure explains them, so both wires classify one
-        # crash identically.
+        # liveness poll fires.  They are casualties, not causes: fold
+        # them into the aborted set (with their rings and profiles)
+        # whenever a primary failure explains them.
         secondary = [
             r for r, rep in errors.items() if rep.get("secondary")
         ]

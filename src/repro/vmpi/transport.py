@@ -4,20 +4,26 @@
 algorithms over an abstract :class:`Transport`: tagged, non-blocking
 ``send`` / blocking ``recv`` point-to-point messaging plus the
 lifecycle, fault-injection, verification, and profiling hooks the rest
-of the stack taps.  Two backends implement it:
+of the stack taps.  Both backends speak one wire: length-prefixed
+pickled frames over one stream socket per peer (``selectors``,
+non-blocking with buffered writes so symmetric exchange patterns
+cannot deadlock on full socket buffers).  They differ only in how the
+sockets are made and where large payloads travel:
 
-* :class:`ShmPoolTransport` — the fast single-host default.  Per-rank
-  ``multiprocessing`` inbox queues carry tagged messages; NumPy
-  payloads above ``CommConfig.shm_min_bytes`` travel through *pooled*
-  ``multiprocessing.shared_memory`` segments without pickling (two
-  memcpys and one credit message in steady state).
-* :class:`TcpSocketTransport` — length-prefixed pickled frames over
-  per-peer persistent TCP connections (``socket`` + ``selectors``,
-  non-blocking with buffered writes so symmetric exchange patterns
-  cannot deadlock on full socket buffers).  Ranks find each other
-  through a tiny rendezvous server (:func:`serve_rendezvous`) on a
-  loopback ``host:port`` that :func:`~repro.vmpi.mp_comm.run_spmd`
-  serves and hands to every rank.
+* :class:`ShmPoolTransport` — the fast single-host default.
+  :func:`~repro.vmpi.mp_comm.run_spmd` creates one AF_UNIX
+  ``socketpair`` per rank pair before it forks.  NumPy payloads of at
+  least ``CommConfig.shm_min_bytes`` travel through *pooled*
+  ``multiprocessing.shared_memory`` segments without pickling: only the
+  segment handle and the receiver's free credit ride the stream.
+* :class:`TcpSocketTransport` — per-peer persistent TCP connections.
+  Ranks find each other through a tiny rendezvous server
+  (:func:`serve_rendezvous`) on a loopback ``host:port`` that
+  :func:`~repro.vmpi.mp_comm.run_spmd` serves and hands to every rank.
+
+Small messages on a stream, large payloads through shared memory: the
+eager/rendezvous split the MPI libraries under TuckerMPI use inside a
+node.
 
 The contract that makes backends interchangeable:
 
@@ -29,21 +35,24 @@ The contract that makes backends interchangeable:
 * **Fault hooks** (:class:`~repro.vmpi.faults.FaultInjector`) fire at
   the transport boundary in :meth:`Transport.send`, so seeded
   delay/drop/bitflip plans corrupt shm segments and TCP frames alike.
-* **Timeouts** all surface as :class:`CollectiveTimeoutError` (TCP
-  adds :class:`TransportClosedError`, a subclass, for a peer that
-  vanished mid-frame), so retry-with-backoff, purge-on-timeout, and
-  the launcher's failure detection work unchanged.
+* **Failures are in-band** on both wires: a peer that exits or closes
+  is EOF on its stream, so a wait on it raises
+  :class:`TransportClosedError` (a :class:`CollectiveTimeoutError`
+  subclass, also raised for a frame torn mid-write) at once — or a
+  plain :class:`CollectiveTimeoutError` if the peer's program had
+  returned, since then the call sequences diverged.  Retry-with-backoff,
+  purge-on-timeout, and the launcher's failure reports work unchanged.
 * **Control traffic** (:meth:`Transport.ctrl_send` /
-  :meth:`Transport.ctrl_recv`, used by the tier-2 verifier) and the
-  shm free-credits are counter-neutral, so verified runs stay
-  trace-identical to plain runs on every backend.
+  :meth:`Transport.ctrl_recv`, used by the tier-2 verifier), revoke
+  notices, and the shm free credits ride the same stream but are
+  counter-neutral, so verified runs stay trace-identical to plain runs
+  on every backend.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import queue as queue_mod
 import random
 import selectors
 import socket
@@ -52,7 +61,6 @@ import time
 from abc import ABC, abstractmethod
 from collections import deque
 
-import multiprocessing as mp
 import numpy as np
 
 try:  # pragma: no cover - always present on CPython >= 3.8
@@ -82,7 +90,7 @@ class CollectiveTimeoutError(RuntimeError):
 
 
 class TransportClosedError(CollectiveTimeoutError):
-    """A TCP peer connection broke or closed mid-conversation.
+    """A peer's stream broke or closed mid-conversation.
 
     Subclasses :class:`CollectiveTimeoutError` so every existing
     timeout path (purge, retry-with-backoff, launcher abort) treats a
@@ -94,11 +102,11 @@ class TransportClosedError(CollectiveTimeoutError):
 class WorldRevokedError(RuntimeError):
     """The communicator was revoked after a peer failure.
 
-    ULFM-style: once any party (a surviving rank that saw a
-    :class:`TransportClosedError`, or the launcher's liveness poll)
-    decides a rank is dead, it posts a revoke notice on
-    :data:`_REVOKE_TAG`; every blocked ``recv`` on the receiving
-    transport then raises this instead of waiting out its timeout.
+    ULFM-style: once a surviving rank that saw a
+    :class:`TransportClosedError` decides a rank is dead, it posts a
+    revoke notice on :data:`_REVOKE_TAG`; every blocked ``recv`` on the
+    receiving transport then raises this instead of waiting out its
+    timeout.
     Deliberately *not* a :class:`CollectiveTimeoutError` subclass: the
     retry-with-backoff path must not swallow a revoke (the world is
     not coming back), it must surface to the recovery handler.
@@ -188,10 +196,14 @@ _FREE_TAG = ("shmfree",)
 # Revoke notices (elastic recovery).  Counter-neutral like the free
 # credits: a revoked run must leave the CollectiveRecord traces of the
 # work done so far identical to an unfailed run's prefix.  The body is
-# a sequence of suspected-dead ranks; the source may be a surviving
-# rank (tcp in-band) or the launcher itself (shm, posted with src=-1
-# straight into the inbox queues).
+# a sequence of suspected-dead ranks, posted by a surviving rank that
+# saw a peer's stream close (recovery's revoke-and-agree round).
 _REVOKE_TAG = ("revoke",)
+
+# Sent to every peer when a rank's program returns (written without a
+# race edge, like the free credits): EOF after it is a peer that
+# finished, so a wait on it has diverged rather than lost a peer.
+_FIN_TAG = ("fin",)
 
 #: Lazily resolved races._TracedBody (the analysis package imports the
 #: distributed drivers, which import this module — a module-scope
@@ -245,8 +257,8 @@ class Transport(ABC):
     #: probes.
     _PROBE_AFTER = 1.0
     #: Poll slice while a deadlock monitor is watching (the monitor
-    #: needs wake-ups to probe; without one the inbox wait can park a
-    #: full second per slice).
+    #: needs wake-ups to probe; without one the wait can park a full
+    #: second per slice).
     _PROBE_SLICE = 0.25
 
     def __init__(self, rank: int, size: int, config) -> None:
@@ -279,10 +291,6 @@ class Transport(ABC):
         #: keeps the boundary at one `is None` test like the other
         #: hooks.
         self.flight = None
-        #: verify mode only (shm backend): dedicated per-pair duplex
-        #: pipes for the control rounds; ``None`` falls back to the
-        #: generic tagged-message control channel.
-        self.ctrl_conns: dict[int, object] | None = None
         #: elastic recovery: set when a revoke notice arrives on
         #: :data:`_REVOKE_TAG`; every blocked wait then raises
         #: :class:`WorldRevokedError` unless ``_in_recovery`` is set
@@ -327,8 +335,8 @@ class Transport(ABC):
         every arrival into the pending buffers via :meth:`_note`."""
 
     def _check_peer(self, src: int) -> None:
-        """Raise if ``src`` can no longer deliver (a vanished TCP peer);
-        the default backend has no such signal."""
+        """Raise if ``src`` can no longer deliver (a vanished peer);
+        a wire without such a signal keeps this no-op."""
 
     # -- shared plumbing ----------------------------------------------------
 
@@ -338,6 +346,7 @@ class Transport(ABC):
         # (src, dst) channel, so every noted arrival pops exactly one
         # (revoke notices included — a skipped pop would shift the
         # FIFO and merge stale, weaker clocks into later consumers).
+        # Free credits keep their own channel and never reach here.
         # The snapshot is present only when the sender shares this
         # process (hosted ranks); cross-process channels stay empty.
         clock = (
@@ -406,7 +415,7 @@ class Transport(ABC):
         here, on every backend — a dropped message advances the
         sender's counters but never touches the wire, a bit-flipped
         one is corrupted before encoding (so it rides an shm segment
-        or a TCP frame identically).
+        or a stream frame identically).
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"dest {dest} out of range for size {self.size}")
@@ -562,7 +571,7 @@ class Transport(ABC):
     def purge(self) -> None:
         """Exception-path cleanup after a dead collective: release
         anything a non-returning peer could leak (pending buffers
-        always; pooled shm segments on the shm backend)."""
+        always; every owned segment on the shm backend)."""
         self._pending.clear()
 
     def verify_shutdown(self, grace: float = 0.5) -> None:
@@ -581,22 +590,283 @@ class Transport(ABC):
 
 
 # ---------------------------------------------------------------------------
-# pooled shared-memory backend (the fast single-host default)
+# the framed socket stream both backends share
+# ---------------------------------------------------------------------------
+
+#: Frame header: 8-byte big-endian payload length.
+_LEN = struct.Struct(">Q")
+
+#: Per-syscall read/write granularity.
+_IO_CHUNK = 1 << 20
+
+
+class _StreamTransport(Transport):
+    """Length-prefixed pickled frames over one stream socket per peer.
+
+    Subclasses connect a socket per peer and hand them to
+    :meth:`_attach`; from then on the wire is shared.  ``send`` appends
+    a frame to the peer's write buffer and flushes opportunistically;
+    ``recv`` pumps a :mod:`selectors` loop that drains readable sockets
+    (parsing complete frames into the pending buffers) and flushes
+    writable ones — so symmetric exchanges progress even when both
+    directions exceed the kernel socket buffers.
+
+    A peer that exits or closes is EOF on its socket: once no
+    buffered message matches, a wait on it raises
+    :class:`TransportClosedError` — or :class:`CollectiveTimeoutError`
+    if the peer announced with :meth:`finish` that its program
+    returned, since then the call sequences diverged.  A close
+    mid-frame is reported as a torn frame with the byte counts.  Writes
+    never raise: output to a peer that closed is dropped, and the
+    failure surfaces at the next wait on that peer.
+
+    Wire format: ``8-byte big-endian length || pickle((tag, body))``.
+    Payload arrays are pickled (protocol 5 keeps them zero-copy on the
+    encode side); counters account array words/bytes, not frame bytes.
+    """
+
+    def __init__(self, rank: int, size: int, config) -> None:
+        super().__init__(rank, size, config)
+        self._sel = selectors.DefaultSelector()
+        self._peers: dict[int, socket.socket] = {}
+        self._rx: dict[int, bytearray] = {}
+        self._tx: dict[int, bytearray] = {}
+        self._writable: set[int] = set()  # peers with WRITE interest on
+        self._gone: set[int] = set()  # peers whose stream hit EOF
+        self._finished: set[int] = set()  # peers whose program returned
+        self._closed = False
+
+    def _attach(self, peers: dict[int, socket.socket]) -> None:
+        for peer, sock in peers.items():
+            sock.setblocking(False)
+            self._peers[peer] = sock
+            self._rx[peer] = bytearray()
+            self._tx[peer] = bytearray()
+            self._sel.register(sock, selectors.EVENT_READ, peer)
+
+    # -- wire ---------------------------------------------------------------
+
+    def _post(self, dest: int, tag: tuple, body: object) -> None:
+        det = self.race_detector
+        if det is not None:
+            det.channel_send((self.rank, dest))
+        self._write_frame(dest, tag, body)
+
+    def _write_frame(self, dest: int, tag: tuple, body: object) -> None:
+        """Frame ``body`` to ``dest`` — no counters, no race edge."""
+        if dest == self.rank:
+            # Self-sends never touch the wire: the pending map plays
+            # the loopback.
+            self._note(dest, tag, body)
+            return
+        data = pickle.dumps((tag, body), protocol=pickle.HIGHEST_PROTOCOL)
+        buf = self._tx[dest]
+        buf += _LEN.pack(len(data))
+        buf += data
+        self._flush(dest)
+
+    def finish(self) -> None:
+        """Tell every peer this rank's program returned."""
+        for peer in self._peers:
+            self._write_frame(peer, _FIN_TAG, None)
+
+    def _note(self, src: int, tag: tuple, body: object) -> None:
+        if tag == _FIN_TAG:
+            self._finished.add(src)
+            return
+        super()._note(src, tag, body)
+
+    def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
+        arrays = _payload_arrays(payload)
+        body: tuple = ("pkl", payload)
+        if arrays is not None:
+            contig = [(k, _contig(a)) for k, a in arrays]
+            self.sent_words += sum(a.size for _, a in contig)
+            self.sent_bytes += sum(a.nbytes for _, a in contig)
+            body = self._encode_arrays(
+                contig, isinstance(payload, np.ndarray)
+            )
+        self.sent_messages += 1
+        self._post(dest, tag, body)
+
+    def _encode_arrays(
+        self, contig: list[tuple[object, np.ndarray]], single: bool
+    ) -> tuple:
+        """The body of an array payload: pickled into the frame."""
+        return ("pkl", contig[0][1] if single else dict(contig))
+
+    def _set_write_interest(self, peer: int, want: bool) -> None:
+        if want == (peer in self._writable) or peer in self._gone:
+            return
+        events = selectors.EVENT_READ
+        if want:
+            events |= selectors.EVENT_WRITE
+            self._writable.add(peer)
+        else:
+            self._writable.discard(peer)
+        self._sel.modify(self._peers[peer], events, peer)
+
+    def _flush(self, peer: int) -> None:
+        """Write as much buffered output to ``peer`` as the kernel
+        accepts; leave the rest for the selector loop."""
+        buf = self._tx[peer]
+        sock = self._peers[peer]
+        while buf:
+            try:
+                n = sock.send(memoryview(buf)[:_IO_CHUNK])
+            except (BlockingIOError, InterruptedError):
+                break
+            except OSError:
+                # The peer closed: nobody will read this output.  Reads
+                # go on until its EOF, so frames it sent before closing
+                # still arrive.
+                buf.clear()
+                break
+            del buf[:n]
+        self._set_write_interest(peer, bool(buf))
+
+    def _mark_gone(self, peer: int) -> None:
+        self._gone.add(peer)
+        self._writable.discard(peer)
+        try:
+            self._sel.unregister(self._peers[peer])
+        except (KeyError, ValueError):  # pragma: no cover - already out
+            pass
+
+    def _read(self, peer: int) -> None:
+        sock = self._peers[peer]
+        buf = self._rx[peer]
+        closed = False
+        while True:
+            try:
+                chunk = sock.recv(_IO_CHUNK)
+            except (BlockingIOError, InterruptedError):
+                break
+            except ConnectionResetError:
+                # The peer closed with our output unread; what it sent
+                # before closing has been read, so this is its EOF.
+                chunk = b""
+            except OSError as exc:
+                self._mark_gone(peer)
+                raise TransportClosedError(
+                    f"rank {self.rank}: connection from rank {peer} "
+                    f"failed mid-recv ({exc})"
+                ) from exc
+            if not chunk:
+                closed = True
+                break
+            buf += chunk
+            if len(chunk) < _IO_CHUNK:
+                break  # drained for now; selector wakes us for more
+        self._parse(peer)
+        if closed:
+            self._mark_gone(peer)
+            if buf:
+                promised = (
+                    _LEN.unpack_from(buf)[0] if len(buf) >= _LEN.size
+                    else None
+                )
+                raise TransportClosedError(
+                    f"rank {self.rank}: rank {peer} closed the "
+                    f"connection mid-frame — partial recv of "
+                    f"{len(buf)} bytes"
+                    + (
+                        f" of a frame promising {promised}"
+                        if promised is not None
+                        else " (incomplete header)"
+                    )
+                    + " (torn frame)"
+                )
+
+    def _parse(self, peer: int) -> None:
+        buf = self._rx[peer]
+        while len(buf) >= _LEN.size:
+            (n,) = _LEN.unpack_from(buf)
+            end = _LEN.size + n
+            if len(buf) < end:
+                break
+            tag, body = pickle.loads(bytes(memoryview(buf)[_LEN.size:end]))
+            del buf[:end]
+            self._note(peer, tag, body)
+
+    def _pump(self, timeout: float) -> None:
+        if not self._peers or self._closed:
+            if timeout > 0:
+                time.sleep(min(timeout, 0.01))
+            return
+        for key, mask in self._sel.select(timeout):
+            peer = key.data
+            if mask & selectors.EVENT_WRITE:
+                self._flush(peer)
+            if mask & selectors.EVENT_READ:
+                self._read(peer)
+
+    def _check_peer(self, src: int) -> None:
+        if src in self._gone and src in self._finished:
+            raise CollectiveTimeoutError(
+                f"rank {self.rank}: rank {src} finished and no buffered "
+                "message matches — collective call sequences have "
+                "diverged across ranks"
+            )
+        if src in self._gone:
+            raise TransportClosedError(
+                f"rank {self.rank}: rank {src} closed its connection and "
+                "no buffered message matches — the peer finished early, "
+                "diverged, or died"
+            )
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def close(self, linger: float = 5.0) -> None:
+        """Flush buffered output (bounded by ``linger`` seconds), then
+        close every peer connection.  Safe to call twice."""
+        if self._closed:
+            return
+        self._closed = True
+        deadline = time.monotonic() + linger
+        for peer, sock in self._peers.items():
+            buf = self._tx.get(peer)
+            while buf and peer not in self._gone:
+                if time.monotonic() >= deadline:
+                    break
+                try:
+                    n = sock.send(memoryview(buf)[:_IO_CHUNK])
+                    del buf[:n]
+                except (BlockingIOError, InterruptedError):
+                    time.sleep(0.002)
+                except OSError:
+                    break
+            try:
+                self._sel.unregister(sock)
+            except (KeyError, ValueError):
+                pass
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+        self._sel.close()
+        self._peers.clear()
+
+
+# ---------------------------------------------------------------------------
+# shared-memory backend: the stream over socketpairs, plus a segment pool
 # ---------------------------------------------------------------------------
 
 
-class ShmPoolTransport(Transport):
-    """Tagged point-to-point messaging over per-rank inbox queues.
+class ShmPoolTransport(_StreamTransport):
+    """The stream over pre-forked AF_UNIX socketpairs, plus a segment
+    pool for large payloads.
 
-    Array payloads of at least ``CommConfig.shm_min_bytes`` travel
-    through *pooled* ``multiprocessing.shared_memory`` segments: the
-    receiver copies the data out, caches its mapping, and returns the
-    segment name to the owner on :data:`_FREE_TAG` so the next send
-    reuses the already-faulted-in pages.  In steady state a large
-    message is two memcpys and one tiny control message — no pickling,
-    no pipe chunking, no segment creation.  ``close`` unlinks every
-    segment the rank still owns; ``run_spmd`` sweeps the run-token
-    prefix afterwards as a crash backstop.
+    ``peers`` maps each peer rank to this rank's end of their
+    socketpair (:func:`~repro.vmpi.mp_comm.run_spmd` makes them before
+    it forks).  Array payloads of at least ``CommConfig.shm_min_bytes``
+    travel through *pooled* ``multiprocessing.shared_memory`` segments:
+    the frame carries only the segment handle; the receiver copies the
+    data out, caches its mapping, and returns the segment name to the
+    owner as a frame on :data:`_FREE_TAG`, so the next send reuses the
+    already-faulted-in pages.  A credit for an owner that already
+    closed is dropped.  ``close`` unlinks every pooled segment;
+    in-flight ones stay for ``run_spmd``'s run-token sweep.
     """
 
     kind = "shm"
@@ -608,26 +878,24 @@ class ShmPoolTransport(Transport):
         self,
         rank: int,
         size: int,
-        inboxes: list["mp.Queue"],
+        peers: dict[int, socket.socket],
         run_token: str,
         config,
     ) -> None:
         super().__init__(rank, size, config)
-        self._inboxes = inboxes
-        self._inbox = inboxes[rank]
         self._run_token = run_token
-        self._ctrl_pending: dict[int, deque] = {}
         self._shm_seq = 0
         self._owned: dict[str, object] = {}  # name -> SharedMemory
         self._seg_size: dict[str, int] = {}
         self._free: dict[int, deque] = {}  # size class -> free names
         self._rx_cache: dict[str, object] = {}  # attached peer segments
+        self._attach(peers)
 
     # -- shared-memory segment pool -----------------------------------------
 
     def _obtain_segment(self, total: int):
         """A segment with >= ``total`` bytes: pooled if available."""
-        self._drain_inbox()
+        self._pump(0)  # take in the credits that already arrived
         cls = _segment_class(total)
         free = self._free.get(cls)
         if free:
@@ -647,7 +915,7 @@ class ShmPoolTransport(Transport):
         return shm, name
 
     def _release_segment(self, name: str) -> None:
-        """An ack came back: pool the segment (or unlink the excess)."""
+        """A credit came back: pool the segment (or unlink the excess)."""
         if self.sanitizer is not None:
             self.sanitizer.on_release(name)
         cls = self._seg_size[name]
@@ -662,16 +930,6 @@ class ShmPoolTransport(Transport):
         if self.sanitizer is not None:
             self.sanitizer.on_unlink(name)
 
-    def _drain_inbox(self) -> None:
-        """Move queued arrivals into the pending buffers (non-blocking),
-        processing segment-return acks as they surface."""
-        while True:
-            try:
-                got_src, got_tag, body = self._inbox.get_nowait()
-            except queue_mod.Empty:
-                return
-            self._note(got_src, got_tag, body)
-
     def _note(self, src: int, tag: tuple, body: object) -> None:
         if tag == _FREE_TAG:
             det = self.race_detector
@@ -679,45 +937,35 @@ class ShmPoolTransport(Transport):
                 # Consumer -> owner edge: the peer finished reading
                 # the segment before crediting it back, so the owner's
                 # next write to this segment is ordered after that
-                # read.  Credits ride a direct inbox put (not _post),
-                # hence their own channel key.
+                # read.  Credits are written without _post, hence
+                # their own channel key.
                 det.channel_recv(("free", src, self.rank))
             self._release_segment(body)
             return
         super()._note(src, tag, body)
 
-    def _pump(self, timeout: float) -> None:
-        try:
-            got_src, got_tag, body = self._inbox.get(timeout=timeout)
-        except queue_mod.Empty:
-            return
-        self._note(got_src, got_tag, body)
+    def close(self, linger: float = 5.0) -> None:
+        """Unlink pooled segments, unmap everything this rank touched,
+        then close the stream.
 
-    def close(self) -> None:
-        """Unlink pooled segments, unmap everything this rank touched.
-
-        In-flight segments (sent, not yet acked) stay on disk for the
-        launcher's run-token sweep — a peer may not have attached yet.
+        In-flight segments (sent, not yet credited) stay on disk for
+        the launcher's run-token sweep — a peer may not have attached
+        yet.
         """
-        self._drain_inbox()
-        for free in self._free.values():
-            for name in free:
-                shm = self._owned.pop(name)
-                del self._seg_size[name]
+        if not self._closed:
+            for free in self._free.values():
+                for name in free:
+                    shm = self._owned.pop(name)
+                    del self._seg_size[name]
+                    shm.close()
+                    _unlink_segment(shm)
+            self._free.clear()
+            for shm in self._owned.values():
                 shm.close()
-                _unlink_segment(shm)
-        self._free.clear()
-        for shm in self._owned.values():
-            shm.close()
-        for shm in self._rx_cache.values():
-            shm.close()
-        self._rx_cache.clear()
-        if self.ctrl_conns is not None:
-            for conn in self.ctrl_conns.values():
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
+            for shm in self._rx_cache.values():
+                shm.close()
+            self._rx_cache.clear()
+        super().close(linger)
 
     def purge(self) -> None:
         """Unlink *every* segment this rank owns, pooled and in-flight.
@@ -729,8 +977,8 @@ class ShmPoolTransport(Transport):
         run-token sweep.  Unlinking is safe even if a straggler is
         still attached — the mapping stays valid until it closes.
         """
-        self._drain_inbox()
-        for name, shm in list(self._owned.items()):
+        super().purge()
+        for shm in self._owned.values():
             shm.close()
             _unlink_segment(shm)
         self._owned.clear()
@@ -744,53 +992,34 @@ class ShmPoolTransport(Transport):
 
     # -- wire ---------------------------------------------------------------
 
-    def _post(self, dest: int, tag: tuple, body: object) -> None:
-        det = self.race_detector
-        if det is not None:
-            det.channel_send((self.rank, dest))
-        self._inboxes[dest].put((self.rank, tag, body))
-
-    def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
-        arrays = _payload_arrays(payload)
-        body: tuple
-        if arrays is not None:
-            contig = [(k, _contig(a)) for k, a in arrays]
-            nbytes = sum(a.nbytes for _, a in contig)
-            words = sum(a.size for _, a in contig)
-            single = isinstance(payload, np.ndarray)
-            use_shm = (
-                _shm_mod is not None
-                and nbytes >= self._config.shm_min_bytes
-                and nbytes > 0
+    def _encode_arrays(
+        self, contig: list[tuple[object, np.ndarray]], single: bool
+    ) -> tuple:
+        nbytes = sum(a.nbytes for _, a in contig)
+        if (
+            _shm_mod is None
+            or nbytes < self._config.shm_min_bytes
+            or nbytes == 0
+        ):
+            return super()._encode_arrays(contig, single)
+        total = sum(_align8(a.nbytes) for _, a in contig)
+        shm, name = self._obtain_segment(total)
+        if self.race_detector is not None:
+            self.race_detector.on_access(("shm", name), "w")
+        metas: list[tuple[object, tuple, str, int]] = []
+        offset = 0
+        for key, a in contig:
+            view = np.ndarray(
+                a.shape, dtype=a.dtype, buffer=shm.buf, offset=offset
             )
-            if use_shm:
-                total = sum(_align8(a.nbytes) for _, a in contig)
-                shm, name = self._obtain_segment(total)
-                if self.race_detector is not None:
-                    self.race_detector.on_access(("shm", name), "w")
-                metas: list[tuple[object, tuple, str, int]] = []
-                offset = 0
-                for key, a in contig:
-                    view = np.ndarray(
-                        a.shape, dtype=a.dtype, buffer=shm.buf, offset=offset
-                    )
-                    view[...] = a
-                    del view
-                    metas.append((key, a.shape, a.dtype.str, offset))
-                    offset += _align8(a.nbytes)
-                body = ("shm", name, metas, single)
-                self.shm_messages += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_send(name)
-            else:
-                body = ("pkl", {k: a for k, a in contig} if not single
-                        else contig[0][1])
-            self.sent_words += words
-            self.sent_bytes += nbytes
-        else:
-            body = ("pkl", payload)
-        self.sent_messages += 1
-        self._post(dest, tag, body)
+            view[...] = a
+            del view
+            metas.append((key, a.shape, a.dtype.str, offset))
+            offset += _align8(a.nbytes)
+        self.shm_messages += 1
+        if self.sanitizer is not None:
+            self.sanitizer.on_send(name)
+        return ("shm", name, metas, single)
 
     def _decode(self, src: int, body: tuple) -> object:
         kind = body[0]
@@ -818,88 +1047,18 @@ class ShmPoolTransport(Transport):
             del view
         # Hand the drained segment back to its owner for reuse.
         if det is not None:
-            # Ordering edge for the credit (rides a direct inbox put,
-            # not _post — see the _FREE_TAG branch of _note).
             det.channel_send(("free", self.rank, src))
-        self._inboxes[src].put((self.rank, _FREE_TAG, name))
+        self._write_frame(src, _FREE_TAG, name)
         self.recv_words += sum(a.size for _, a in items)
         self.recv_bytes += sum(a.nbytes for _, a in items)
         if single:
             return items[0][1]
         return dict(items)
 
-    # -- verify-mode control channel over the duplex-pipe mesh --------------
-    #
-    # ``mp.Queue.put`` hands every message to a feeder thread, so a
-    # control round over the inbox queues pays two thread wake-ups per
-    # hop; ``Connection.send`` is a synchronous ``os.write``, which
-    # roughly halves the verifier's fixed per-collective latency.
-    # ``None`` entries fall back to the generic tagged-message channel
-    # (embedders driving the transport directly).
-
-    def ctrl_send(self, dest: int, tag: tuple, payload: object) -> None:
-        conns = self.ctrl_conns
-        if conns is not None and dest in conns:
-            conns[dest].send((tuple(tag), payload))
-            return
-        super().ctrl_send(dest, tag, payload)
-
-    def ctrl_recv(
-        self, src: int, tag: tuple, timeout: float | None = None
-    ) -> object:
-        conns = self.ctrl_conns
-        if conns is None or src not in conns:
-            return super().ctrl_recv(src, tag, timeout)
-        want = tuple(tag)
-        timeout = (
-            self._config.collective_timeout if timeout is None else timeout
-        )
-        # Out-of-round messages on the same pipe (a diverged peer, or
-        # two groups sharing this pair) park here, exactly like the
-        # queue channel's tag-keyed pending map.
-        pending = self._ctrl_pending.setdefault(src, deque())
-        for i, (got, payload) in enumerate(pending):
-            if got == want:
-                del pending[i]
-                return payload
-        conn = conns[src]
-        deadline = time.monotonic() + timeout
-        while True:
-            # The pipe wait must still observe revoke notices, which
-            # arrive on the inbox queue, not the ctrl pipes.
-            self._drain_inbox()
-            self._check_revoked()
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise CollectiveTimeoutError(
-                    f"rank {self.rank}: no control message from rank "
-                    f"{src} with tag {want!r} after {timeout:.1f}s — "
-                    f"collective call sequences have diverged across "
-                    f"ranks (or a peer died)"
-                )
-            if not conn.poll(min(remaining, 1.0)):
-                continue
-            try:
-                got, payload = conn.recv()
-            except EOFError:
-                raise CollectiveTimeoutError(
-                    f"rank {self.rank}: control channel to rank {src} "
-                    f"closed mid-round (peer died)"
-                ) from None
-            if got == want:
-                return payload
-            pending.append((got, payload))
-
 
 # ---------------------------------------------------------------------------
-# TCP socket backend
+# TCP backend: the stream over a rendezvous-built mesh
 # ---------------------------------------------------------------------------
-
-#: Frame header: 8-byte big-endian payload length.
-_LEN = struct.Struct(">Q")
-
-#: Per-syscall read/write granularity.
-_IO_CHUNK = 1 << 20
 
 
 def _sock_send_obj(sock: socket.socket, obj: object) -> None:
@@ -981,30 +1140,16 @@ def serve_rendezvous(
     return addrs
 
 
-class TcpSocketTransport(Transport):
-    """Length-prefixed pickled frames over per-peer TCP connections.
+class TcpSocketTransport(_StreamTransport):
+    """The stream over per-peer TCP connections.
 
     Mesh establishment: each rank opens its own listener on an
     ephemeral port, registers ``(rank, host, port)`` with the
     rendezvous server at ``rendezvous``, receives the full address
     map, then connects to every lower rank and accepts from every
     higher one (a rank handshake names the connector).  Connections
-    are persistent for the lifetime of the rank.
-
-    Steady state is non-blocking: ``send`` appends a frame to the
-    peer's write buffer and flushes opportunistically; ``recv`` pumps
-    a :mod:`selectors` loop that drains readable sockets (parsing
-    complete frames into the pending buffers) and flushes writable
-    ones — so symmetric exchanges progress even when both directions
-    exceed the kernel socket buffers.  A peer that disappears raises
-    :class:`TransportClosedError` at the next interaction (mid-frame
-    closes are reported as torn frames with the byte counts), feeding
-    the same failure paths as a collective timeout.
-
-    Wire format: ``8-byte big-endian length || pickle((tag, body))``.
-    Payload arrays are pickled (protocol 5 keeps them zero-copy on the
-    encode side); counters account array words/bytes exactly like the
-    shm backend, so traces match across backends.
+    are persistent for the lifetime of the rank; every payload is
+    pickled into the frame.
     """
 
     kind = "tcp"
@@ -1018,13 +1163,6 @@ class TcpSocketTransport(Transport):
         rendezvous: tuple[str, int] | None = None,
     ) -> None:
         super().__init__(rank, size, config)
-        self._sel = selectors.DefaultSelector()
-        self._peers: dict[int, socket.socket] = {}
-        self._rx: dict[int, bytearray] = {}
-        self._tx: dict[int, bytearray] = {}
-        self._writable: set[int] = set()  # peers with WRITE interest on
-        self._gone: set[int] = set()  # peers whose connection closed
-        self._closed = False
         if size > 1:
             if rendezvous is None:
                 raise ValueError(
@@ -1076,6 +1214,7 @@ class TcpSocketTransport(Transport):
         timeout = self._connect_timeout
         deadline = time.monotonic() + timeout
         listener = open_rendezvous_listener()
+        peers: dict[int, socket.socket] = {}
         try:
             host, port = listener.getsockname()[:2]
             rdv = self._connect_retry(tuple(rendezvous), deadline)
@@ -1093,7 +1232,7 @@ class TcpSocketTransport(Transport):
                 sock = self._connect_retry(tuple(addrs[peer]), deadline)
                 sock.settimeout(timeout)
                 _sock_send_obj(sock, ("peer", self.rank))
-                self._peers[peer] = sock
+                peers[peer] = sock
             for _ in range(self.size - self.rank - 1):
                 listener.settimeout(max(0.1, deadline - time.monotonic()))
                 try:
@@ -1102,190 +1241,13 @@ class TcpSocketTransport(Transport):
                     raise CollectiveTimeoutError(
                         f"rank {self.rank}: mesh setup timed out waiting "
                         f"for higher-rank connections "
-                        f"({len(self._peers)} of {self.size - 1} peers up)"
+                        f"({len(peers)} of {self.size - 1} peers up)"
                     ) from None
                 sock.settimeout(timeout)
                 msg = _sock_recv_obj(sock)
-                self._peers[int(msg[1])] = sock
+                peers[int(msg[1])] = sock
         finally:
             listener.close()
-        for peer, sock in self._peers.items():
-            sock.setblocking(False)
+        for sock in peers.values():
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._rx[peer] = bytearray()
-            self._tx[peer] = bytearray()
-            self._sel.register(sock, selectors.EVENT_READ, peer)
-
-    # -- wire ---------------------------------------------------------------
-
-    def _post(self, dest: int, tag: tuple, body: object) -> None:
-        det = self.race_detector
-        if det is not None:
-            det.channel_send((self.rank, dest))
-        if dest == self.rank:
-            # Self-sends never touch the wire (the shm backend routes
-            # them through the own-inbox queue; here the pending map
-            # plays that role directly).
-            self._note(dest, tag, body)
-            return
-        data = pickle.dumps((tag, body), protocol=pickle.HIGHEST_PROTOCOL)
-        buf = self._tx[dest]
-        buf += _LEN.pack(len(data))
-        buf += data
-        self._flush(dest)
-
-    def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
-        arrays = _payload_arrays(payload)
-        if arrays is not None:
-            contig = [(k, _contig(a)) for k, a in arrays]
-            self.sent_words += sum(a.size for _, a in contig)
-            self.sent_bytes += sum(a.nbytes for _, a in contig)
-            single = isinstance(payload, np.ndarray)
-            body = ("pkl", contig[0][1] if single
-                    else {k: a for k, a in contig})
-        else:
-            body = ("pkl", payload)
-        self.sent_messages += 1
-        self._post(dest, tag, body)
-
-    def _set_write_interest(self, peer: int, want: bool) -> None:
-        if want == (peer in self._writable) or peer in self._gone:
-            return
-        events = selectors.EVENT_READ
-        if want:
-            events |= selectors.EVENT_WRITE
-            self._writable.add(peer)
-        else:
-            self._writable.discard(peer)
-        self._sel.modify(self._peers[peer], events, peer)
-
-    def _flush(self, peer: int) -> None:
-        """Write as much buffered output to ``peer`` as the kernel
-        accepts; leave the rest for the selector loop."""
-        buf = self._tx[peer]
-        sock = self._peers[peer]
-        while buf:
-            try:
-                n = sock.send(memoryview(buf)[:_IO_CHUNK])
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError as exc:
-                self._mark_gone(peer)
-                raise TransportClosedError(
-                    f"rank {self.rank}: connection to rank {peer} broke "
-                    f"mid-send ({exc}) — the peer died or closed early"
-                ) from exc
-            del buf[:n]
-        self._set_write_interest(peer, bool(buf))
-
-    def _mark_gone(self, peer: int) -> None:
-        self._gone.add(peer)
-        self._writable.discard(peer)
-        try:
-            self._sel.unregister(self._peers[peer])
-        except (KeyError, ValueError):  # pragma: no cover - already out
-            pass
-
-    def _read(self, peer: int) -> None:
-        sock = self._peers[peer]
-        buf = self._rx[peer]
-        closed = False
-        while True:
-            try:
-                chunk = sock.recv(_IO_CHUNK)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError as exc:
-                self._mark_gone(peer)
-                raise TransportClosedError(
-                    f"rank {self.rank}: connection from rank {peer} "
-                    f"failed mid-recv ({exc})"
-                ) from exc
-            if not chunk:
-                closed = True
-                break
-            buf += chunk
-            if len(chunk) < _IO_CHUNK:
-                break  # drained for now; selector wakes us for more
-        self._parse(peer)
-        if closed:
-            self._mark_gone(peer)
-            if buf:
-                promised = (
-                    _LEN.unpack_from(buf)[0] if len(buf) >= _LEN.size
-                    else None
-                )
-                raise TransportClosedError(
-                    f"rank {self.rank}: rank {peer} closed the "
-                    f"connection mid-frame — partial recv of "
-                    f"{len(buf)} bytes"
-                    + (
-                        f" of a frame promising {promised}"
-                        if promised is not None
-                        else " (incomplete header)"
-                    )
-                    + " (torn frame)"
-                )
-
-    def _parse(self, peer: int) -> None:
-        buf = self._rx[peer]
-        while len(buf) >= _LEN.size:
-            (n,) = _LEN.unpack_from(buf)
-            end = _LEN.size + n
-            if len(buf) < end:
-                break
-            tag, body = pickle.loads(bytes(memoryview(buf)[_LEN.size:end]))
-            del buf[:end]
-            self._note(peer, tag, body)
-
-    def _pump(self, timeout: float) -> None:
-        if not self._peers or self._closed:
-            if timeout > 0:
-                time.sleep(min(timeout, 0.01))
-            return
-        for key, mask in self._sel.select(timeout):
-            peer = key.data
-            if mask & selectors.EVENT_WRITE:
-                self._flush(peer)
-            if mask & selectors.EVENT_READ:
-                self._read(peer)
-
-    def _check_peer(self, src: int) -> None:
-        if src in self._gone and src != self.rank:
-            raise TransportClosedError(
-                f"rank {self.rank}: rank {src} closed its connection and "
-                "no buffered message matches — the peer finished early, "
-                "diverged, or died"
-            )
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self, linger: float = 5.0) -> None:
-        """Flush buffered output (bounded by ``linger`` seconds), then
-        close every peer connection.  Safe to call twice."""
-        if self._closed:
-            return
-        self._closed = True
-        deadline = time.monotonic() + linger
-        for peer, sock in self._peers.items():
-            buf = self._tx.get(peer)
-            while buf and peer not in self._gone:
-                if time.monotonic() >= deadline:
-                    break
-                try:
-                    n = sock.send(memoryview(buf)[:_IO_CHUNK])
-                    del buf[:n]
-                except (BlockingIOError, InterruptedError):
-                    time.sleep(0.002)
-                except OSError:
-                    break
-            try:
-                self._sel.unregister(sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._sel.close()
-        self._peers.clear()
+        self._attach(peers)

@@ -1,16 +1,13 @@
-"""The native kernels package: parity, edge shapes, backend contract.
+"""The native kernels package: parity and edge shapes.
 
 ``repro.kernels`` is the single TTM/Gram implementation every
 execution layer routes through, so its correctness budget is strict:
 fuzzed tight-tolerance parity against the retained tensordot/unfold
 references, exact bit-identity between the public kernels and
-``repro.tensor.ops``, exact Gram symmetry by construction, graceful
-zero-extent handling (which the historical unfold path could not do),
-and a fully-specified ``REPRO_KERNELS`` selection contract including
-the numba-absent fallback.
+``repro.tensor.ops``, exact Gram symmetry by construction, and
+graceful zero-extent handling (which the historical unfold path could
+not do).
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.kernels import gemm, numba_backend
+from repro.kernels import gemm
 from repro.tensor import ops
-
-NUMBA = numba_backend.AVAILABLE
 
 
 def _random_tensor(data, *, allow_zero=False, max_d=4):
@@ -148,79 +143,3 @@ class TestGramParity:
     def test_validation(self):
         with pytest.raises(ValueError):
             kernels.gram(np.zeros((2, 2)), -3)
-
-
-class TestBackendContract:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        with kernels.use_backend(None) as active:
-            assert active == "numpy"
-            assert kernels.backend_name() == "numpy"
-
-    def test_unknown_name_warns_and_falls_back(self):
-        with pytest.warns(RuntimeWarning, match="not a known"):
-            with kernels.use_backend("speedy-mc-speedface") as active:
-                assert active == "numpy"
-
-    def test_env_var_is_read(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        with kernels.use_backend(None) as active:
-            assert active == "numpy"
-
-    @pytest.mark.skipif(NUMBA, reason="numba importable: no fallback")
-    def test_numba_absent_warns_and_falls_back(self):
-        with pytest.warns(RuntimeWarning, match="not importable"):
-            with kernels.use_backend("numba") as active:
-                assert active == "numpy"
-        # and the kernels still work afterwards
-        x = np.ones((2, 3, 4))
-        assert kernels.gram(x, 1).shape == (3, 3)
-
-    @pytest.mark.skipif(not NUMBA, reason="numba not installed")
-    def test_numba_selectable(self):
-        with kernels.use_backend("numba") as active:
-            assert active == "numba"
-
-    def test_use_backend_restores_previous(self):
-        before = kernels.set_backend("numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with kernels.use_backend("nope"):
-                pass
-        assert kernels.backend_name() == before
-
-
-@pytest.mark.skipif(not NUMBA, reason="numba not installed")
-class TestNumbaBackend:
-    """Compiled backend vs the NumPy definition of the kernels."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_ttm_parity(self, data):
-        x, mode, rng = _random_tensor(data)
-        r = int(rng.integers(1, 7))
-        u = rng.standard_normal((r, x.shape[mode])).astype(x.dtype)
-        with kernels.use_backend("numba"):
-            got = kernels.ttm(x, u, mode)
-        with kernels.use_backend("numpy"):
-            ref = kernels.ttm(x, u, mode)
-        np.testing.assert_allclose(got, ref, **_tol(x.dtype))
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_gram_parity(self, data):
-        x, mode, _ = _random_tensor(data)
-        with kernels.use_backend("numba"):
-            got = kernels.gram(x, mode)
-        with kernels.use_backend("numpy"):
-            ref = kernels.gram(x, mode)
-        # The pack is structurally identical, so the Gram GEMM sees
-        # the same operand: exact agreement expected.
-        np.testing.assert_array_equal(got, ref)
-
-    def test_non_float_dtypes_fall_back(self):
-        x = np.arange(24, dtype=np.int64).reshape(2, 3, 4)
-        u = np.ones((2, 3), dtype=np.int64)
-        with kernels.use_backend("numba"):
-            out = kernels.ttm(x, u, 1)
-        np.testing.assert_array_equal(out, gemm.ttm_apply(x, u, 1))

@@ -7,6 +7,7 @@ timeout plumbing are certified on both.  ``TestTimeoutHygiene``'s shm
 segment-release test stays shm-only by construction (it inspects the
 pool internals)."""
 
+import os
 import time
 
 import numpy as np
@@ -16,7 +17,12 @@ from repro.core.sthosvd import sthosvd
 from repro.distributed.mp_sthosvd import mp_sthosvd
 from repro.observability.telemetry import TelemetryMonitor
 from repro.tensor.random import tucker_plus_noise
-from repro.vmpi.mp_comm import CommConfig, ProcessComm, run_spmd
+from repro.vmpi.mp_comm import (
+    CommConfig,
+    ProcessComm,
+    RankFailureError,
+    run_spmd,
+)
 
 # Module-level SPMD programs (must be picklable).
 
@@ -103,6 +109,40 @@ def _prog_timeout_purge(comm: ProcessComm) -> dict:
     return {"sum": float(got0[0] + got1[0])}
 
 
+def _prog_raise_before_second(comm: ProcessComm) -> None:
+    comm.allreduce(np.ones(2))
+    if comm.rank == 1:
+        raise ValueError("boom")
+    comm.allreduce(np.ones(2))
+
+
+def _prog_exit_while_waited(comm: ProcessComm) -> None:
+    if comm.rank == 2:
+        time.sleep(0.1)
+        os._exit(77)
+    if comm.rank == 1:
+        comm.recv(2, tag=7)  # rank 2 exits instead of answering
+    else:  # busy, and never talks to rank 2
+        time.sleep(0.3)
+        comm.recv(1, tag=7)
+
+
+def _prog_exit_after_allreduce(comm: ProcessComm) -> None:
+    comm.allreduce(np.ones(2))
+    if comm.rank == 2:
+        os._exit(77)
+    comm.allreduce(np.ones(2))
+
+
+def _failure(prog, size: int, backend: str):
+    """Run ``prog`` expecting a failure; the error and the seconds
+    ``run_spmd`` took to raise it."""
+    start = time.monotonic()
+    with pytest.raises(RankFailureError) as ei:
+        run_spmd(prog, size, transport=backend, collective_timeout=10.0)
+    return ei.value, time.monotonic() - start
+
+
 class TestRunSPMD:
     def test_allreduce(self, backend):
         out = run_spmd(_prog_allreduce, 3, transport=backend)
@@ -165,13 +205,9 @@ class TestRunSPMD:
             # The message names the transports that are accepted.
             ({"transport": "star"}, r"'star'.*'p2p', 'shm', 'tcp'"),
             ({"host_map": [[0]]}, "host_map must partition"),
-            (
-                {"host_map": [[0], [1]], "config": CommConfig(verify=True)},
-                "host_map is incompatible with verify",
-            ),
             ({"config": CommConfig(recovery="bogus")}, "recovery policy"),
         ],
-        ids=["transport", "host_map", "host_map-verify", "recovery"],
+        ids=["transport", "host_map", "recovery"],
     )
     def test_rejected_call_logs_nothing(self, kwargs, match):
         """Arguments are validated before any side effect: a rejected
@@ -187,6 +223,60 @@ class TestRunSPMD:
         with pytest.raises(Exception, match="pickle"):
             run_spmd(lambda comm: None, 2, monitor=mon)
         assert list(mon.events) == []
+
+
+class TestInBandFailure:
+    """A rank that raises or exits is EOF to its peers on both wires:
+    they report at once with their flight rings, and the launcher
+    returns as soon as every rank has reported or exited."""
+
+    def test_raise_reports_both_rings_fast(self, backend):
+        err, elapsed = _failure(_prog_raise_before_second, 2, backend)
+        assert elapsed < 1.0
+        assert err.failed_ranks == (1,)
+        assert err.aborted_ranks == (0,)
+        assert set(err.flight_records) == {0, 1}
+        assert err.postmortem.verdict.startswith(
+            "rank(s) [1] never reached allreduce (op #2)"
+        )
+
+    def test_exit_is_eof_to_the_waiting_peer(self, backend):
+        """Rank 0 holds no copy of rank 2's socket end, so rank 2's
+        exit reaches rank 1 as EOF while rank 0 is still busy."""
+        err, elapsed = _failure(_prog_exit_while_waited, 3, backend)
+        assert elapsed < 1.0
+        assert err.failed_ranks == (2,)
+        assert err.aborted_ranks == (0, 1)
+        assert err.exitcodes == {2: 77}
+        assert set(err.flight_records) == {0, 1}
+        _, _, kind, _, _, detail = err.flight_records[1].events[-1]
+        assert kind == "error"
+        assert detail.startswith("TransportClosedError")
+
+    def test_exit_after_allreduce_reports_fast(self, backend):
+        err, elapsed = _failure(_prog_exit_after_allreduce, 3, backend)
+        assert elapsed < 1.0
+        assert err.failed_ranks == (2,)
+        assert err.aborted_ranks == (0, 1)
+        assert err.exitcodes == {2: 77}
+
+    @pytest.mark.parametrize(
+        "prog, size",
+        [(_prog_raise_before_second, 2), (_prog_exit_while_waited, 3)],
+        ids=["raise", "exit"],
+    )
+    def test_wires_classify_alike(self, prog, size):
+        def view(err):
+            return (
+                err.failed_ranks,
+                err.aborted_ranks,
+                set(err.flight_records),
+                err.postmortem.verdict,
+            )
+
+        shm, _ = _failure(prog, size, "shm")
+        tcp, _ = _failure(prog, size, "tcp")
+        assert view(shm) == view(tcp)
 
 
 class TestTimeoutHygiene:

@@ -1,21 +1,27 @@
 """Unit tests for the Transport ABC and its backends.
 
-The suite drives :class:`TcpSocketTransport` *in process* — two or
-three transports meshed over loopback from threads — so framing,
-timeout, and lifecycle behavior is tested without the launcher in the
-way, plus a CLI smoke test for ``repro run --backend tcp``.
+The suite drives both wires *in process* — tcp transports meshed over
+loopback from threads, shm transports built on ``socket.socketpair()``
+— so framing, timeout, and lifecycle behavior is tested without the
+launcher in the way.  Each ``_*Cases`` class holds wire-neutral cases;
+its ``TestTcp*`` and ``TestShm*`` subclasses run them on one wire.
+Shm-only cases cover the segment pool, plus a CLI smoke test for
+``repro run --backend tcp``.
 """
 
 from __future__ import annotations
 
+import glob
 import socket
 import struct
 import threading
+import time
+import uuid
 
 import numpy as np
 import pytest
 
-from repro.vmpi.mp_comm import CommConfig
+from repro.vmpi.mp_comm import CommConfig, _sweep_shm
 from repro.vmpi.transport import (
     CollectiveTimeoutError,
     ShmPoolTransport,
@@ -62,15 +68,62 @@ def _tcp_mesh(
     return out  # type: ignore[return-value]
 
 
-@pytest.fixture
-def pair():
-    mesh = _tcp_mesh(2)
-    yield mesh
+def _shm_pair(config: CommConfig | None = None, token: str | None = None):
+    """Two ShmPoolTransports over one socketpair, as ``run_spmd``
+    builds them."""
+    config = config or CommConfig(collective_timeout=10.0)
+    token = token or uuid.uuid4().hex[:8]
+    s0, s1 = socket.socketpair()
+    return [
+        ShmPoolTransport(0, 2, {1: s0}, token, config),
+        ShmPoolTransport(1, 2, {0: s1}, token, config),
+    ]
+
+
+def _mesh(wire: str, config: CommConfig | None = None):
+    return _tcp_mesh(2, config) if wire == "tcp" else _shm_pair(config)
+
+
+def _close(mesh) -> None:
     for t in mesh:
         t.close()
+        if t.kind == "shm":
+            _sweep_shm(t._run_token)
 
 
-class TestTcpFraming:
+@pytest.fixture
+def pair(request):
+    mesh = _mesh(request.cls.wire)
+    yield mesh
+    _close(mesh)
+
+
+def _send_then_flush(t, msgs) -> threading.Thread:
+    """Send from a thread that then flushes ``t``'s buffered output:
+    an in-process pair has no peer process pumping the sender, so
+    output past the kernel socket buffer waits for this, as it would
+    for a rank's next wait."""
+
+    def run() -> None:
+        for dest, tag, payload in msgs:
+            t.send(dest, tag, payload)
+        deadline = time.monotonic() + 10.0
+        while any(t._tx.values()) and time.monotonic() < deadline:
+            t._pump(0.05)
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    return th
+
+
+def _joined(th: threading.Thread) -> None:
+    th.join(timeout=15.0)
+    assert not th.is_alive()
+
+
+class _FramingCases:
+    wire = ""
+
     @pytest.mark.parametrize(
         "nbytes",
         [0, 1, 7, 8, 255, 4096, (1 << 18) + 13, (1 << 21) + 1],
@@ -91,6 +144,7 @@ class TestTcpFraming:
         a, b = pair
         rng = np.random.default_rng(0)
         sent = []
+        msgs = []
         for i in range(40):
             kind = rng.integers(3)
             if kind == 0:
@@ -104,7 +158,8 @@ class TestTcpFraming:
             else:
                 payload = ("token", int(rng.integers(1 << 30)))
             sent.append(payload)
-            a.send(1, (2, i), payload)
+            msgs.append((1, (2, i), payload))
+        sender = _send_then_flush(a, msgs)
         for i, payload in enumerate(sent):
             got = b.recv(0, (2, i), timeout=10.0)
             if isinstance(payload, np.ndarray):
@@ -115,6 +170,7 @@ class TestTcpFraming:
                     np.testing.assert_array_equal(got[k], payload[k])
             else:
                 assert got == payload
+        _joined(sender)
 
     def test_noncontiguous_array(self, pair):
         a, b = pair
@@ -139,8 +195,8 @@ class TestTcpFraming:
         )
 
     def test_counters_count_payload_not_wire(self, pair):
-        """Counters account array words/bytes (trace-identical to the
-        shm backend), not pickled frame bytes."""
+        """Counters account array words/bytes (trace-identical across
+        wires), not pickled frame bytes."""
         a, b = pair
         payload = np.zeros(1000)
         a.send(1, (6, "c"), payload)
@@ -154,11 +210,35 @@ class TestTcpFraming:
         assert a.shm_messages == b.shm_messages == 0
 
 
-class TestTcpTimeouts:
+class TestTcpFraming(_FramingCases):
+    wire = "tcp"
+
+
+class TestShmFraming(_FramingCases):
+    wire = "shm"
+
+
+class _TimeoutCases:
+    wire = ""
+
     def test_recv_timeout(self, pair):
         _, b = pair
         with pytest.raises(CollectiveTimeoutError, match="diverged"):
             b.recv(0, (9, "never"), timeout=0.3)
+
+
+class TestShmTimeouts(_TimeoutCases):
+    wire = "shm"
+
+    def test_single_rank_needs_no_peers(self):
+        t = ShmPoolTransport(0, 1, {}, uuid.uuid4().hex[:8], CommConfig())
+        t.send(0, (1, "a"), np.array([7.0]))
+        np.testing.assert_array_equal(t.recv(0, (1, "a")), [7.0])
+        t.close()
+
+
+class TestTcpTimeouts(_TimeoutCases):
+    wire = "tcp"
 
     def test_timeout_is_a_runtime_error_subclass(self):
         assert issubclass(TransportClosedError, CollectiveTimeoutError)
@@ -193,40 +273,41 @@ class TestTcpTimeouts:
         t.close()
 
 
-class TestTcpLifecycle:
+class _LifecycleCases:
+    wire = ""
+
     def test_double_close_is_safe(self):
-        mesh = _tcp_mesh(2)
+        mesh = _mesh(self.wire)
         for t in mesh:
             t.close()
-        for t in mesh:
-            t.close()  # second close must be a no-op
+        _close(mesh)  # second close must be a no-op
 
     def test_close_flushes_buffered_sends(self):
         """A rank that sends and immediately closes must not lose the
         tail: close() drains the tx buffers before the FIN."""
-        a, b = _tcp_mesh(2)
+        a, b = _mesh(self.wire)
         payload = np.arange(200_000, dtype=np.float64)
         a.send(1, (1, "tail"), payload)
         a.close()
         got = b.recv(0, (1, "tail"), timeout=10.0)
         np.testing.assert_array_equal(got, payload)
-        b.close()
+        _close([a, b])
 
     def test_peer_close_raises_instead_of_full_timeout(self):
         """After a peer's clean close, waiting on it raises promptly
         (TransportClosedError) instead of burning the whole
         collective timeout."""
-        a, b = _tcp_mesh(2, CommConfig(collective_timeout=30.0))
+        a, b = _mesh(self.wire, CommConfig(collective_timeout=30.0))
         a.close()
         with pytest.raises(TransportClosedError, match="closed"):
             b.recv(0, (1, "gone"), timeout=30.0)
-        b.close()
+        _close([a, b])
 
     def test_torn_frame_detected(self):
         """A peer that dies mid-frame (header promised more bytes than
         arrived) surfaces as a torn-frame TransportClosedError — the
-        failure mode shm cannot express."""
-        a, b = _tcp_mesh(2)
+        on either wire."""
+        a, b = _mesh(self.wire)
         # Rank 0 writes a raw frame header promising 1000 bytes, sends
         # only 2, then closes the socket underneath the transport.
         sock = a._peers[1]
@@ -238,15 +319,14 @@ class TestTcpLifecycle:
         a._closed = True
         with pytest.raises(TransportClosedError, match="torn frame"):
             b.recv(0, (1, "torn"), timeout=10.0)
-        b.close()
+        _close([a, b])
 
     def test_no_leaked_fds_after_close(self):
         """Selector and sockets are released on close: the transport
         holds no live peer sockets afterwards."""
-        a, b = _tcp_mesh(2)
+        a, b = _mesh(self.wire)
         socks = list(a._peers.values())
-        a.close()
-        b.close()
+        _close([a, b])
         assert a._peers == {}
         for s in socks:
             assert s.fileno() == -1  # closed, descriptor returned
@@ -260,7 +340,63 @@ class TestTcpLifecycle:
         assert not b._pending
 
 
+class TestTcpLifecycle(_LifecycleCases):
+    wire = "tcp"
+
+
+class TestShmLifecycle(_LifecycleCases):
+    wire = "shm"
+
+
+class TestShmPool:
+    """What only the shm wire has: payloads of at least
+    ``shm_min_bytes`` ride pooled segments, credited back as frames."""
+
+    MIN = CommConfig().shm_min_bytes
+
+    def test_threshold_payload_rides_a_segment_and_is_credited(self):
+        a, b = _shm_pair()
+        payload = np.arange(self.MIN, dtype=np.uint8)
+        a.send(1, (1, "big"), payload)
+        assert a.shm_messages == 1
+        (name,) = a._owned
+        np.testing.assert_array_equal(b.recv(0, (1, "big")), payload)
+        assert a._free == {}  # the credit is still on the wire
+        a._pump(1.0)
+        assert list(a._free[a._seg_size[name]]) == [name]
+        # The next send reuses the credited segment.
+        a.send(1, (2, "big"), payload)
+        assert list(a._owned) == [name]
+        np.testing.assert_array_equal(b.recv(0, (2, "big")), payload)
+        _close([a, b])
+
+    def test_below_threshold_is_pickled(self):
+        a, b = _shm_pair()
+        payload = np.arange(self.MIN - 1, dtype=np.uint8)
+        sender = _send_then_flush(a, [(1, (1, "small"), payload)])
+        np.testing.assert_array_equal(b.recv(0, (1, "small")), payload)
+        _joined(sender)
+        assert a.shm_messages == 0
+        assert a._owned == {}
+        _close([a, b])
+
+    def test_credit_to_a_closed_owner_is_dropped_and_swept(self):
+        token = uuid.uuid4().hex[:8]
+        a, b = _shm_pair(token=token)
+        payload = np.ones(self.MIN // 8)
+        a.send(1, (1, "big"), payload)
+        a.close()  # the segment is in flight: it stays for the sweep
+        assert glob.glob(f"/dev/shm/mpx{token}*")
+        # b copies the payload out and credits a, which has closed.
+        np.testing.assert_array_equal(b.recv(0, (1, "big")), payload)
+        b.close()
+        _sweep_shm(token)
+        assert glob.glob(f"/dev/shm/mpx{token}*") == []
+
+
 class TestTransportContract:
+    wire = "tcp"
+
     def test_shm_is_a_transport(self):
         assert issubclass(ShmPoolTransport, Transport)
         assert issubclass(TcpSocketTransport, Transport)
