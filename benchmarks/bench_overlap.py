@@ -1,6 +1,6 @@
-"""Comm/compute overlap on the deterministic long-vector collectives.
+"""Comm/compute overlap on the long-vector reduction collectives.
 
-Times repeated large deterministic allreduces (the pipelined
+Times repeated large allreduces (the pipelined
 pairwise-rs + ring-ag path) with ``CommConfig.overlap`` off vs on, on
 real processes.  The contract this bench enforces everywhere, smoke
 included: overlapping changes *scheduling only* — results bit-identical,
@@ -31,7 +31,7 @@ from repro.vmpi.mp_comm import CommConfig, ProcessComm, run_spmd
 #: CI smoke mode: tiny payloads, identity checks only.
 SMOKE = os.environ.get("MP_BENCH_SMOKE", "") == "1"
 
-RANKS = 3  # non-power-of-two: deterministic algorithms on every path
+RANKS = 3
 WORDS = 1_500_000
 ROUNDS = 8
 TRIALS = 3
@@ -61,7 +61,6 @@ def _prog(comm: ProcessComm, words: int, rounds: int) -> tuple:
 
 def _launch(overlap: bool, profile: bool = False):
     cfg = CommConfig(
-        deterministic=True,
         overlap=overlap,
         eager_max_words=4096,
         collective_timeout=120.0,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import time
 
-from repro import sthosvd, tucker_plus_noise
-from repro.distributed.mp_hooi import mp_hosi
+from repro import sthosvd, tucker_plus_noise, variant_options
+from repro.distributed.mp_hooi import mp_hooi_dt
 from repro.distributed.mp_sthosvd import mp_sthosvd
 
 
@@ -38,7 +38,9 @@ def main() -> None:
     assert abs(par.relative_error(x) - seq.relative_error(x)) < 1e-10
 
     t0 = time.perf_counter()
-    hosi = mp_hosi(x, (6, 5, 4), grid, max_iters=2, seed=1)
+    hosi, _ = mp_hooi_dt(
+        x, (6, 5, 4), grid, variant_options("hosi", max_iters=2, seed=1)
+    )
     dt = time.perf_counter() - t0
     print(
         f"process-parallel HOSI error:    {hosi.relative_error(x):.6e} "

@@ -45,10 +45,11 @@ SECTIONS: tuple[tuple[str, str], ...] = (
     ("crossover", "Analysis — §3.1 n/r crossover"),
     ("mp_transport", "Infrastructure — mp transport shoot-out"),
     ("mp_dimension_tree", "Infrastructure — memoized vs direct mp HOOI"),
-    ("verify_overhead", "Infrastructure — SPMD verifier overhead"),
-    ("race_overhead", "Infrastructure — race-sanitizer overhead"),
-    ("profiler_overhead", "Infrastructure — span-profiler overhead"),
-    ("telemetry_overhead", "Infrastructure — flight-recorder overhead"),
+    (
+        "overhead",
+        "Infrastructure — flight recorder, profiler, verifier and race "
+        "sanitizer overhead",
+    ),
     ("kernels_speedup", "Infrastructure — native kernels vs tensordot"),
     ("overlap", "Infrastructure — comm/compute overlap"),
     ("recovery", "Infrastructure — elastic recovery vs full restart"),

@@ -33,7 +33,7 @@ Races raise :class:`RaceError` with **both** conflicting stacks — the
 current one and the recorded site of the prior access.  Clean runs are
 bit- and trace-identical to detection-off runs (the instrumentation
 never touches payload bytes or message order) with bounded overhead
-(see ``benchmarks/bench_race_overhead.py``).
+(see ``benchmarks/bench_overhead.py``).
 
 The detector is process-global (hosted ranks in one process share it;
 separate processes need no sharing — a race requires shared memory in

@@ -32,7 +32,6 @@ from repro.distributed.mp_hooi import (
     MPRankAdaptiveStats,
     MPTreeEngine,
     mp_hooi_dt,
-    mp_hosi,
     mp_rahosi_dt,
 )
 from repro.distributed.mp_sthosvd import mp_sthosvd
@@ -54,7 +53,6 @@ from repro.distributed.sthosvd import DistSTHOSVDStats, dist_sthosvd
 __all__ = [
     "gather_tensor",
     "mp_hooi_dt",
-    "mp_hosi",
     "mp_rahosi_dt",
     "mp_sthosvd",
     "scatter_tensor",

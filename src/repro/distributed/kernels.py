@@ -25,8 +25,8 @@ phase-tagging its collectives (the ``phase`` field of
 :class:`~repro.vmpi.trace.CollectiveRecord`) so traced per-phase
 collective counts can be certified against the closed-form schedules.
 Their numerics are copied verbatim from the in-process SPMD layer
-(:mod:`repro.distributed.spmd_hooi`), so with the deterministic
-transport the mp drivers are bit-identical to it.
+(:mod:`repro.distributed.spmd_hooi`), and the communicator reduces
+in rank order, so the mp drivers are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -464,8 +464,8 @@ def mp_subspace_llsv(
     the nonsymmetric contraction ``Z = Y_(j) G_(j)^T`` at the
     coordinate-0 member, a global allreduce, and a replicated QRCP.
     Mirrors :func:`repro.distributed.spmd_hooi.spmd_subspace_llsv`
-    operation for operation (bit-identical with the deterministic
-    transport).  All collectives — including the ``G``-forming
+    operation for operation (bit-identical: the communicator reduces
+    in rank order).  All collectives — including the ``G``-forming
     reduce-scatter — are tagged ``phase``, so TTM-phase traces count
     only the sweep/tree TTMs.
     """

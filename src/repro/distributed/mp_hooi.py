@@ -2,7 +2,7 @@
 
 The paper's preferred iterations executed on the mini-MPI: every rank
 is an OS process holding one block, all data moves through the
-collectives of :mod:`repro.vmpi.mp_comm`.  Three drivers live here:
+collectives of :mod:`repro.vmpi.mp_comm`.  Two drivers live here:
 
 * :func:`mp_hooi_dt` — rank-specified HOOI.  By default it drives the
   shared dimension-tree traversal
@@ -21,8 +21,6 @@ collectives of :mod:`repro.vmpi.mp_comm`.  Three drivers live here:
   error check, rank 0 runs the eq. (3) core analysis and broadcasts
   the truncation/growth decision, and every rank truncates or expands
   its replicated factors identically.
-* :func:`mp_hosi` — the original direct-TTM HOSI entry point, now a
-  thin wrapper over :func:`mp_hooi_dt`.
 
 Subspace iteration moves data exactly as §3.4 describes
 (mode-subcommunicator redistributions + a global reduction + a
@@ -30,8 +28,8 @@ replicated QRCP) via the shared executed kernels of
 :mod:`repro.distributed.kernels`; every collective carries a phase tag
 so the traced per-iteration TTM count can be certified against the
 memoized Table 1 formula
-(:func:`repro.analysis.costs.hooi_ttm_count`).  With the deterministic
-transport the results are bit-identical to the in-process
+(:func:`repro.analysis.costs.hooi_ttm_count`).  The communicator
+reduces in rank order, so the results are bit-identical to the in-process
 :func:`repro.distributed.spmd_hooi.spmd_hooi`.
 """
 
@@ -88,7 +86,6 @@ __all__ = [
     "MPRankAdaptiveStats",
     "mp_hooi_dt",
     "mp_rahosi_dt",
-    "mp_hosi",
 ]
 
 #: Engine state: this rank's block, its layout, and the contraction
@@ -564,9 +561,8 @@ def mp_hooi_dt(
     selects the tree shape (``"half"`` or the ``"single"`` caterpillar
     ablation).  ``transport``/``comm_config``/``collective_timeout``
     select and tune the communication layer exactly as in
-    :func:`repro.distributed.mp_sthosvd.mp_sthosvd`.  With the default
-    deterministic transport the result is bit-identical to the
-    in-process :func:`repro.distributed.spmd_hooi.spmd_hooi` with the
+    :func:`repro.distributed.mp_sthosvd.mp_sthosvd`.  The result is
+    bit-identical to the in-process :func:`repro.distributed.spmd_hooi.spmd_hooi` with the
     same options.
 
     ``checkpoint_path`` makes rank 0 overwrite a
@@ -1014,40 +1010,3 @@ def mp_rahosi_dt(
         recovery_events=events,
     )
     return TuckerTensor(core=core, factors=factors), stats
-
-
-def mp_hosi(
-    x: np.ndarray,
-    ranks: Sequence[int],
-    grid_dims: Sequence[int],
-    *,
-    max_iters: int = 2,
-    seed: int = 0,
-    timeout: float = 240.0,
-    transport: str = "p2p",
-    comm_config: CommConfig | None = None,
-    collective_timeout: float | None = None,
-) -> TuckerTensor:
-    """Rank-specified direct-TTM HOSI on real processes.
-
-    Kept as the unmemoized baseline (the ``mp_hooi_dt`` ablation
-    partner); the core-forming TTM now runs once after the final
-    sweep instead of once per outer iteration.
-    """
-    options = HOOIOptions(
-        use_dimension_tree=False,
-        llsv_method=LLSVMethod.SUBSPACE,
-        max_iters=max_iters,
-        seed=seed,
-    )
-    tucker, _ = mp_hooi_dt(
-        x,
-        ranks,
-        grid_dims,
-        options,
-        timeout=timeout,
-        transport=transport,
-        comm_config=comm_config,
-        collective_timeout=collective_timeout,
-    )
-    return tucker

@@ -175,8 +175,8 @@ def mp_sthosvd(
     ``comm_config`` select and tune the communication layer (see
     :func:`repro.vmpi.mp_comm.run_spmd`); ``collective_timeout`` is a
     shorthand for the per-collective deadline of
-    :class:`~repro.vmpi.mp_comm.CommConfig`.  The default deterministic
-    peer-to-peer transport reduces in rank order, so the result is
+    :class:`~repro.vmpi.mp_comm.CommConfig`.  The communicator reduces
+    in rank order on both wires, so the result is
     bit-identical to :func:`~repro.distributed.spmd.spmd_sthosvd`.
 
     ``checkpoint_path`` makes rank 0 overwrite a

@@ -9,8 +9,8 @@ At every sweep boundary each rank serializes its
 :class:`~repro.distributed.checkpoint.SweepCheckpoint`
 (:meth:`~repro.distributed.checkpoint.SweepCheckpoint.to_bytes`) and
 ring-exchanges it over the existing Transport: rank ``r`` sends to
-``(r + buddy_offset) % size`` and holds the replica of
-``(r - buddy_offset) % size``.  The exchange rides the raw
+its buddy ``(r + 1) % size`` and holds the replica of
+``(r - 1) % size``.  The exchange rides the raw
 counter-neutral channel (like the shm free credits and the verifier's
 control rounds), so the CollectiveRecord traces of an elastic run stay
 bit-identical to a plain run's — replication is invisible to the
@@ -27,11 +27,11 @@ The round is best-effort by construction (a survivor that never
 enters a collective cannot answer and is over-suspected); the
 launcher's liveness view is the authoritative arbiter — a rank is
 failed iff it posted neither a result nor a recovery report.
-Transient stalls never reach this path: they surface as
-:class:`~repro.vmpi.transport.CollectiveTimeoutError` and are retried
-by the ``transient_retries``/``retry_backoff`` machinery; only a
-closed transport or an explicit revoke — the permanent classification
-— triggers recovery.
+Transient stalls never reach this path: a stall shorter than
+``CommConfig.collective_timeout`` is simply waited out, and a longer
+one surfaces as :class:`~repro.vmpi.transport.CollectiveTimeoutError`;
+only a closed transport or an explicit revoke — the permanent
+classification — triggers recovery.
 
 **Recovery policies** (:func:`run_elastic`), selected by
 ``CommConfig.recovery``:
@@ -128,14 +128,10 @@ class RecoveryManager:
     def __init__(self, comm) -> None:
         self.comm = comm
         size = comm.size
-        offset = int(comm.config.buddy_offset) % size
-        if offset == 0:
-            offset = 1 if size > 1 else 0
-        self.buddy_offset = offset
         #: the rank holding *our* replica.
-        self.buddy = (comm.rank + offset) % size
+        self.buddy = (comm.rank + 1) % size
         #: the rank whose replica *we* hold.
-        self.protects = (comm.rank - offset) % size
+        self.protects = (comm.rank - 1) % size
         self._seq = 0
         self.iteration = -1
         self.own_bytes: bytes | None = None
@@ -147,8 +143,8 @@ class RecoveryManager:
         """Ring-exchange this sweep boundary's checkpoint.
 
         Every rank calls this at the same program point (it pairs a
-        non-blocking raw post with a blocking raw receive, so any
-        ``buddy_offset`` ring completes without deadlock).  Factors
+        non-blocking raw post with a blocking raw receive, so the ring
+        completes without deadlock).  Factors
         are replicated across ranks, so each rank serializes its own
         complete state; what the exchange buys is *placement*: after a
         rank dies, its newest state is guaranteed to exist on a
@@ -285,13 +281,12 @@ def shrink_host_map(
     host_map: Sequence[Sequence[int]] | None,
     failed: set[int],
     size: int,
-    buddy_offset: int = 1,
 ) -> list[list[int]]:
     """The post-shrink process layout: failed logical ranks move in
     with their buddies.
 
     A process death orphans *all* its hosted ranks; each orphan walks
-    the buddy ring (``+buddy_offset``) to the first logical rank still
+    the buddy ring (``+1``) to the first logical rank still
     hosted by a surviving process and joins that process.  Raises
     :class:`RankFailureError` if no process survived.
     """
@@ -300,7 +295,6 @@ def shrink_host_map(
         if host_map is not None
         else [[r] for r in range(size)]
     )
-    offset = buddy_offset % size or 1
     dead_procs = {
         pi for pi, hosted in enumerate(hm)
         if any(r in failed for r in hosted)
@@ -314,9 +308,9 @@ def shrink_host_map(
         )
     owner = {r: hosted for hosted in keep for r in hosted}
     for r in orphans:
-        target = (r + offset) % size
+        target = (r + 1) % size
         while target not in owner:
-            target = (target + offset) % size
+            target = (target + 1) % size
         owner[target].append(r)
         owner[r] = owner[target]
     return keep
@@ -427,9 +421,7 @@ def run_elastic(
             # the continuation at the same op index forever.
             cfg = replace(cfg, fault_plan=None)
             if cfg.recovery == "shrink":
-                host_map = shrink_host_map(
-                    host_map, failed, size, cfg.buddy_offset
-                )
+                host_map = shrink_host_map(host_map, failed, size)
             event = RecoveryEvent(
                 policy=cfg.recovery,
                 attempt=attempt,

@@ -35,9 +35,6 @@ __all__ = [
     "bcast_cost",
     "gather_cost",
     "allreduce_short_cost",
-    "recursive_doubling_allreduce_cost",
-    "rabenseifner_allreduce_cost",
-    "reduce_scatter_halving_cost",
     "allreduce_crossover_words",
     "select_allreduce_algorithm",
     "hooi_collective_counts",
@@ -175,13 +172,13 @@ def gather_cost(n: float, p: int) -> tuple[float, float]:
 # per-algorithm schedule costs (certified against executed schedules)
 # ---------------------------------------------------------------------------
 #
-# The executing mini-MPI (:mod:`repro.vmpi.mp_comm`) selects a concrete
-# algorithm per collective call; each algorithm below has a closed-form
-# per-rank ``(words, messages)`` profile that
-# ``tests/test_schedule_cost.py`` asserts against the message counters
-# the transport actually records.  The generic ``*_cost`` formulas above
-# (what the simulator charges) correspond to the large-payload
-# bandwidth-optimal members of these families.
+# The executing mini-MPI (:mod:`repro.vmpi.mp_comm`) runs one schedule
+# per collective, except that allreduce picks a latency-optimal short
+# algorithm for small payloads.  Its per-rank ``(words, messages)``
+# profile is below; the long allreduce and every other collective run
+# exactly the generic ``*_cost`` formulas above (what the simulator
+# charges).  ``tests/test_schedule_cost.py`` asserts all of them
+# against the message counters the transport actually records.
 
 
 def allreduce_short_cost(n: float, p: int) -> tuple[float, float]:
@@ -196,32 +193,6 @@ def allreduce_short_cost(n: float, p: int) -> tuple[float, float]:
     if p <= 1:
         return 0.0, 0.0
     return n * (p - 1), float(math.ceil(math.log2(p)))
-
-
-def recursive_doubling_allreduce_cost(n: float, p: int) -> tuple[float, float]:
-    """Recursive-doubling allreduce on partial sums (power-of-two ``p``):
-    ``ceil(log2 p)`` exchanges of the full ``n``-word payload."""
-    if p <= 1:
-        return 0.0, 0.0
-    return n * math.ceil(math.log2(p)), float(math.ceil(math.log2(p)))
-
-
-def rabenseifner_allreduce_cost(n: float, p: int) -> tuple[float, float]:
-    """Rabenseifner allreduce (power-of-two ``p``): recursive-halving
-    reduce-scatter + recursive-doubling allgather.  Bandwidth matches
-    the ring allreduce (``2n(p-1)/p`` words) at ``2 ceil(log2 p)``
-    messages instead of ``2(p-1)``."""
-    if p <= 1:
-        return 0.0, 0.0
-    return 2.0 * n * (p - 1) / p, 2.0 * math.ceil(math.log2(p))
-
-
-def reduce_scatter_halving_cost(n: float, p: int) -> tuple[float, float]:
-    """Recursive-halving reduce-scatter (power-of-two ``p``): the ring
-    formula's ``n(p-1)/p`` words in ``ceil(log2 p)`` messages."""
-    if p <= 1:
-        return 0.0, 0.0
-    return n * (p - 1) / p, float(math.ceil(math.log2(p)))
 
 
 def allreduce_crossover_words(

@@ -11,9 +11,9 @@ optional ``(phase, collective-index)`` trigger point:
 ``delay``
     Sleep ``delay`` seconds at the collective boundary — a transient
     transport stall.  Peers blocked on the stalled rank observe it as
-    a slow network; ``CommConfig.transient_retries`` governs whether
-    they ride it out (retry with backoff) or raise
-    :class:`~repro.vmpi.mp_comm.CollectiveTimeoutError`.
+    a slow network: they ride it out when the stall is shorter than
+    ``CommConfig.collective_timeout`` and raise
+    :class:`~repro.vmpi.mp_comm.CollectiveTimeoutError` otherwise.
 ``drop``
     Silently discard this rank's next matching transport send — a lost
     message.  The receiving peer times out (the collective is dead).

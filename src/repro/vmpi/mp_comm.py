@@ -15,15 +15,14 @@ Two wires carry the same communicator:
   payloads of at least a size threshold travel through *pooled*
   ``multiprocessing.shared_memory`` segments without pickling and only
   their handles ride the stream) with *real* collective
-  algorithms on top: pairwise-exchange / recursive-halving
-  reduce-scatter, ring / recursive-doubling allgather, Bruck /
-  recursive-doubling / Rabenseifner allreduce, binomial-tree
-  bcast/gather, and a dissemination barrier.  Algorithms are selected
-  by payload size with the thresholds the alpha-beta cost formulas of
-  :mod:`repro.vmpi.collectives` imply, so the schedule executed here
-  matches what the simulator charges (``tests/test_schedule_cost.py``
-  certifies this against the per-collective
-  :class:`~repro.vmpi.trace.CollectiveRecord` counters).
+  algorithms on top: pairwise-exchange reduce-scatter, ring allgather,
+  Bruck-gather or pairwise reduce-scatter + ring allgather allreduce,
+  binomial-tree bcast/gather, and a dissemination barrier.  The
+  allreduce is chosen by payload size with the threshold the
+  alpha-beta cost formulas of :mod:`repro.vmpi.collectives` imply, so
+  the schedule executed here matches what the simulator charges
+  (``tests/test_schedule_cost.py`` certifies this against the
+  per-collective :class:`~repro.vmpi.trace.CollectiveRecord` counters).
 * ``"tcp"`` (:class:`ProcessComm` over
   :class:`~repro.vmpi.transport.TcpSocketTransport`) — the same
   communicator, collective algorithms, and frames on per-peer
@@ -41,14 +40,12 @@ communicator calls (the natural property of SPMD programs).  Divergent
 call sequences raise :class:`CollectiveTimeoutError` after
 ``CommConfig.collective_timeout`` seconds instead of deadlocking.
 
-By default (``CommConfig.deterministic``) every reduction combines
-contributions in group-rank order, which makes results bit-identical
-to the sequential left-to-right sums of the executable block
-collectives — and therefore ``mp_sthosvd`` bit-identical to
-``spmd_sthosvd``.  Setting ``deterministic=False`` enables the
-tree-ordered power-of-two algorithms (recursive doubling,
-recursive-halving reduce-scatter, Rabenseifner) whose reductions are
-associativity-reordered, as real MPI implementations do.
+Every reduction combines contributions in group-rank order, which
+makes results bit-identical to the sequential left-to-right sums of
+the executable block collectives — and therefore ``mp_sthosvd``
+bit-identical to ``spmd_sthosvd``.  Each collective runs one schedule
+through one code path, :meth:`ProcessComm._collective`, which owns the
+order of the hooks every collective passes.
 """
 
 from __future__ import annotations
@@ -216,16 +213,14 @@ class CommConfig:
         a rank process's first segment also starts a
         ``multiprocessing`` resource tracker (about 10 ms on a 2-vCPU
         VM), which the socket beats up to 1 MiB.
-    deterministic:
-        Reduce in group-rank order (bit-identical to the sequential
-        left-to-right block collectives).  When ``False``, power-of-two
-        groups use the tree-ordered algorithms (recursive doubling /
-        recursive halving / Rabenseifner).
     eager_max_words:
         Override for the short/long allreduce threshold (in array
         elements).  ``None`` derives it from the alpha-beta machine
         constants via
-        :func:`repro.vmpi.collectives.select_allreduce_algorithm`.
+        :func:`repro.vmpi.collectives.select_allreduce_algorithm`,
+        whose crossover is infinite for groups of at most two ranks,
+        so this override is the only way to run the long allreduce
+        there.
     fault_plan:
         Seeded :class:`~repro.vmpi.faults.FaultPlan` of injection
         points (delays, drops, bit-flips, crashes).  ``None`` (the
@@ -235,14 +230,6 @@ class CommConfig:
         Screen every collective result for NaN/Inf and raise a typed
         :class:`~repro.core.errors.NumericalFaultError` naming the
         rank, phase, and collective when corruption is observed.
-    transient_retries:
-        How many times a blocked collective wait is re-armed after a
-        :class:`CollectiveTimeoutError`, each wait scaled by
-        ``retry_backoff`` — rides out transient transport stalls
-        (e.g. injected delays) without declaring the collective dead.
-        ``0`` (default) keeps the fail-fast behavior.
-    retry_backoff:
-        Multiplicative wait growth per retry.
     tcp_connect_timeout:
         TCP backend only: seconds allotted to the whole mesh setup
         (rendezvous check-in, address exchange, peer connect/accept)
@@ -255,18 +242,15 @@ class CommConfig:
         :class:`RankFailureError` is raised.  ``"respawn"`` and
         ``"shrink"`` arm elastic recovery
         (:mod:`repro.distributed.recovery`): every rank replicates its
-        sweep state to a buddy over the transport, survivors of a
-        failure run a revoke-and-agree round and self-extract with
-        their replicas, and the orchestrator continues the run —
-        respawn relaunches a full-size world, shrink re-meshes the
-        survivors with the dead ranks' logical endpoints *hosted* as
-        extra threads on their buddies (the logical world size and
-        hence every collective schedule is preserved, which is what
-        makes the continuation bit-identical).
-    buddy_offset:
-        Elastic recovery: rank ``r`` replicates to rank
-        ``(r + buddy_offset) % size`` (a ring, so any offset coprime
-        with nothing in particular still covers everyone).
+        sweep state to its buddy ``(rank + 1) % size`` over the
+        transport, survivors of a failure run a revoke-and-agree round
+        and self-extract with their replicas, and the orchestrator
+        continues the run — respawn relaunches a full-size world,
+        shrink re-meshes the survivors with the dead ranks' logical
+        endpoints *hosted* as extra threads on their buddies (the
+        logical world size and hence every collective schedule is
+        preserved, which is what makes the continuation
+        bit-identical).
     agree_timeout:
         Elastic recovery: per-peer wait of each agreement round.
         Bounded best-effort — the launcher's liveness view is the
@@ -316,11 +300,10 @@ class CommConfig:
         race fires deterministically, not just on unlucky
         interleavings.  Nothing on the payload path changes, so
         clean detect-on runs stay bit- and trace-identical with
-        bounded overhead (``bench_race_overhead.py`` gates <10 % in
-        CI).
+        bounded overhead (``bench_overhead.py`` gates <10 % in CI).
     overlap:
-        Pipeline (double-buffer) the deterministic reduction
-        collectives: each receive is prefetched on a per-rank overlap
+        Pipeline (double-buffer) the reduction collectives: each
+        receive is prefetched on a per-rank overlap
         worker thread while the main thread folds the previous
         contribution into the accumulator (pairwise reduce-scatter) or
         copies the previous ring chunk into the output vector (the
@@ -348,7 +331,7 @@ class CommConfig:
         ``profile`` is off.  Each event costs one clock read and one
         deque append and nothing on the payload path is touched, so
         recorder-on runs stay bit-identical
-        (``bench_telemetry_overhead.py`` gates <10 % in CI).  On
+        (``bench_overhead.py`` gates <10 % in CI).  On
         failure all rings are collected and merged into a causal
         postmortem timeline attached to :class:`RankFailureError`.
         Rings hold
@@ -366,16 +349,12 @@ class CommConfig:
 
     collective_timeout: float = 60.0
     shm_min_bytes: int = 1 << 18
-    deterministic: bool = True
     overlap: bool = False
     eager_max_words: int | None = None
     fault_plan: FaultPlan | None = None
     check_numerics: bool = False
-    transient_retries: int = 0
-    retry_backoff: float = 2.0
     tcp_connect_timeout: float = 20.0
     recovery: str = "restart"
-    buddy_offset: int = 1
     agree_timeout: float = 2.0
     verify: bool = False
     profile: bool = False
@@ -479,7 +458,7 @@ class ProcessComm:
             # with a pooled-segment wire; non-shm transports (tcp) keep
             # signature matching and deadlock detection and skip the
             # lifecycle checks.
-            if getattr(channel, "uses_shm_pool", False):
+            if channel.uses_shm_pool:
                 channel.sanitizer = _vrt.ShmSanitizer(rank)
             if board is not None and size > 1:
                 channel.monitor = _vrt.WaitMonitor(board, rank, size)
@@ -528,17 +507,6 @@ class ProcessComm:
                 fr.record("phase", self._op_id, value)
         self._phase = value
 
-    def _begin_collective(self, op: str = "", gsize: int = 0) -> None:
-        """Advance the operation counter; log the begin; fire faults."""
-        self._op_id += 1
-        fr = self.flight
-        if fr is not None:
-            fr.record(
-                "collective_begin", self._op_id, self._phase, (op, gsize)
-            )
-        if self._inj is not None:
-            self._inj.at_collective(self._op_id, self.phase)
-
     def _guard_numerics(self, op: str, result: object) -> None:
         """Optional NaN/Inf screen on a collective's result."""
         if not self.config.check_numerics:
@@ -567,9 +535,18 @@ class ProcessComm:
                 )
 
     def _group(self, group: Sequence[int] | None) -> tuple[int, ...]:
+        """The validated group: distinct ranks in ``0..size-1`` that
+        include this rank."""
         group_t = (
             tuple(range(self.size)) if group is None else tuple(group)
         )
+        if len(set(group_t)) != len(group_t) or not all(
+            0 <= r < self.size for r in group_t
+        ):
+            raise ValueError(
+                f"malformed collective group {group_t}: ranks must be "
+                f"distinct and in 0..{self.size - 1}"
+            )
         if self.rank not in group_t:
             raise ValueError(
                 f"rank {self.rank} not in collective group {group_t}"
@@ -598,25 +575,18 @@ class ProcessComm:
         src_v: int,
         phase: str,
     ) -> object:
-        wait = self.config.collective_timeout
-        retries = self.config.transient_retries
-        while True:
-            try:
-                return recv(
-                    group[src_v], (self._op_id, phase), timeout=wait
-                )
-            except CollectiveTimeoutError:
-                if retries > 0:
-                    # Transient-stall tolerance: re-arm the wait with
-                    # backoff before declaring the collective dead.
-                    retries -= 1
-                    wait *= self.config.retry_backoff
-                    continue
-                # The collective is dead; peers will not come back for
-                # the in-flight segments, so release everything now
-                # rather than relying on the launcher's sweep.
-                self._t.purge()
-                raise
+        try:
+            return recv(
+                group[src_v],
+                (self._op_id, phase),
+                timeout=self.config.collective_timeout,
+            )
+        except CollectiveTimeoutError:
+            # The collective is dead; peers will not come back for the
+            # in-flight segments, so release everything now rather than
+            # relying on the launcher's sweep.
+            self._t.purge()
+            raise
 
     # -- tier-2 verification -------------------------------------------------
 
@@ -717,20 +687,6 @@ class ProcessComm:
     def verify_shutdown(self) -> None:
         """End-of-rank verify checks (no-op unless ``verify=True``)."""
         self._t.verify_shutdown()
-
-    def _record(
-        self, op: str, algorithm: str, group_size: int, before: tuple[int, ...]
-    ) -> None:
-        after = self._t.counters()
-        delta = tuple(a - b for a, b in zip(after, before))
-        self.trace.add(
-            CollectiveRecord(op, algorithm, group_size, *delta, self.phase)
-        )
-        fr = self.flight
-        if fr is not None:
-            fr.record(
-                "collective_end", self._op_id, self._phase, (op, group_size)
-            )
 
     # -- point-to-point -----------------------------------------------------
 
@@ -836,26 +792,61 @@ class ProcessComm:
 
     # -- collectives --------------------------------------------------------
 
+    def _collective(
+        self,
+        kind: str,
+        group: Sequence[int] | None,
+        run: Callable[[tuple[int, ...]], tuple[object, str]],
+        block: object = None,
+        **signature: object,
+    ) -> object:
+        """The one path of every collective: ``run(group)`` executes
+        the schedule and returns ``(result, algorithm name)``; the
+        hooks around it fire in this order — group check; op counter,
+        flight ``collective_begin`` and fault injector; verify round
+        (on ``block`` and the ``op``/``root``/``axis`` ``signature``);
+        counter snapshot; profiler span; ``CommTrace`` record and
+        flight ``collective_end``; numerics guard."""
+        group_t = self._group(group)
+        gsize = len(group_t)
+        self._op_id += 1
+        fr = self.flight
+        if fr is not None:
+            fr.record(
+                "collective_begin", self._op_id, self._phase, (kind, gsize)
+            )
+        if self._inj is not None:
+            self._inj.at_collective(self._op_id, self._phase)
+        self._verify_collective(kind, group_t, block=block, **signature)
+        before = self._t.counters()
+        prof = self.profiler
+        if prof is not None:
+            prof.begin(kind, "collective", self._phase)
+        try:
+            out, algorithm = run(group_t)
+        finally:
+            if prof is not None:
+                prof.end()
+        delta = (a - b for a, b in zip(self._t.counters(), before))
+        self.trace.add(
+            CollectiveRecord(kind, algorithm, gsize, *delta, self._phase)
+        )
+        if fr is not None:
+            fr.record(
+                "collective_end", self._op_id, self._phase, (kind, gsize)
+            )
+        self._guard_numerics(kind, out)
+        return out
+
     def allreduce(
         self, block: np.ndarray, group: Sequence[int] | None = None
     ) -> np.ndarray:
         """Sum over the group; every member receives the total."""
-        group_t = self._group(group)
-        self._begin_collective("allreduce", len(group_t))
         block = np.asarray(block)
-        self._verify_collective("allreduce", group_t, op="sum", block=block)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("allreduce", "collective", self.phase)
-        try:
-            out, algorithm = self._allreduce(block, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("allreduce", algorithm, len(group_t), before)
-        self._guard_numerics("allreduce", out)
-        return out
+        return self._collective(
+            "allreduce", group, lambda g: self._allreduce(block, g),
+            block, op="sum",
+        )
 
     def reduce_scatter(
         self,
@@ -865,24 +856,12 @@ class ProcessComm:
     ) -> np.ndarray:
         """Sum over the group, then scatter slabs along ``axis`` (the
         ``i``-th group member receives the ``i``-th slab)."""
-        group_t = self._group(group)
-        self._begin_collective("reduce_scatter", len(group_t))
         block = np.asarray(block)
-        self._verify_collective(
-            "reduce_scatter", group_t, op="sum", axis=axis, block=block
+        return self._collective(
+            "reduce_scatter", group,
+            lambda g: self._reduce_scatter(block, axis, g),
+            block, op="sum", axis=axis,
         )
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("reduce_scatter", "collective", self.phase)
-        try:
-            out, algorithm = self._reduce_scatter(block, axis, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("reduce_scatter", algorithm, len(group_t), before)
-        self._guard_numerics("reduce_scatter", out)
-        return out
 
     def allgather(
         self,
@@ -891,22 +870,11 @@ class ProcessComm:
         group: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Concatenate group members' blocks along ``axis``."""
-        group_t = self._group(group)
-        self._begin_collective("allgather", len(group_t))
         block = np.asarray(block)
-        self._verify_collective("allgather", group_t, axis=axis, block=block)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("allgather", "collective", self.phase)
-        try:
-            out, algorithm = self._allgather(block, axis, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("allgather", algorithm, len(group_t), before)
-        self._guard_numerics("allgather", out)
-        return out
+        return self._collective(
+            "allgather", group, lambda g: self._allgather(block, axis, g),
+            block, axis=axis,
+        )
 
     def bcast(
         self,
@@ -915,21 +883,10 @@ class ProcessComm:
         group: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Broadcast ``root``'s block to the group (binomial tree)."""
-        group_t = self._group(group)
-        self._begin_collective("bcast", len(group_t))
-        self._verify_collective("bcast", group_t, root=root, block=block)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("bcast", "collective", self.phase)
-        try:
-            out = self._bcast(block, root, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("bcast", "binomial", len(group_t), before)
-        self._guard_numerics("bcast", out)
-        return out
+        return self._collective(
+            "bcast", group, lambda g: self._bcast(block, root, g),
+            block, root=root,
+        )
 
     def gather(
         self,
@@ -938,39 +895,16 @@ class ProcessComm:
         group: Sequence[int] | None = None,
     ) -> list[np.ndarray] | None:
         """Collect blocks at ``root`` (group order); others get None."""
-        group_t = self._group(group)
-        self._begin_collective("gather", len(group_t))
         block = np.asarray(block)
-        self._verify_collective("gather", group_t, root=root, block=block)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("gather", "collective", self.phase)
-        try:
-            out = self._gather(block, root, group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("gather", "binomial", len(group_t), before)
-        self._guard_numerics("gather", out)
-        return out
+        return self._collective(
+            "gather", group, lambda g: self._gather(block, root, g),
+            block, root=root,
+        )
 
     def barrier(self, group: Sequence[int] | None = None) -> None:
         """Block until every group member reaches the barrier
         (dissemination algorithm, ``ceil(log2 p)`` rounds)."""
-        group_t = self._group(group)
-        self._begin_collective("barrier", len(group_t))
-        self._verify_collective("barrier", group_t)
-        before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin("barrier", "collective", self.phase)
-        try:
-            self._barrier(group_t)
-        finally:
-            if prof is not None:
-                prof.end()
-        self._record("barrier", "dissemination", len(group_t), before)
+        self._collective("barrier", group, self._barrier)
 
     # -- algorithm building blocks -----------------------------------------
 
@@ -1195,48 +1129,6 @@ class ProcessComm:
         out[slices[prev_idx]] = prev
         return out
 
-    def _halving_reduce_scatter_parts(
-        self,
-        group: tuple[int, ...],
-        me: int,
-        parts: Sequence[np.ndarray],
-        phase: str,
-    ) -> np.ndarray:
-        """Recursive-halving reduce-scatter (power-of-two groups):
-        ``ceil(log2 p)`` rounds, ``n (p-1)/p`` words per rank, with the
-        tree-ordered reduction real MPI uses."""
-        g = len(group)
-        cur: dict[int, np.ndarray] = {
-            j: np.array(parts[j], copy=True) for j in range(g)
-        }
-        lo, hi = 0, g
-        r = 0
-        while hi - lo > 1:
-            half = (hi - lo) // 2
-            mid = lo + half
-            if me < mid:
-                partner = me + half
-                send_keys = range(mid, hi)
-            else:
-                partner = me - half
-                send_keys = range(lo, mid)
-            self._vsend(
-                group,
-                partner,
-                f"{phase}/rh{r}",
-                {k: cur[k] for k in send_keys},
-            )
-            got = self._vrecv(group, partner, f"{phase}/rh{r}")
-            for k, v in got.items():
-                cur[k] += v
-            if me < mid:
-                hi = mid
-            else:
-                lo = mid
-            cur = {k: cur[k] for k in range(lo, hi)}
-            r += 1
-        return cur[me]
-
     def _ring_allgather_parts(
         self,
         group: tuple[int, ...],
@@ -1259,32 +1151,10 @@ class ProcessComm:
             have.update(got)
         return have
 
-    def _doubling_allgather_parts(
-        self,
-        group: tuple[int, ...],
-        me: int,
-        part: np.ndarray,
-        phase: str,
-    ) -> dict[int, np.ndarray]:
-        """Recursive-doubling allgather (power-of-two groups)."""
-        g = len(group)
-        have: dict[int, np.ndarray] = {me: np.asarray(part)}
-        mask = 1
-        r = 0
-        while mask < g:
-            partner = me ^ mask
-            self._vsend(group, partner, f"{phase}/dg{r}", dict(have))
-            have.update(self._vrecv(group, partner, f"{phase}/dg{r}"))
-            mask <<= 1
-            r += 1
-        return have
-
     # -- collective implementations ----------------------------------------
-
-    def _use_short_allreduce(self, n_words: int, g: int) -> bool:
-        if self.config.eager_max_words is not None:
-            return n_words <= self.config.eager_max_words
-        return select_allreduce_algorithm(float(n_words), g) == "short"
+    #
+    # Each returns ``(result, algorithm name)`` for _collective's trace
+    # record.
 
     def _allreduce(
         self, arr: np.ndarray, group: tuple[int, ...]
@@ -1295,22 +1165,12 @@ class ProcessComm:
         me = group.index(self.rank)
         flat = np.ascontiguousarray(arr).reshape(-1)
         n = flat.size
-        pow2 = g & (g - 1) == 0
-        short = self._use_short_allreduce(n, g)
-
-        if short and not self.config.deterministic and pow2:
-            # Recursive doubling on partial sums.
-            acc = flat.copy()
-            mask = 1
-            r = 0
-            while mask < g:
-                partner = me ^ mask
-                self._vsend(group, partner, f"ar/rd{r}", acc)
-                acc = acc + self._vrecv(group, partner, f"ar/rd{r}")
-                mask <<= 1
-                r += 1
-            return acc.reshape(arr.shape), "recursive-doubling"
-
+        limit = self.config.eager_max_words
+        short = (
+            n <= limit
+            if limit is not None
+            else select_allreduce_algorithm(float(n), g) == "short"
+        )
         if short:
             # Bruck allgather of contributions, rank-order local sum.
             have = self._bruck_allgather_items(group, me, flat, "ar")
@@ -1322,27 +1182,20 @@ class ProcessComm:
         # Long payloads: reduce-scatter the flat vector, allgather the
         # reduced chunks.  Chunking is elementwise-disjoint, so the
         # rank-order pairwise path reproduces the left-to-right sum.
-        bounds = _split_slices(n, g, 0, 1)
-        parts = [flat[s[0]] for s in bounds]
-        if self.config.deterministic or not pow2:
-            mine = self._pairwise_reduce_parts(group, me, parts, "ar")
-            if self.config.overlap:
-                # Assemble straight into the output while the ring
-                # receives block: same sends/receives/tags as the
-                # serial ring + concatenate, same bits out.
-                out = np.empty(n, dtype=flat.dtype)
-                self._ring_allgather_overlap(
-                    group, me, mine, "ar", [s[0] for s in bounds], out
-                )
-                return out.reshape(arr.shape), "pairwise-rs+ring-ag"
-            have = self._ring_allgather_parts(group, me, mine, "ar")
-            algorithm = "pairwise-rs+ring-ag"
+        bounds = [s[0] for s in _split_slices(n, g, 0, 1)]
+        mine = self._pairwise_reduce_parts(
+            group, me, [flat[s] for s in bounds], "ar"
+        )
+        if self.config.overlap:
+            # Assemble straight into the output while the ring
+            # receives block: same sends/receives/tags as the serial
+            # ring + concatenate, same bits out.
+            out = np.empty(n, dtype=flat.dtype)
+            self._ring_allgather_overlap(group, me, mine, "ar", bounds, out)
         else:
-            mine = self._halving_reduce_scatter_parts(group, me, parts, "ar")
-            have = self._doubling_allgather_parts(group, me, mine, "ar")
-            algorithm = "rabenseifner"
-        out = np.concatenate([have[j] for j in range(g)])
-        return out.reshape(arr.shape), algorithm
+            have = self._ring_allgather_parts(group, me, mine, "ar")
+            out = np.concatenate([have[j] for j in range(g)])
+        return out.reshape(arr.shape), "pairwise-rs+ring-ag"
 
     def _reduce_scatter(
         self, arr: np.ndarray, axis: int, group: tuple[int, ...]
@@ -1353,14 +1206,8 @@ class ProcessComm:
         me = group.index(self.rank)
         slices = _split_slices(arr.shape[axis], g, axis, arr.ndim)
         parts = [_contig(arr[s]) for s in slices]
-        pow2 = g & (g - 1) == 0
-        if self.config.deterministic or not pow2:
-            out = self._pairwise_reduce_parts(group, me, parts, "rs")
-            algorithm = "pairwise"
-        else:
-            out = self._halving_reduce_scatter_parts(group, me, parts, "rs")
-            algorithm = "recursive-halving"
-        return np.ascontiguousarray(out), algorithm
+        out = self._pairwise_reduce_parts(group, me, parts, "rs")
+        return np.ascontiguousarray(out), "pairwise"
 
     def _allgather(
         self, arr: np.ndarray, axis: int, group: tuple[int, ...]
@@ -1378,14 +1225,14 @@ class ProcessComm:
         block: np.ndarray | None,
         root: int,
         group: tuple[int, ...],
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, str]:
         g = len(group)
         if root not in group:
             raise ValueError(f"bcast root {root} not in group {group}")
         me = group.index(self.rank)
         vroot = group.index(root)
         if g == 1:
-            return np.asarray(block).copy()
+            return np.asarray(block).copy(), "binomial"
         rel = (me - vroot) % g
         if rel == 0:
             data = np.asarray(block)
@@ -1400,21 +1247,21 @@ class ProcessComm:
             if child_rel < g:
                 self._vsend(group, (child_rel + vroot) % g, "bc", data)
             mask >>= 1
-        return np.asarray(data)
+        return np.asarray(data), "binomial"
 
     def _gather(
         self,
         arr: np.ndarray,
         root: int,
         group: tuple[int, ...],
-    ) -> list[np.ndarray] | None:
+    ) -> tuple[list[np.ndarray] | None, str]:
         g = len(group)
         if root not in group:
             raise ValueError(f"gather root {root} not in group {group}")
         me = group.index(self.rank)
         vroot = group.index(root)
         if g == 1:
-            return [arr.copy()]
+            return [arr.copy()], "binomial"
         rel = (me - vroot) % g
         have: dict[int, np.ndarray] = {me: _contig(arr)}
         mask = 1
@@ -1429,14 +1276,11 @@ class ProcessComm:
                 got = self._vrecv(group, (src_rel + vroot) % g, "ga")
                 have.update(got)
             mask <<= 1
-        if me == vroot:
-            return [have[j] for j in range(g)]
-        return None
+        out = [have[j] for j in range(g)] if me == vroot else None
+        return out, "binomial"
 
-    def _barrier(self, group: tuple[int, ...]) -> None:
+    def _barrier(self, group: tuple[int, ...]) -> tuple[None, str]:
         g = len(group)
-        if g == 1:
-            return
         me = group.index(self.rank)
         dist = 1
         r = 0
@@ -1445,6 +1289,7 @@ class ProcessComm:
             self._vrecv(group, (me - dist) % g, f"br{r}")
             dist <<= 1
             r += 1
+        return None, "dissemination"
 
 
 # ---------------------------------------------------------------------------
@@ -1725,9 +1570,9 @@ def run_spmd(
         loopback rendezvous.
     config:
         :class:`CommConfig` for timeouts, the shared-memory threshold,
-        algorithm determinism, the short/long allreduce threshold,
-        fault injection (``fault_plan``), numerics guards, and
-        transient-stall retries.
+        the short/long allreduce threshold, fault injection
+        (``fault_plan``), numerics guards, recovery, and the
+        observability switches.
     collective_timeout:
         Shorthand overriding ``config.collective_timeout``.
     profile_out:

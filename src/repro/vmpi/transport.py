@@ -1,7 +1,7 @@
 """Pluggable point-to-point transports for the process-parallel layer.
 
 :class:`~repro.vmpi.mp_comm.ProcessComm` runs its collective
-algorithms over an abstract :class:`Transport`: tagged, non-blocking
+algorithms over a :class:`Transport`: tagged, non-blocking
 ``send`` / blocking ``recv`` point-to-point messaging plus the
 lifecycle, fault-injection, verification, and profiling hooks the rest
 of the stack taps.  Both backends speak one wire: length-prefixed
@@ -40,8 +40,8 @@ The contract that makes backends interchangeable:
   :class:`TransportClosedError` (a :class:`CollectiveTimeoutError`
   subclass, also raised for a frame torn mid-write) at once — or a
   plain :class:`CollectiveTimeoutError` if the peer's program had
-  returned, since then the call sequences diverged.  Retry-with-backoff,
-  purge-on-timeout, and the launcher's failure reports work unchanged.
+  returned, since then the call sequences diverged.  Purge-on-timeout
+  and the launcher's failure reports work unchanged.
 * **Control traffic** (:meth:`Transport.ctrl_send` /
   :meth:`Transport.ctrl_recv`, used by the tier-2 verifier), revoke
   notices, and the shm free credits ride the same stream but are
@@ -58,7 +58,6 @@ import selectors
 import socket
 import struct
 import time
-from abc import ABC, abstractmethod
 from collections import deque
 
 import numpy as np
@@ -93,7 +92,7 @@ class TransportClosedError(CollectiveTimeoutError):
     """A peer's stream broke or closed mid-conversation.
 
     Subclasses :class:`CollectiveTimeoutError` so every existing
-    timeout path (purge, retry-with-backoff, launcher abort) treats a
+    timeout path (purge, launcher abort) treats a
     vanished peer exactly like a diverged one — just without waiting
     out the full collective timeout.
     """
@@ -107,9 +106,9 @@ class WorldRevokedError(RuntimeError):
     revoke notice on :data:`_REVOKE_TAG`; every blocked ``recv`` on the
     receiving transport then raises this instead of waiting out its
     timeout.
-    Deliberately *not* a :class:`CollectiveTimeoutError` subclass: the
-    retry-with-backoff path must not swallow a revoke (the world is
-    not coming back), it must surface to the recovery handler.
+    Deliberately *not* a :class:`CollectiveTimeoutError` subclass: a
+    revoke is not a slow peer (the world is not coming back), and it
+    must surface to the recovery handler.
     """
 
     def __init__(self, message: str, failed: tuple[int, ...] = ()) -> None:
@@ -221,30 +220,52 @@ def _traced_body_cls():
 
 
 # ---------------------------------------------------------------------------
-# the Transport contract
+# the Transport: framed socket stream both backends share
 # ---------------------------------------------------------------------------
 
+#: Frame header: 8-byte big-endian payload length.
+_LEN = struct.Struct(">Q")
 
-class Transport(ABC):
-    """Tagged point-to-point messaging between SPMD ranks.
+#: Per-syscall read/write granularity.
+_IO_CHUNK = 1 << 20
 
-    ``send`` never blocks (backends buffer outbound traffic) so the
-    symmetric exchange patterns of the collective algorithms cannot
-    deadlock; ``recv`` buffers out-of-order arrivals by ``(source,
-    tag)`` and raises :class:`CollectiveTimeoutError` when nothing
-    arrives in time.  Subclasses implement the wire: how a body
-    reaches a peer (:meth:`_post`), how payloads are encoded/accounted
-    (:meth:`_send_payload` / :meth:`_decode`), and how inbound traffic
-    is pumped into the pending buffers (:meth:`_pump`).
+
+class Transport:
+    """Tagged point-to-point messaging between SPMD ranks over one
+    stream socket per peer.
+
+    ``send`` never blocks (it appends a frame to the peer's write
+    buffer and flushes opportunistically) so the symmetric exchange
+    patterns of the collective algorithms cannot deadlock; ``recv``
+    buffers out-of-order arrivals by ``(source, tag)``, pumping a
+    :mod:`selectors` loop that drains readable sockets (parsing
+    complete frames into the pending buffers) and flushes writable
+    ones, and raises :class:`CollectiveTimeoutError` when nothing
+    arrives in time.  Subclasses connect a socket per peer and hand
+    them to :meth:`_attach`; the shm backend also overrides how array
+    payloads are encoded (:meth:`_encode_arrays` / :meth:`_decode`).
+
+    A peer that exits or closes is EOF on its socket: once no
+    buffered message matches, a wait on it raises
+    :class:`TransportClosedError` — or :class:`CollectiveTimeoutError`
+    if the peer announced with :meth:`finish` that its program
+    returned, since then the call sequences diverged.  A close
+    mid-frame is reported as a torn frame with the byte counts.  Writes
+    never raise: output to a peer that closed is dropped, and the
+    failure surfaces at the next wait on that peer.
+
+    Wire format: ``8-byte big-endian length || pickle((tag, body))``.
+    Payload arrays are pickled (protocol 5 keeps them zero-copy on the
+    encode side); counters account array words/bytes, not frame bytes.
 
     The hook attributes (``injector``, ``sanitizer``, ``monitor``,
-    ``profiler``) are installed by :class:`~repro.vmpi.mp_comm.
-    ProcessComm` / the launcher; ``None`` keeps every boundary at a
-    single ``is None`` test.
+    ``profiler``, ``race_detector``, ``flight``) are installed by
+    :class:`~repro.vmpi.mp_comm.ProcessComm` / the launcher; ``None``
+    keeps every boundary at a single ``is None`` test.
     """
 
-    #: backend name, e.g. ``"shm"`` / ``"tcp"`` (``repro run --backend``).
-    kind = "abstract"
+    #: backend name, ``"shm"`` / ``"tcp"`` (``repro run --backend``).
+    kind = "stream"
     #: whether payloads may ride pooled shared-memory segments — gates
     #: the shm-lifecycle sanitizer (meaningless on socket backends).
     uses_shm_pool = False
@@ -306,6 +327,14 @@ class Transport(ABC):
         self.recv_words = 0
         self.recv_bytes = 0
         self.shm_messages = 0
+        self._sel = selectors.DefaultSelector()
+        self._peers: dict[int, socket.socket] = {}
+        self._rx: dict[int, bytearray] = {}
+        self._tx: dict[int, bytearray] = {}
+        self._writable: set[int] = set()  # peers with WRITE interest on
+        self._gone: set[int] = set()  # peers whose stream hit EOF
+        self._finished: set[int] = set()  # peers whose program returned
+        self._closed = False
 
     def counters(self) -> tuple[int, ...]:
         return (
@@ -318,29 +347,190 @@ class Transport(ABC):
             self.shm_messages,
         )
 
-    # -- wire primitives (backend-specific) ---------------------------------
+    def _attach(self, peers: dict[int, socket.socket]) -> None:
+        for peer, sock in peers.items():
+            sock.setblocking(False)
+            self._peers[peer] = sock
+            self._rx[peer] = bytearray()
+            self._tx[peer] = bytearray()
+            self._sel.register(sock, selectors.EVENT_READ, peer)
 
-    @abstractmethod
+    # -- wire ---------------------------------------------------------------
+
     def _post(self, dest: int, tag: tuple, body: object) -> None:
         """Raw wire write of an already-encoded body — no counters, no
-        fault hooks (control traffic and free-credits ride this)."""
+        fault hooks (control traffic and revoke notices ride this)."""
+        det = self.race_detector
+        if det is not None:
+            det.channel_send((self.rank, dest))
+        self._write_frame(dest, tag, body)
 
-    @abstractmethod
+    def _write_frame(self, dest: int, tag: tuple, body: object) -> None:
+        """Frame ``body`` to ``dest`` — no counters, no race edge."""
+        if dest == self.rank:
+            # Self-sends never touch the wire: the pending map plays
+            # the loopback.
+            self._note(dest, tag, body)
+            return
+        data = pickle.dumps((tag, body), protocol=pickle.HIGHEST_PROTOCOL)
+        buf = self._tx[dest]
+        buf += _LEN.pack(len(data))
+        buf += data
+        self._flush(dest)
+
+    def finish(self) -> None:
+        """Tell every peer this rank's program returned."""
+        for peer in self._peers:
+            self._write_frame(peer, _FIN_TAG, None)
+
     def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
         """Encode ``payload``, account it, and post it to ``dest``."""
+        arrays = _payload_arrays(payload)
+        body: tuple = ("pkl", payload)
+        if arrays is not None:
+            contig = [(k, _contig(a)) for k, a in arrays]
+            self.sent_words += sum(a.size for _, a in contig)
+            self.sent_bytes += sum(a.nbytes for _, a in contig)
+            body = self._encode_arrays(
+                contig, isinstance(payload, np.ndarray)
+            )
+        self.sent_messages += 1
+        self._post(dest, tag, body)
 
-    @abstractmethod
+    def _encode_arrays(
+        self, contig: list[tuple[object, np.ndarray]], single: bool
+    ) -> tuple:
+        """The body of an array payload: pickled into the frame."""
+        return ("pkl", contig[0][1] if single else dict(contig))
+
+    def _set_write_interest(self, peer: int, want: bool) -> None:
+        if want == (peer in self._writable) or peer in self._gone:
+            return
+        events = selectors.EVENT_READ
+        if want:
+            events |= selectors.EVENT_WRITE
+            self._writable.add(peer)
+        else:
+            self._writable.discard(peer)
+        self._sel.modify(self._peers[peer], events, peer)
+
+    def _flush(self, peer: int) -> None:
+        """Write as much buffered output to ``peer`` as the kernel
+        accepts; leave the rest for the selector loop."""
+        buf = self._tx[peer]
+        sock = self._peers[peer]
+        while buf:
+            try:
+                n = sock.send(memoryview(buf)[:_IO_CHUNK])
+            except (BlockingIOError, InterruptedError):
+                break
+            except OSError:
+                # The peer closed: nobody will read this output.  Reads
+                # go on until its EOF, so frames it sent before closing
+                # still arrive.
+                buf.clear()
+                break
+            del buf[:n]
+        self._set_write_interest(peer, bool(buf))
+
+    def _mark_gone(self, peer: int) -> None:
+        self._gone.add(peer)
+        self._writable.discard(peer)
+        try:
+            self._sel.unregister(self._peers[peer])
+        except (KeyError, ValueError):  # pragma: no cover - already out
+            pass
+
+    def _read(self, peer: int) -> None:
+        sock = self._peers[peer]
+        buf = self._rx[peer]
+        closed = False
+        while True:
+            try:
+                chunk = sock.recv(_IO_CHUNK)
+            except (BlockingIOError, InterruptedError):
+                break
+            except ConnectionResetError:
+                # The peer closed with our output unread; what it sent
+                # before closing has been read, so this is its EOF.
+                chunk = b""
+            except OSError as exc:
+                self._mark_gone(peer)
+                raise TransportClosedError(
+                    f"rank {self.rank}: connection from rank {peer} "
+                    f"failed mid-recv ({exc})"
+                ) from exc
+            if not chunk:
+                closed = True
+                break
+            buf += chunk
+            if len(chunk) < _IO_CHUNK:
+                break  # drained for now; selector wakes us for more
+        self._parse(peer)
+        if closed:
+            self._mark_gone(peer)
+            if buf:
+                promised = (
+                    _LEN.unpack_from(buf)[0] if len(buf) >= _LEN.size
+                    else None
+                )
+                raise TransportClosedError(
+                    f"rank {self.rank}: rank {peer} closed the "
+                    f"connection mid-frame — partial recv of "
+                    f"{len(buf)} bytes"
+                    + (
+                        f" of a frame promising {promised}"
+                        if promised is not None
+                        else " (incomplete header)"
+                    )
+                    + " (torn frame)"
+                )
+
+    def _parse(self, peer: int) -> None:
+        buf = self._rx[peer]
+        while len(buf) >= _LEN.size:
+            (n,) = _LEN.unpack_from(buf)
+            end = _LEN.size + n
+            if len(buf) < end:
+                break
+            tag, body = pickle.loads(bytes(memoryview(buf)[_LEN.size:end]))
+            del buf[:end]
+            self._note(peer, tag, body)
+
     def _pump(self, timeout: float) -> None:
         """Block up to ``timeout`` seconds for inbound traffic, moving
         every arrival into the pending buffers via :meth:`_note`."""
+        if not self._peers or self._closed:
+            if timeout > 0:
+                time.sleep(min(timeout, 0.01))
+            return
+        for key, mask in self._sel.select(timeout):
+            peer = key.data
+            if mask & selectors.EVENT_WRITE:
+                self._flush(peer)
+            if mask & selectors.EVENT_READ:
+                self._read(peer)
 
     def _check_peer(self, src: int) -> None:
-        """Raise if ``src`` can no longer deliver (a vanished peer);
-        a wire without such a signal keeps this no-op."""
+        if src in self._gone and src in self._finished:
+            raise CollectiveTimeoutError(
+                f"rank {self.rank}: rank {src} finished and no buffered "
+                "message matches — collective call sequences have "
+                "diverged across ranks"
+            )
+        if src in self._gone:
+            raise TransportClosedError(
+                f"rank {self.rank}: rank {src} closed its connection and "
+                "no buffered message matches — the peer finished early, "
+                "diverged, or died"
+            )
 
     # -- shared plumbing ----------------------------------------------------
 
     def _note(self, src: int, tag: tuple, body: object) -> None:
+        if tag == _FIN_TAG:
+            self._finished.add(src)
+            return
         det = self.race_detector
         # Every _post appends exactly one clock snapshot to the
         # (src, dst) channel, so every noted arrival pops exactly one
@@ -565,258 +755,6 @@ class Transport(ABC):
 
     # -- lifecycle ----------------------------------------------------------
 
-    def close(self) -> None:
-        """Release wire resources (sockets, segments, mappings)."""
-
-    def purge(self) -> None:
-        """Exception-path cleanup after a dead collective: release
-        anything a non-returning peer could leak (pending buffers
-        always; every owned segment on the shm backend)."""
-        self._pending.clear()
-
-    def verify_shutdown(self, grace: float = 0.5) -> None:
-        """End-of-rank sanitizer check: every segment this rank sent
-        must have been credited back.  Late credits from peers that
-        finished marginally after us get a bounded grace drain before
-        a leak is declared (SPMD213).  A no-op on backends without a
-        sanitizer (non-shm transports skip the lifecycle checks but
-        keep signature matching and deadlock detection)."""
-        if self.sanitizer is None:
-            return
-        deadline = time.monotonic() + grace
-        while self.sanitizer.leaked() and time.monotonic() < deadline:
-            self._pump(0.01)
-        self.sanitizer.check_exit()
-
-
-# ---------------------------------------------------------------------------
-# the framed socket stream both backends share
-# ---------------------------------------------------------------------------
-
-#: Frame header: 8-byte big-endian payload length.
-_LEN = struct.Struct(">Q")
-
-#: Per-syscall read/write granularity.
-_IO_CHUNK = 1 << 20
-
-
-class _StreamTransport(Transport):
-    """Length-prefixed pickled frames over one stream socket per peer.
-
-    Subclasses connect a socket per peer and hand them to
-    :meth:`_attach`; from then on the wire is shared.  ``send`` appends
-    a frame to the peer's write buffer and flushes opportunistically;
-    ``recv`` pumps a :mod:`selectors` loop that drains readable sockets
-    (parsing complete frames into the pending buffers) and flushes
-    writable ones — so symmetric exchanges progress even when both
-    directions exceed the kernel socket buffers.
-
-    A peer that exits or closes is EOF on its socket: once no
-    buffered message matches, a wait on it raises
-    :class:`TransportClosedError` — or :class:`CollectiveTimeoutError`
-    if the peer announced with :meth:`finish` that its program
-    returned, since then the call sequences diverged.  A close
-    mid-frame is reported as a torn frame with the byte counts.  Writes
-    never raise: output to a peer that closed is dropped, and the
-    failure surfaces at the next wait on that peer.
-
-    Wire format: ``8-byte big-endian length || pickle((tag, body))``.
-    Payload arrays are pickled (protocol 5 keeps them zero-copy on the
-    encode side); counters account array words/bytes, not frame bytes.
-    """
-
-    def __init__(self, rank: int, size: int, config) -> None:
-        super().__init__(rank, size, config)
-        self._sel = selectors.DefaultSelector()
-        self._peers: dict[int, socket.socket] = {}
-        self._rx: dict[int, bytearray] = {}
-        self._tx: dict[int, bytearray] = {}
-        self._writable: set[int] = set()  # peers with WRITE interest on
-        self._gone: set[int] = set()  # peers whose stream hit EOF
-        self._finished: set[int] = set()  # peers whose program returned
-        self._closed = False
-
-    def _attach(self, peers: dict[int, socket.socket]) -> None:
-        for peer, sock in peers.items():
-            sock.setblocking(False)
-            self._peers[peer] = sock
-            self._rx[peer] = bytearray()
-            self._tx[peer] = bytearray()
-            self._sel.register(sock, selectors.EVENT_READ, peer)
-
-    # -- wire ---------------------------------------------------------------
-
-    def _post(self, dest: int, tag: tuple, body: object) -> None:
-        det = self.race_detector
-        if det is not None:
-            det.channel_send((self.rank, dest))
-        self._write_frame(dest, tag, body)
-
-    def _write_frame(self, dest: int, tag: tuple, body: object) -> None:
-        """Frame ``body`` to ``dest`` — no counters, no race edge."""
-        if dest == self.rank:
-            # Self-sends never touch the wire: the pending map plays
-            # the loopback.
-            self._note(dest, tag, body)
-            return
-        data = pickle.dumps((tag, body), protocol=pickle.HIGHEST_PROTOCOL)
-        buf = self._tx[dest]
-        buf += _LEN.pack(len(data))
-        buf += data
-        self._flush(dest)
-
-    def finish(self) -> None:
-        """Tell every peer this rank's program returned."""
-        for peer in self._peers:
-            self._write_frame(peer, _FIN_TAG, None)
-
-    def _note(self, src: int, tag: tuple, body: object) -> None:
-        if tag == _FIN_TAG:
-            self._finished.add(src)
-            return
-        super()._note(src, tag, body)
-
-    def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
-        arrays = _payload_arrays(payload)
-        body: tuple = ("pkl", payload)
-        if arrays is not None:
-            contig = [(k, _contig(a)) for k, a in arrays]
-            self.sent_words += sum(a.size for _, a in contig)
-            self.sent_bytes += sum(a.nbytes for _, a in contig)
-            body = self._encode_arrays(
-                contig, isinstance(payload, np.ndarray)
-            )
-        self.sent_messages += 1
-        self._post(dest, tag, body)
-
-    def _encode_arrays(
-        self, contig: list[tuple[object, np.ndarray]], single: bool
-    ) -> tuple:
-        """The body of an array payload: pickled into the frame."""
-        return ("pkl", contig[0][1] if single else dict(contig))
-
-    def _set_write_interest(self, peer: int, want: bool) -> None:
-        if want == (peer in self._writable) or peer in self._gone:
-            return
-        events = selectors.EVENT_READ
-        if want:
-            events |= selectors.EVENT_WRITE
-            self._writable.add(peer)
-        else:
-            self._writable.discard(peer)
-        self._sel.modify(self._peers[peer], events, peer)
-
-    def _flush(self, peer: int) -> None:
-        """Write as much buffered output to ``peer`` as the kernel
-        accepts; leave the rest for the selector loop."""
-        buf = self._tx[peer]
-        sock = self._peers[peer]
-        while buf:
-            try:
-                n = sock.send(memoryview(buf)[:_IO_CHUNK])
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                # The peer closed: nobody will read this output.  Reads
-                # go on until its EOF, so frames it sent before closing
-                # still arrive.
-                buf.clear()
-                break
-            del buf[:n]
-        self._set_write_interest(peer, bool(buf))
-
-    def _mark_gone(self, peer: int) -> None:
-        self._gone.add(peer)
-        self._writable.discard(peer)
-        try:
-            self._sel.unregister(self._peers[peer])
-        except (KeyError, ValueError):  # pragma: no cover - already out
-            pass
-
-    def _read(self, peer: int) -> None:
-        sock = self._peers[peer]
-        buf = self._rx[peer]
-        closed = False
-        while True:
-            try:
-                chunk = sock.recv(_IO_CHUNK)
-            except (BlockingIOError, InterruptedError):
-                break
-            except ConnectionResetError:
-                # The peer closed with our output unread; what it sent
-                # before closing has been read, so this is its EOF.
-                chunk = b""
-            except OSError as exc:
-                self._mark_gone(peer)
-                raise TransportClosedError(
-                    f"rank {self.rank}: connection from rank {peer} "
-                    f"failed mid-recv ({exc})"
-                ) from exc
-            if not chunk:
-                closed = True
-                break
-            buf += chunk
-            if len(chunk) < _IO_CHUNK:
-                break  # drained for now; selector wakes us for more
-        self._parse(peer)
-        if closed:
-            self._mark_gone(peer)
-            if buf:
-                promised = (
-                    _LEN.unpack_from(buf)[0] if len(buf) >= _LEN.size
-                    else None
-                )
-                raise TransportClosedError(
-                    f"rank {self.rank}: rank {peer} closed the "
-                    f"connection mid-frame — partial recv of "
-                    f"{len(buf)} bytes"
-                    + (
-                        f" of a frame promising {promised}"
-                        if promised is not None
-                        else " (incomplete header)"
-                    )
-                    + " (torn frame)"
-                )
-
-    def _parse(self, peer: int) -> None:
-        buf = self._rx[peer]
-        while len(buf) >= _LEN.size:
-            (n,) = _LEN.unpack_from(buf)
-            end = _LEN.size + n
-            if len(buf) < end:
-                break
-            tag, body = pickle.loads(bytes(memoryview(buf)[_LEN.size:end]))
-            del buf[:end]
-            self._note(peer, tag, body)
-
-    def _pump(self, timeout: float) -> None:
-        if not self._peers or self._closed:
-            if timeout > 0:
-                time.sleep(min(timeout, 0.01))
-            return
-        for key, mask in self._sel.select(timeout):
-            peer = key.data
-            if mask & selectors.EVENT_WRITE:
-                self._flush(peer)
-            if mask & selectors.EVENT_READ:
-                self._read(peer)
-
-    def _check_peer(self, src: int) -> None:
-        if src in self._gone and src in self._finished:
-            raise CollectiveTimeoutError(
-                f"rank {self.rank}: rank {src} finished and no buffered "
-                "message matches — collective call sequences have "
-                "diverged across ranks"
-            )
-        if src in self._gone:
-            raise TransportClosedError(
-                f"rank {self.rank}: rank {src} closed its connection and "
-                "no buffered message matches — the peer finished early, "
-                "diverged, or died"
-            )
-
-    # -- lifecycle ----------------------------------------------------------
-
     def close(self, linger: float = 5.0) -> None:
         """Flush buffered output (bounded by ``linger`` seconds), then
         close every peer connection.  Safe to call twice."""
@@ -847,13 +785,33 @@ class _StreamTransport(Transport):
         self._sel.close()
         self._peers.clear()
 
+    def purge(self) -> None:
+        """Exception-path cleanup after a dead collective: release
+        anything a non-returning peer could leak (pending buffers
+        always; every owned segment on the shm backend)."""
+        self._pending.clear()
+
+    def verify_shutdown(self, grace: float = 0.5) -> None:
+        """End-of-rank sanitizer check: every segment this rank sent
+        must have been credited back.  Late credits from peers that
+        finished marginally after us get a bounded grace drain before
+        a leak is declared (SPMD213).  A no-op on backends without a
+        sanitizer (non-shm transports skip the lifecycle checks but
+        keep signature matching and deadlock detection)."""
+        if self.sanitizer is None:
+            return
+        deadline = time.monotonic() + grace
+        while self.sanitizer.leaked() and time.monotonic() < deadline:
+            self._pump(0.01)
+        self.sanitizer.check_exit()
+
 
 # ---------------------------------------------------------------------------
 # shared-memory backend: the stream over socketpairs, plus a segment pool
 # ---------------------------------------------------------------------------
 
 
-class ShmPoolTransport(_StreamTransport):
+class ShmPoolTransport(Transport):
     """The stream over pre-forked AF_UNIX socketpairs, plus a segment
     pool for large payloads.
 
@@ -1140,7 +1098,7 @@ def serve_rendezvous(
     return addrs
 
 
-class TcpSocketTransport(_StreamTransport):
+class TcpSocketTransport(Transport):
     """The stream over per-peer TCP connections.
 
     Mesh establishment: each rank opens its own listener on an
@@ -1153,7 +1111,6 @@ class TcpSocketTransport(_StreamTransport):
     """
 
     kind = "tcp"
-    uses_shm_pool = False
 
     def __init__(
         self,

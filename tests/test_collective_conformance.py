@@ -3,10 +3,8 @@
 One parametrized harness runs every collective (allreduce,
 reduce-scatter, allgather, bcast, gather, barrier) across the
 execution layers — the ``mp_comm`` communicator on both its wires
-(pooled shared memory and TCP sockets; the shm wire in both the
-deterministic rank-order algorithms and the tree-ordered power-of-two
-ones) and the in-process executable block collectives of
-:mod:`repro.vmpi.collectives` — over
+(pooled shared memory and TCP sockets) and the in-process executable
+block collectives of :mod:`repro.vmpi.collectives` — over
 group sizes {1, 2, 3, 4, 7, 8} and payload corners (float32/float64,
 integer dtypes, empty arrays, non-contiguous views, 0-d scalars,
 ragged allgather extents, extents that do not divide the group size),
@@ -19,7 +17,7 @@ except ``shm_messages`` (the one backend-specific counter, zero on
 tcp).
 
 Payload values are integer-valued floats, so every summation order is
-exact and bit-identity is well-defined for all reduction algorithms.
+exact and bit-identity against the NumPy reference is well-defined.
 The rank-order claim itself is certified separately, on non-integer
 payloads whose sums depend on the order of the adds.
 
@@ -48,7 +46,6 @@ from repro.vmpi.mp_comm import CommConfig, run_spmd
 GROUP_SIZES = (1, 2, 3, 4, 7, 8)
 TRANSPORTS = (
     "p2p-det",
-    "p2p-nondet",
     "blocks",
     pytest.param("tcp", marks=pytest.mark.transport_matrix),
 )
@@ -177,16 +174,10 @@ def _run_layer(transport: str, size: int) -> tuple:
                 config=_P2P_CONFIG,
             )
         )
-    config = _P2P_CONFIG
-    if transport == "p2p-nondet":
-        config = CommConfig(
-            collective_timeout=60.0,
-            shm_min_bytes=256,
-            eager_max_words=24,
-            deterministic=False,
-        )
     return tuple(
-        run_spmd(_conformance_program, size, transport="p2p", config=config)
+        run_spmd(
+            _conformance_program, size, transport="p2p", config=_P2P_CONFIG
+        )
     )
 
 

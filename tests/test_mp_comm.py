@@ -134,6 +134,46 @@ def _prog_exit_after_allreduce(comm: ProcessComm) -> None:
     comm.allreduce(np.ones(2))
 
 
+#: (collective, group) calls that name a repeated or out-of-range rank.
+_MALFORMED = (
+    ("allreduce", (0, 1, 1)),
+    ("reduce_scatter", (1, 0, 1)),
+    ("bcast", (0, 1, 1)),
+    ("allgather", (0, 2)),
+    ("gather", (-1, 0, 1)),
+    ("barrier", (1, 1, 0)),
+)
+
+
+def _prog_malformed_groups(comm: ProcessComm) -> tuple:
+    x = np.ones(4)
+    calls = {
+        "allreduce": lambda g: comm.allreduce(x, group=g),
+        "reduce_scatter": lambda g: comm.reduce_scatter(x, group=g),
+        "allgather": lambda g: comm.allgather(x, group=g),
+        "bcast": lambda g: comm.bcast(x, root=0, group=g),
+        "gather": lambda g: comm.gather(x, root=0, group=g),
+        "barrier": lambda g: comm.barrier(group=g),
+    }
+    flight_seq = comm.flight.seq
+    errors = []
+    for op, group in _MALFORMED:
+        try:
+            calls[op](group)
+        except ValueError as exc:
+            errors.append(str(exc))
+        else:
+            errors.append(None)
+    moved = (
+        comm._op_id,
+        comm.flight.seq - flight_seq,
+        len(comm.trace.records),
+        dict(comm._vseq),
+    )
+    # Nothing moved on any rank, so the ranks are still in step.
+    return errors, moved, float(comm.allreduce(x)[0])
+
+
 def _failure(prog, size: int, backend: str):
     """Run ``prog`` expecting a failure; the error and the seconds
     ``run_spmd`` took to raise it."""
@@ -277,6 +317,26 @@ class TestInBandFailure:
         shm, _ = _failure(prog, size, "shm")
         tcp, _ = _failure(prog, size, "tcp")
         assert view(shm) == view(tcp)
+
+
+class TestMalformedGroups:
+    def test_rejected_before_any_hook_moves(self, backend):
+        """A group that repeats a rank or names one outside the world
+        raises a ValueError naming the group before the op counter,
+        the flight ring or a verify round moves."""
+        out = run_spmd(
+            _prog_malformed_groups,
+            2,
+            transport=backend,
+            config=CommConfig(verify=True, collective_timeout=3.0),
+            timeout=60,
+        )
+        for errors, moved, total in out:
+            for (op, group), err in zip(_MALFORMED, errors):
+                assert err is not None, op
+                assert f"malformed collective group {group}" in err, op
+            assert moved == (0, 0, 0, {})
+            assert total == 2.0
 
 
 class TestTimeoutHygiene:

@@ -13,7 +13,6 @@ from repro.distributed.layout import BlockLayout
 from repro.distributed.mp_hooi import (
     MPTreeEngine,
     mp_hooi_dt,
-    mp_hosi,
     mp_rahosi_dt,
 )
 from repro.distributed.spmd_hooi import spmd_hooi
@@ -24,13 +23,20 @@ from repro.vmpi.grid import ProcessorGrid
 from repro.vmpi.mp_comm import ProcessComm, run_spmd
 
 
+def _run_hosi(x, ranks, dims, **overrides):
+    """Direct-TTM HOSI on processes: ``mp_hooi_dt`` with the ``hosi``
+    variant (no dimension tree, subspace-iteration LLSV)."""
+    opts = variant_options("hosi", **overrides)
+    return mp_hooi_dt(x, ranks, dims, opts)[0]
+
+
 class TestMPHOSI:
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (1, 2, 2)])
     def test_matches_sequential(self, dims):
         x = tucker_plus_noise((14, 12, 10), (3, 3, 2), noise=1e-4, seed=1)
         opts = variant_options("hosi", max_iters=2, seed=7)
         seq, _ = hooi(x, (3, 3, 2), opts)
-        par = mp_hosi(x, (3, 3, 2), dims, max_iters=2, seed=7)
+        par = _run_hosi(x, (3, 3, 2), dims, max_iters=2, seed=7)
         assert par.relative_error(x) == pytest.approx(
             seq.relative_error(x), rel=1e-6
         )
@@ -39,22 +45,22 @@ class TestMPHOSI:
 
     def test_4way(self):
         x = tucker_plus_noise((8, 8, 8, 8), (2, 2, 2, 2), noise=1e-4, seed=2)
-        par = mp_hosi(x, (2, 2, 2, 2), (1, 2, 2, 1), max_iters=2, seed=3)
+        par = _run_hosi(x, (2, 2, 2, 2), (1, 2, 2, 1), max_iters=2, seed=3)
         assert par.relative_error(x) < 1e-3
 
     def test_validation(self):
         x = np.zeros((4, 4, 4))
         with pytest.raises(ValueError):
-            mp_hosi(x, (2, 2, 2), (1, 1))
+            _run_hosi(x, (2, 2, 2), (1, 1))
         with pytest.raises(ValueError):
-            mp_hosi(x, (9, 2, 2), (1, 1, 1))
+            _run_hosi(x, (9, 2, 2), (1, 1, 1))
 
 
 class TestMPHooiDT:
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (1, 2, 2)])
     def test_bitwise_vs_spmd_tree(self, dims):
         """The mp tree engine is bit-identical to the in-process SPMD
-        tree engine (deterministic transport)."""
+        tree engine (both reduce in rank order)."""
         x = tucker_plus_noise((12, 11, 10), (3, 3, 2), noise=1e-4, seed=4)
         opts = HOOIOptions(max_iters=2, seed=5)
         ref = spmd_hooi(x, (3, 3, 2), dims, opts)

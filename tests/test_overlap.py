@@ -1,6 +1,6 @@
 """Comm/compute overlap (``CommConfig.overlap``): identity and attribution.
 
-The pipelined deterministic collectives must be a pure scheduling
+The pipelined reduction collectives must be a pure scheduling
 change: bit-identical results, identical collective traces (ops,
 algorithms, message/word counters), on both transport wires.  The only
 observable difference is where receive waits land — overlapped waits
@@ -30,16 +30,14 @@ from repro.vmpi.mp_comm import (
     run_spmd,
 )
 
-# Payload sizes chosen so the deterministic allreduce takes the long
+# Payload sizes chosen so the allreduce takes the long
 # pairwise-rs+ring-ag path (the overlapped one) with eager_max_words
-# forced low, on 3 ranks (non-power-of-two: always deterministic
-# algorithms).
+# forced low, on 3 ranks.
 _N = 60_000
 
 
 def _cfg(overlap: bool, profile: bool = False) -> CommConfig:
     return CommConfig(
-        deterministic=True,
         overlap=overlap,
         eager_max_words=1024,
         collective_timeout=60.0,
@@ -76,7 +74,7 @@ class TestOverlapIdentity:
         off = run_spmd(_prog_mixed, 3, config=_cfg(False), transport=backend)
         on = run_spmd(_prog_mixed, 3, config=_cfg(True), transport=backend)
         algs = {t[0]: t[1] for t in on[0][3]}
-        # the long deterministic path — the one that pipelines — ran
+        # the long allreduce path — the one that pipelines — ran
         assert algs["allreduce"] == "pairwise-rs+ring-ag"
         assert algs["reduce_scatter"] == "pairwise"
         for r in range(3):
@@ -102,7 +100,6 @@ class TestOverlapFailure:
 
     def test_hard_crash_fails_fast(self, backend):
         cfg = CommConfig(
-            deterministic=True,
             overlap=True,
             eager_max_words=1024,
             collective_timeout=8.0,
@@ -121,7 +118,6 @@ class TestOverlapFailure:
         # collective while its prefetch slot is armed; its own
         # shutdown path must not hang on the in-flight receive.
         cfg = CommConfig(
-            deterministic=True,
             overlap=True,
             eager_max_words=1024,
             collective_timeout=8.0,
@@ -135,7 +131,6 @@ class TestOverlapFailure:
 
     def test_hard_crash_leaves_no_shm_residue(self):
         cfg = CommConfig(
-            deterministic=True,
             overlap=True,
             eager_max_words=1024,
             collective_timeout=8.0,

@@ -237,15 +237,6 @@ class TestRecoveryPieces:
             # the replica this rank holds is its predecessor's state
             assert val == float(protects)
 
-    def test_buddy_offset_two(self):
-        cfg = CommConfig(
-            recovery="respawn", buddy_offset=2, collective_timeout=15.0
-        )
-        outs = run_spmd(_prog_replicate, 5, config=cfg)
-        for rank, (buddy, protects, _, val) in enumerate(outs):
-            assert buddy == (rank + 2) % 5
-            assert val == float(protects) == float((rank - 2) % 5)
-
     def test_agreement_converges(self):
         cfg = CommConfig(
             recovery="respawn",

@@ -1,7 +1,7 @@
 """Executed schedules match the closed-form alpha-beta cost formulas.
 
-Every collective algorithm the peer-to-peer ``mp_comm`` transport can
-select has a closed-form per-rank ``(words, messages)`` profile in
+Every collective algorithm the peer-to-peer ``mp_comm`` transport runs
+has a closed-form per-rank ``(words, messages)`` profile in
 :mod:`repro.vmpi.collectives`.  These tests run real multi-process
 collectives, read back the :class:`~repro.vmpi.trace.CollectiveRecord`
 message counters the transport recorded, and assert they equal the
@@ -26,10 +26,7 @@ from repro.vmpi.collectives import (
     allreduce_short_cost,
     bcast_cost,
     gather_cost,
-    rabenseifner_allreduce_cost,
-    recursive_doubling_allreduce_cost,
     reduce_scatter_cost,
-    reduce_scatter_halving_cost,
     select_allreduce_algorithm,
 )
 from repro.vmpi.mp_comm import CommConfig, run_spmd
@@ -75,42 +72,21 @@ def _traced_program(comm):
 
 
 @lru_cache(maxsize=None)
-def _run(size: int, deterministic: bool) -> tuple:
+def _run(size: int) -> tuple:
     """Per-rank CollectiveRecord lists for one traced run."""
     config = CommConfig(
         collective_timeout=60.0,
         shm_min_bytes=1,  # every array message rides shared memory
-        deterministic=deterministic,
         eager_max_words=N_SHORT,  # N_SHORT -> short, N_LONG -> long
     )
     return tuple(run_spmd(_traced_program, size, config=config))
 
 
-def _expected_allreduce(short: bool, deterministic: bool, p: int):
-    """(algorithm name, cost formula) the transport must have picked."""
-    pow2 = p & (p - 1) == 0
-    if short and not deterministic and pow2:
-        return "recursive-doubling", recursive_doubling_allreduce_cost
-    if short:
-        return "bruck-gather", allreduce_short_cost
-    if deterministic or not pow2:
-        return "pairwise-rs+ring-ag", allreduce_cost
-    return "rabenseifner", rabenseifner_allreduce_cost
-
-
-def _expected_reduce_scatter(deterministic: bool, p: int):
-    pow2 = p & (p - 1) == 0
-    if deterministic or not pow2:
-        return "pairwise", reduce_scatter_cost
-    return "recursive-halving", reduce_scatter_halving_cost
-
-
-@pytest.mark.parametrize("deterministic", [True, False])
 @pytest.mark.parametrize("size", SIZES)
-def test_symmetric_collectives_match_cost_formulas(size, deterministic):
+def test_symmetric_collectives_match_cost_formulas(size):
     """Allreduce / reduce-scatter / allgather / barrier counters equal
     the closed forms on every rank (these schedules are symmetric)."""
-    for records in _run(size, deterministic):
+    for records in _run(size):
         by_op = dict(zip(OPS, records))
         assert [r.op for r in records] == [
             "allreduce",
@@ -122,11 +98,10 @@ def test_symmetric_collectives_match_cost_formulas(size, deterministic):
             "barrier",
         ]
 
-        for op, n, short in (
-            ("allreduce-short", N_SHORT, True),
-            ("allreduce-long", N_LONG, False),
+        for op, n, algo, cost in (
+            ("allreduce-short", N_SHORT, "bruck-gather", allreduce_short_cost),
+            ("allreduce-long", N_LONG, "pairwise-rs+ring-ag", allreduce_cost),
         ):
-            algo, cost = _expected_allreduce(short, deterministic, size)
             rec = by_op[op]
             words, msgs = cost(n, size)
             assert rec.algorithm == algo
@@ -137,10 +112,9 @@ def test_symmetric_collectives_match_cost_formulas(size, deterministic):
             assert rec.recv_messages == msgs
             assert rec.sent_bytes == rec.sent_words * 8  # float64
 
-        algo, cost = _expected_reduce_scatter(deterministic, size)
         rec = by_op["reduce_scatter"]
-        words, msgs = cost(N_LONG, size)
-        assert rec.algorithm == algo
+        words, msgs = reduce_scatter_cost(N_LONG, size)
+        assert rec.algorithm == "pairwise"
         assert (rec.sent_words, rec.sent_messages) == (words, msgs)
         assert (rec.recv_words, rec.recv_messages) == (words, msgs)
 
@@ -161,7 +135,7 @@ def test_symmetric_collectives_match_cost_formulas(size, deterministic):
 def test_rooted_collectives_match_cost_formulas(size):
     """Bcast / gather are rooted: certify the cost formulas against the
     root's message rounds and the per-rank receive profile."""
-    ranks = _run(size, True)
+    ranks = _run(size)
     bcast_recs = [dict(zip(OPS, r))["bcast"] for r in ranks]
     gather_recs = [dict(zip(OPS, r))["gather"] for r in ranks]
 
@@ -187,12 +161,11 @@ def test_rooted_collectives_match_cost_formulas(size):
     assert sum(r.sent_words for r in gather_recs) >= M_BLOCK * (size - 1)
 
 
-@pytest.mark.parametrize("deterministic", [True, False])
 @pytest.mark.parametrize("size", SIZES)
-def test_array_traffic_rides_shared_memory(size, deterministic):
+def test_array_traffic_rides_shared_memory(size):
     """With shm_min_bytes=1 every array-carrying message of the
     reduction collectives uses the zero-copy segment path."""
-    for records in _run(size, deterministic):
+    for records in _run(size):
         by_op = dict(zip(OPS, records))
         for op in ("allreduce-short", "allreduce-long", "reduce_scatter"):
             rec = by_op[op]

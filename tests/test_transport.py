@@ -1,4 +1,4 @@
-"""Unit tests for the Transport ABC and its backends.
+"""Unit tests for the Transport and its two backends.
 
 The suite drives both wires *in process* — tcp transports meshed over
 loopback from threads, shm transports built on ``socket.socketpair()``
