@@ -13,8 +13,8 @@ Two wires carry the same communicator:
   point-to-point layer (tagged, length-prefixed frames over one
   AF_UNIX socketpair per rank pair, made before the fork; NumPy
   payloads of at least a size threshold travel through *pooled*
-  ``multiprocessing.shared_memory`` segments without pickling and only
-  their handles ride the stream) with *real* collective
+  ``/dev/shm`` segments that both ranks map, without pickling, and
+  only their names ride the stream) with *real* collective
   algorithms on top: pairwise-exchange reduce-scatter, ring allgather,
   Bruck-gather or pairwise reduce-scatter + ring allgather allreduce,
   binomial-tree bcast/gather, and a dissemination barrier.  The
@@ -84,6 +84,7 @@ from repro.vmpi.transport import (  # noqa: F401  (re-exported)
     TransportClosedError,
     WorldRevokedError,
     _FREE_TAG,
+    _SHM_DIR,
     _contig,
     _payload_arrays,
     open_rendezvous_listener,
@@ -206,13 +207,15 @@ class CommConfig:
         :class:`CollectiveTimeoutError` is raised.
     shm_min_bytes:
         Array payloads of at least this many bytes travel through a
-        pooled ``multiprocessing.shared_memory`` segment (no pickling);
-        smaller ones are pickled into the frame on the rank pair's
-        socket stream.  The default (256 KiB) is a compromise: with a
-        warm pool a segment already beats the socket from 32 KiB, but
-        a rank process's first segment also starts a
-        ``multiprocessing`` resource tracker (about 10 ms on a 2-vCPU
-        VM), which the socket beats up to 1 MiB.
+        pooled ``/dev/shm`` segment (no pickling); smaller ones are
+        pickled into the frame on the rank pair's socket stream.  In a
+        2-rank ping-pong on a 2-vCPU VM, a warm (pooled) segment beats
+        the socket at every size from 2 KiB (by 10% there, 2x at
+        64 KiB), and a cold one (the first exchange of a world, which
+        creates and maps a segment on each rank) from about 32 KiB.
+        The default (256 KiB) sits above both crossovers; lowering it
+        changes which payloads of every solver ride segments, so it
+        waits for an end-to-end measurement.
     eager_max_words:
         Override for the short/long allreduce threshold (in array
         elements).  ``None`` derives it from the alpha-beta machine
@@ -802,12 +805,16 @@ class ProcessComm:
     ) -> object:
         """The one path of every collective: ``run(group)`` executes
         the schedule and returns ``(result, algorithm name)``; the
-        hooks around it fire in this order — group check; op counter,
-        flight ``collective_begin`` and fault injector; verify round
-        (on ``block`` and the ``op``/``root``/``axis`` ``signature``);
+        hooks around it fire in this order — group and root check; op
+        counter, flight ``collective_begin`` and fault injector; verify
+        round (on ``block`` and the ``op``/``root``/``axis`` ``signature``);
         counter snapshot; profiler span; ``CommTrace`` record and
         flight ``collective_end``; numerics guard."""
         group_t = self._group(group)
+        if "root" in signature and signature["root"] not in group_t:
+            raise ValueError(
+                f"{kind} root {signature['root']} not in group {group_t}"
+            )
         gsize = len(group_t)
         self._op_id += 1
         fr = self.flight
@@ -1227,8 +1234,6 @@ class ProcessComm:
         group: tuple[int, ...],
     ) -> tuple[np.ndarray, str]:
         g = len(group)
-        if root not in group:
-            raise ValueError(f"bcast root {root} not in group {group}")
         me = group.index(self.rank)
         vroot = group.index(root)
         if g == 1:
@@ -1256,8 +1261,6 @@ class ProcessComm:
         group: tuple[int, ...],
     ) -> tuple[list[np.ndarray] | None, str]:
         g = len(group)
-        if root not in group:
-            raise ValueError(f"gather root {root} not in group {group}")
         me = group.index(self.rank)
         vroot = group.index(root)
         if g == 1:
@@ -1520,10 +1523,9 @@ def _serve_rendezvous_quietly(
 
 def _sweep_shm(run_token: str) -> None:
     """Unlink any shared-memory segments a crashed rank orphaned."""
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
+    if _SHM_DIR is None:  # pragma: no cover - no segments made
         return
-    for path in glob.glob(os.path.join(shm_dir, f"mpx{run_token}*")):
+    for path in glob.glob(os.path.join(_SHM_DIR, f"mpx{run_token}*")):
         try:
             os.unlink(path)
         except OSError:  # pragma: no cover - raced with receiver

@@ -14,8 +14,9 @@ sockets are made and where large payloads travel:
   :func:`~repro.vmpi.mp_comm.run_spmd` creates one AF_UNIX
   ``socketpair`` per rank pair before it forks.  NumPy payloads of at
   least ``CommConfig.shm_min_bytes`` travel through *pooled*
-  ``multiprocessing.shared_memory`` segments without pickling: only the
-  segment handle and the receiver's free credit ride the stream.
+  shared-memory segments (files under ``/dev/shm`` that both ranks
+  ``mmap``, with no helper process) without pickling: only the segment
+  name and the receiver's free credit ride the stream.
 * :class:`TcpSocketTransport` — per-peer persistent TCP connections.
   Ranks find each other through a tiny rendezvous server
   (:func:`serve_rendezvous`) on a loopback ``host:port`` that
@@ -51,6 +52,7 @@ The contract that makes backends interchangeable:
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import random
@@ -61,11 +63,6 @@ import time
 from collections import deque
 
 import numpy as np
-
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import shared_memory as _shm_mod
-except ImportError:  # pragma: no cover - platform without shm
-    _shm_mod = None
 
 __all__ = [
     "CollectiveTimeoutError",
@@ -145,32 +142,47 @@ def _payload_arrays(payload: object) -> list[tuple[object, np.ndarray]] | None:
     return None
 
 
-def _unregister_shm(shm) -> None:
-    """Detach ``shm`` from this process's resource tracker.
+#: The tmpfs directory segments live in, or ``None`` on a host without
+#: one (every payload then takes the pickle path).
+_SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
 
-    The receiving rank unlinks every segment after copying it out; the
-    creator must forget it or the (fork-shared) resource tracker would
-    warn about, and double-unlink, segments at interpreter shutdown.
+
+class _Segment:
+    """A shared-memory segment: the file ``_SHM_DIR/<name>``, mapped.
+
+    A ``size`` creates the file (exclusively, mode 0600, as
+    ``multiprocessing.shared_memory`` does) at that length; without one
+    the existing file is mapped whole.  No resource tracker watches the
+    name: the pool's ``close``/``purge`` and ``run_spmd``'s run-token
+    sweep unlink every segment.
     """
-    try:  # pragma: no cover - tracker internals vary across versions
-        from multiprocessing import resource_tracker
 
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+    def __init__(self, name: str, size: int = 0) -> None:
+        self.path = os.path.join(_SHM_DIR, name)
+        create = os.O_CREAT | os.O_EXCL if size else 0
+        fd = os.open(self.path, os.O_RDWR | create, 0o600)
+        try:
+            if size:
+                os.ftruncate(fd, size)
+            self._map = mmap.mmap(fd, size)
+        except OSError:
+            if size:
+                self.unlink()
+            raise
+        finally:
+            os.close(fd)  # the mapping holds its own reference
+        self.buf = memoryview(self._map)
 
+    def close(self) -> None:
+        """Unmap (idempotent); the file stays until :meth:`unlink`."""
+        self.buf.release()
+        self._map.close()
 
-def _unlink_segment(shm) -> None:
-    """Remove a segment's backing file without touching the resource
-    tracker.
-
-    ``SharedMemory.unlink()`` also unregisters the name, but every
-    process already unregistered at create/attach time (fork shares one
-    tracker, so unmatched unregisters make it spew KeyErrors)."""
-    try:
-        os.unlink(os.path.join("/dev/shm", shm._name.lstrip("/")))
-    except OSError:  # pragma: no cover - already swept / non-Linux
-        pass
+    def unlink(self) -> None:
+        try:
+            os.unlink(self.path)
+        except OSError:  # already swept
+            pass
 
 
 def _align8(n: int) -> int:
@@ -818,8 +830,8 @@ class ShmPoolTransport(Transport):
     ``peers`` maps each peer rank to this rank's end of their
     socketpair (:func:`~repro.vmpi.mp_comm.run_spmd` makes them before
     it forks).  Array payloads of at least ``CommConfig.shm_min_bytes``
-    travel through *pooled* ``multiprocessing.shared_memory`` segments:
-    the frame carries only the segment handle; the receiver copies the
+    travel through *pooled* :class:`_Segment` files under ``/dev/shm``:
+    the frame carries only the segment name; the receiver copies the
     data out, caches its mapping, and returns the segment name to the
     owner as a frame on :data:`_FREE_TAG`, so the next send reuses the
     already-faulted-in pages.  A credit for an owner that already
@@ -843,10 +855,9 @@ class ShmPoolTransport(Transport):
         super().__init__(rank, size, config)
         self._run_token = run_token
         self._shm_seq = 0
-        self._owned: dict[str, object] = {}  # name -> SharedMemory
-        self._seg_size: dict[str, int] = {}
+        self._owned: dict[str, _Segment] = {}
         self._free: dict[int, deque] = {}  # size class -> free names
-        self._rx_cache: dict[str, object] = {}  # attached peer segments
+        self._rx_cache: dict[str, _Segment] = {}  # attached peer segments
         self._attach(peers)
 
     # -- shared-memory segment pool -----------------------------------------
@@ -863,28 +874,24 @@ class ShmPoolTransport(Transport):
             return self._owned[name], name
         self._shm_seq += 1
         name = f"mpx{self._run_token}r{self.rank}n{self._shm_seq}"
-        shm = _shm_mod.SharedMemory(create=True, size=cls, name=name)
-        _unregister_shm(shm)
-        # Sanctioned escape: the pool owns the handle; close()/purge()
-        # and the launcher's run-token sweep end its lifecycle, and in
-        # verify mode the ShmSanitizer audits every transition.
-        self._owned[name] = shm  # spmdlint: ignore[SPMD105]
-        self._seg_size[name] = cls
+        shm = _Segment(name, cls)
+        # The pool owns the segment; close()/purge() and the launcher's
+        # run-token sweep end its lifecycle, and in verify mode the
+        # ShmSanitizer audits every transition.
+        self._owned[name] = shm
         return shm, name
 
     def _release_segment(self, name: str) -> None:
         """A credit came back: pool the segment (or unlink the excess)."""
         if self.sanitizer is not None:
             self.sanitizer.on_release(name)
-        cls = self._seg_size[name]
-        free = self._free.setdefault(cls, deque())
+        free = self._free.setdefault(len(self._owned[name].buf), deque())
         if len(free) < self._POOL_CAP:
             free.append(name)
             return
         shm = self._owned.pop(name)
-        del self._seg_size[name]
         shm.close()
-        _unlink_segment(shm)
+        shm.unlink()
         if self.sanitizer is not None:
             self.sanitizer.on_unlink(name)
 
@@ -914,9 +921,8 @@ class ShmPoolTransport(Transport):
             for free in self._free.values():
                 for name in free:
                     shm = self._owned.pop(name)
-                    del self._seg_size[name]
                     shm.close()
-                    _unlink_segment(shm)
+                    shm.unlink()
             self._free.clear()
             for shm in self._owned.values():
                 shm.close()
@@ -938,9 +944,8 @@ class ShmPoolTransport(Transport):
         super().purge()
         for shm in self._owned.values():
             shm.close()
-            _unlink_segment(shm)
+            shm.unlink()
         self._owned.clear()
-        self._seg_size.clear()
         self._free.clear()
         for shm in self._rx_cache.values():
             shm.close()
@@ -955,7 +960,7 @@ class ShmPoolTransport(Transport):
     ) -> tuple:
         nbytes = sum(a.nbytes for _, a in contig)
         if (
-            _shm_mod is None
+            _SHM_DIR is None
             or nbytes < self._config.shm_min_bytes
             or nbytes == 0
         ):
@@ -987,11 +992,10 @@ class ShmPoolTransport(Transport):
         _, name, metas, single = body
         shm = self._rx_cache.get(name)
         if shm is None:
-            shm = _shm_mod.SharedMemory(name=name)
-            _unregister_shm(shm)  # attach auto-registers on 3.11
-            # Sanctioned escape: the receive cache keeps peer
-            # mappings warm across messages; close() unmaps them.
-            self._rx_cache[name] = shm  # spmdlint: ignore[SPMD105]
+            shm = _Segment(name)
+            # The receive cache keeps peer mappings warm across
+            # messages; close() unmaps them.
+            self._rx_cache[name] = shm
         det = self.race_detector
         if det is not None:
             det.on_access(("shm", name), "r")

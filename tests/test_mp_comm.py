@@ -134,32 +134,35 @@ def _prog_exit_after_allreduce(comm: ProcessComm) -> None:
     comm.allreduce(np.ones(2))
 
 
-#: (collective, group) calls that name a repeated or out-of-range rank.
+#: (collective, group, root, error) calls that name a repeated or
+#: out-of-range rank, or a root outside the group (of 2 ranks).
 _MALFORMED = (
-    ("allreduce", (0, 1, 1)),
-    ("reduce_scatter", (1, 0, 1)),
-    ("bcast", (0, 1, 1)),
-    ("allgather", (0, 2)),
-    ("gather", (-1, 0, 1)),
-    ("barrier", (1, 1, 0)),
+    ("allreduce", (0, 1, 1), 0, "malformed collective group (0, 1, 1)"),
+    ("reduce_scatter", (1, 0, 1), 0, "malformed collective group (1, 0, 1)"),
+    ("bcast", (0, 1, 1), 0, "malformed collective group (0, 1, 1)"),
+    ("allgather", (0, 2), 0, "malformed collective group (0, 2)"),
+    ("gather", (-1, 0, 1), 0, "malformed collective group (-1, 0, 1)"),
+    ("barrier", (1, 1, 0), 0, "malformed collective group (1, 1, 0)"),
+    ("bcast", None, 5, "bcast root 5 not in group (0, 1)"),
+    ("gather", None, -1, "gather root -1 not in group (0, 1)"),
 )
 
 
 def _prog_malformed_groups(comm: ProcessComm) -> tuple:
     x = np.ones(4)
     calls = {
-        "allreduce": lambda g: comm.allreduce(x, group=g),
-        "reduce_scatter": lambda g: comm.reduce_scatter(x, group=g),
-        "allgather": lambda g: comm.allgather(x, group=g),
-        "bcast": lambda g: comm.bcast(x, root=0, group=g),
-        "gather": lambda g: comm.gather(x, root=0, group=g),
-        "barrier": lambda g: comm.barrier(group=g),
+        "allreduce": lambda g, r: comm.allreduce(x, group=g),
+        "reduce_scatter": lambda g, r: comm.reduce_scatter(x, group=g),
+        "allgather": lambda g, r: comm.allgather(x, group=g),
+        "bcast": lambda g, r: comm.bcast(x, root=r, group=g),
+        "gather": lambda g, r: comm.gather(x, root=r, group=g),
+        "barrier": lambda g, r: comm.barrier(group=g),
     }
     flight_seq = comm.flight.seq
     errors = []
-    for op, group in _MALFORMED:
+    for op, group, root, _ in _MALFORMED:
         try:
-            calls[op](group)
+            calls[op](group, root)
         except ValueError as exc:
             errors.append(str(exc))
         else:
@@ -321,9 +324,10 @@ class TestInBandFailure:
 
 class TestMalformedGroups:
     def test_rejected_before_any_hook_moves(self, backend):
-        """A group that repeats a rank or names one outside the world
-        raises a ValueError naming the group before the op counter,
-        the flight ring or a verify round moves."""
+        """A group that repeats a rank or names one outside the world,
+        and a bcast/gather root outside the group, raise a ValueError
+        naming the group before the op counter, the flight ring or a
+        verify round moves."""
         out = run_spmd(
             _prog_malformed_groups,
             2,
@@ -332,9 +336,9 @@ class TestMalformedGroups:
             timeout=60,
         )
         for errors, moved, total in out:
-            for (op, group), err in zip(_MALFORMED, errors):
+            for (op, _, _, expected), err in zip(_MALFORMED, errors):
                 assert err is not None, op
-                assert f"malformed collective group {group}" in err, op
+                assert expected in err, op
             assert moved == (0, 0, 0, {})
             assert total == 2.0
 

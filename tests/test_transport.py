@@ -21,7 +21,8 @@ import uuid
 import numpy as np
 import pytest
 
-from repro.vmpi.mp_comm import CommConfig, _sweep_shm
+from repro.vmpi import transport as transport_mod
+from repro.vmpi.mp_comm import CommConfig, _sweep_shm, run_spmd
 from repro.vmpi.transport import (
     CollectiveTimeoutError,
     ShmPoolTransport,
@@ -348,6 +349,27 @@ class TestShmLifecycle(_LifecycleCases):
     wire = "shm"
 
 
+def _prog_tracker_calls(comm) -> tuple:
+    """Record every resource-tracker call while a ``shm_min_bytes``
+    payload moves each way."""
+    from multiprocessing import resource_tracker
+
+    calls = []
+    resource_tracker.register = lambda *a: calls.append(("register", a))
+    resource_tracker.unregister = lambda *a: calls.append(
+        ("unregister", a)
+    )
+    payload = np.ones(CommConfig().shm_min_bytes // 8)
+    peer = 1 - comm.rank
+    if comm.rank == 0:
+        comm.send(peer, payload, tag=1)
+        comm.recv(peer, tag=1)
+    else:
+        comm.recv(peer, tag=1)
+        comm.send(peer, payload, tag=1)
+    return calls, comm._t.shm_messages, comm._t._run_token
+
+
 class TestShmPool:
     """What only the shm wire has: payloads of at least
     ``shm_min_bytes`` ride pooled segments, credited back as frames."""
@@ -363,7 +385,7 @@ class TestShmPool:
         np.testing.assert_array_equal(b.recv(0, (1, "big")), payload)
         assert a._free == {}  # the credit is still on the wire
         a._pump(1.0)
-        assert list(a._free[a._seg_size[name]]) == [name]
+        assert list(a._free[len(a._owned[name].buf)]) == [name]
         # The next send reuses the credited segment.
         a.send(1, (2, "big"), payload)
         assert list(a._owned) == [name]
@@ -380,6 +402,17 @@ class TestShmPool:
         assert a._owned == {}
         _close([a, b])
 
+    def test_host_without_dev_shm_pickles_everything(self, monkeypatch):
+        monkeypatch.setattr(transport_mod, "_SHM_DIR", None)
+        a, b = _shm_pair()
+        payload = np.arange(self.MIN, dtype=np.uint8)
+        sender = _send_then_flush(a, [(1, (1, "big"), payload)])
+        np.testing.assert_array_equal(b.recv(0, (1, "big")), payload)
+        _joined(sender)
+        assert a.shm_messages == 0
+        assert a._owned == {}
+        _close([a, b])
+
     def test_credit_to_a_closed_owner_is_dropped_and_swept(self):
         token = uuid.uuid4().hex[:8]
         a, b = _shm_pair(token=token)
@@ -391,6 +424,18 @@ class TestShmPool:
         np.testing.assert_array_equal(b.recv(0, (1, "big")), payload)
         b.close()
         _sweep_shm(token)
+        assert glob.glob(f"/dev/shm/mpx{token}*") == []
+
+    def test_ranks_never_call_the_resource_tracker(self):
+        """Segments are plain ``/dev/shm`` files: no rank registers or
+        unregisters one with ``multiprocessing``'s resource tracker
+        (whose first use starts a helper interpreter), and the pool and
+        the run-token sweep leave none behind."""
+        out = run_spmd(_prog_tracker_calls, 2, transport="shm", timeout=60)
+        for calls, shm_messages, _ in out:
+            assert shm_messages > 0
+            assert calls == []
+        token = out[0][2]
         assert glob.glob(f"/dev/shm/mpx{token}*") == []
 
 

@@ -245,7 +245,7 @@ def _prog_use_after_release(comm: ProcessComm):
         comm.send(1, big, tag=0)
         t = comm._t
         name = next(iter(t._owned))
-        t._free.setdefault(t._seg_size[name], __import__(
+        t._free.setdefault(len(t._owned[name].buf), __import__(
             "collections").deque()).append(name)
         comm.send(1, big, tag=1)  # reuses the in-flight segment
         return None
