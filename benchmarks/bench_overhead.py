@@ -1,8 +1,8 @@
 """Overhead of the observability and verification features on
 ``mp_hooi_dt``, in one interleaved bench.
 
-Times the dimension-tree HOOI sweep loop on real processes under five
-``CommConfig`` modes on the same worker set and blocks:
+Times the dimension-tree HOOI sweep loop on real processes in six
+launches per trial, on the same worker set and blocks:
 
 * ``flight=False`` — the flight recorder off;
 * the default config (the recorder on, nothing else armed);
@@ -12,7 +12,9 @@ Times the dimension-tree HOOI sweep loop on real processes under five
   deadlock monitor and shm sanitizer;
 * ``race_detect=True`` — the happens-before race sanitizer (vector
   clocks per thread, clock snapshots riding every message, shm segment
-  access checks).
+  access checks);
+* the default config again, the A/A row: what the bench reads when
+  nothing changes.
 
 Each feature is reported against one shared baseline, the default
 config; the flight recorder, which the default arms, is reported
@@ -23,15 +25,25 @@ trial launches every mode once, in the order above, and each mode
 keeps its best of ``TRIALS`` trials, so a slow scheduler phase on a
 shared host hits every mode alike.
 
+A full-size run needs ``OPENBLAS_NUM_THREADS=1``.  The forked ranks
+inherit the BLAS thread pool numpy started at import, so unpinned, each
+of the 4 ranks runs its own pool on the host's cores: on 2 vCPUs an
+iteration then takes 1.2-1.9 s instead of 0.12-0.16 s, and the A/A row
+read +28%.  Numpy is loaded before this module runs, so the bench
+cannot pin BLAS itself; it stops at once instead.
+
 Acceptance (non-smoke): every feature costs **below 10%** over its
 baseline on the guard shape, and every mode's factors are
-bit-identical to the default's.  Each feature adds a fixed cost per
-collective or per boundary (a few clock reads and appends, a sub-KB
-control round, a clock snapshot), which vanishes on the shapes where
-GEMMs and payload transfer dominate; the guard shape is sized so
-compute dominates the same way.  Smoke mode (``MP_BENCH_SMOKE=1``, the
-CI path) runs a tiny shape where that fixed cost IS the runtime, so it
-only checks completion and bit-identity, not the ratios.
+bit-identical to the default's.  The A/A row is not gated: it shows
+how far apart two launches of the same work read, so a feature row
+inside its magnitude is inside the host's noise.  Each feature adds a
+fixed cost per collective or per boundary (a few clock reads and
+appends, a sub-KB control round, a clock snapshot), which vanishes on
+the shapes where GEMMs and payload transfer dominate; the guard shape
+is sized so compute dominates the same way.  Smoke mode
+(``MP_BENCH_SMOKE=1``, the CI path) runs a tiny shape where that fixed
+cost IS the runtime, so it only checks completion and bit-identity,
+not the ratios.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from _util import save_json, save_result
 from repro.analysis.reporting import format_table
@@ -52,6 +65,10 @@ from repro.vmpi.mp_comm import CommConfig, ProcessComm, run_spmd
 
 #: CI smoke mode: tiny tensor, one trial, no overhead-ratio assertion.
 SMOKE = os.environ.get("MP_BENCH_SMOKE", "") == "1"
+
+#: BLAS threads per rank, as the environment set them before numpy
+#: loaded (a full-size run requires "1").
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
 
 SHAPE, RANKS, GRID = (224, 224, 224), (56, 56, 56), (2, 2, 1)
 REPS = 3
@@ -69,6 +86,7 @@ MODES = {
     "profile": CommConfig(profile=True),
     "verify": CommConfig(verify=True),
     "race_detect": CommConfig(race_detect=True),
+    "default-again": CommConfig(),
 }
 
 #: (feature, mode with it on, baseline mode).
@@ -78,6 +96,9 @@ FEATURES = (
     ("verify", "verify", "default"),
     ("race_detect", "race_detect", "default"),
 )
+
+#: The control row: the default launched again, against the default.
+CONTROL = ("A/A", "default-again", "default")
 
 
 def _sweep_program(
@@ -128,6 +149,14 @@ def _launch(
 
 
 def test_overhead(benchmark):
+    if not SMOKE and BLAS_THREADS != "1":
+        pytest.fail(
+            "a full-size bench_overhead run needs OPENBLAS_NUM_THREADS=1 "
+            f"(got {BLAS_THREADS}): set it in the environment, since numpy "
+            "has already started its BLAS threads",
+            pytrace=False,
+        )
+
     def run():
         grid = ProcessorGrid(GRID)
         layout = BlockLayout(SHAPE, grid)
@@ -148,8 +177,9 @@ def test_overhead(benchmark):
         return best
 
     best = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = (*FEATURES, CONTROL)
     overheads = {
-        feature: best[on] / best[off] - 1.0 for feature, on, off in FEATURES
+        feature: best[on] / best[off] - 1.0 for feature, on, off in rows
     }
     save_result(
         "overhead",
@@ -163,12 +193,13 @@ def test_overhead(benchmark):
                     best[on] * 1e3,
                     f"{overheads[feature] * 100:.1f}%",
                 ]
-                for feature, on, off in FEATURES
+                for feature, on, off in rows
             ],
             title=f"mp_hooi_dt sweep {'x'.join(map(str, SHAPE))} on grid "
             f"{'x'.join(map(str, GRID))}: feature overhead "
             "(per iteration, slowest rank, best of "
-            f"{TRIALS} interleaved trials)",
+            f"{TRIALS} interleaved trials, "
+            f"OPENBLAS_NUM_THREADS={BLAS_THREADS})",
         ),
     )
     save_json(
@@ -183,13 +214,15 @@ def test_overhead(benchmark):
             "grid": list(GRID),
             "reps": REPS,
             "trials": TRIALS,
+            "openblas_num_threads": BLAS_THREADS,
         },
     )
     if SMOKE:
         # Latency-bound toy shape: completing with bit-identical
         # factors is the acceptance; the ratios are meaningless here.
         return
-    for feature, ratio in overheads.items():
+    for feature, _, _ in FEATURES:
+        ratio = overheads[feature]
         assert ratio < MAX_OVERHEAD, (
             f"{feature} overhead {ratio * 100:.1f}% exceeds "
             f"{MAX_OVERHEAD * 100:.0f}%"

@@ -1,10 +1,9 @@
 """``races`` — tier-2 happens-before race sanitizer (SPMD221–223).
 
 PR 7 and PR 8 quietly made the rank runtime multi-threaded: the
-overlap machinery runs prefetches on a worker thread, shrink recovery
-re-hosts orphaned logical ranks as threads inside the buddy's process,
-and the launcher keeps a rendezvous thread.  None of those surfaces
-had race checking.  This module adds a vector-clock happens-before
+overlap machinery runs prefetches on a worker thread, and shrink
+recovery re-hosts orphaned logical ranks as threads inside the
+buddy's process.  None of those surfaces had race checking.  This module adds a vector-clock happens-before
 detector in the TSan tradition, switched on with
 ``CommConfig(race_detect=True)``:
 

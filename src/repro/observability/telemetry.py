@@ -16,10 +16,10 @@ Three cooperating pieces, NCCL-flight-recorder style:
     Out-of-band live telemetry: a daemon thread per rank periodically emits
     heartbeat samples (sweep progress, residual/rank trajectory, current
     phase, blocked-collective info, light metrics) over the existing control
-    plane — the launcher result queue on the shm wire, the rendezvous report
-    socket on the tcp wire.  The monitor aggregates latest-state per rank,
-    flags stalls *before* ``CollectiveTimeoutError`` fires, renders the
-    ``repro top`` console view and exports a JSONL event log.
+    plane, the launcher's result queue (the same on both wires).  The
+    monitor aggregates latest-state per rank, flags stalls *before*
+    ``CollectiveTimeoutError`` fires, renders the ``repro top`` console
+    view and exports a JSONL event log.
 
 ``build_postmortem``
     On failure, all rank rings are merged into one causally-ordered global

@@ -11,13 +11,13 @@ Two wires carry the same communicator:
 * ``"p2p"`` (alias ``"shm"``; default, :class:`ProcessComm` over
   :class:`~repro.vmpi.transport.ShmPoolTransport`) — a peer-to-peer
   point-to-point layer (tagged, length-prefixed frames over one
-  AF_UNIX socketpair per rank pair, made before the fork; NumPy
-  payloads of at least a size threshold travel through *pooled*
-  ``/dev/shm`` segments that both ranks map, without pickling, and
-  only their names ride the stream) with *real* collective
-  algorithms on top: pairwise-exchange reduce-scatter, ring allgather,
-  Bruck-gather or pairwise reduce-scatter + ring allgather allreduce,
-  binomial-tree bcast/gather, and a dissemination barrier.  The
+  AF_UNIX socketpair per rank pair; NumPy payloads of at least a size
+  threshold travel through *pooled* ``/dev/shm`` segments that both
+  ranks map, without pickling, and only their names ride the stream)
+  with *real* collective algorithms on top: pairwise-exchange
+  reduce-scatter, ring allgather, Bruck-gather or pairwise
+  reduce-scatter + ring allgather allreduce, binomial-tree
+  bcast/gather, and a dissemination barrier.  The
   allreduce is chosen by payload size with the threshold the
   alpha-beta cost formulas of :mod:`repro.vmpi.collectives` imply, so
   the schedule executed here matches what the simulator charges
@@ -25,10 +25,13 @@ Two wires carry the same communicator:
   per-collective :class:`~repro.vmpi.trace.CollectiveRecord` counters).
 * ``"tcp"`` (:class:`ProcessComm` over
   :class:`~repro.vmpi.transport.TcpSocketTransport`) — the same
-  communicator, collective algorithms, and frames on per-peer
-  persistent TCP connections, meshed through a loopback rendezvous the
-  launcher serves.  Bit-identical results and identical collective
-  traces (``shm_messages`` aside), just a different socket.
+  communicator, collective algorithms, and frames on one loopback
+  TCP connection per rank pair.  Bit-identical results and identical
+  collective traces (``shm_messages`` aside), just a different socket.
+
+``run_spmd`` connects every rank pair on either wire
+(:func:`~repro.vmpi.transport.connect_mesh`) before it forks, as an
+MPI launcher wires up its communicator before user code runs.
 
 Both wires detect failures in-band: a rank that raises, exits, or
 dies closes its sockets, so a peer waiting on it sees EOF and raises
@@ -87,8 +90,7 @@ from repro.vmpi.transport import (  # noqa: F401  (re-exported)
     _SHM_DIR,
     _contig,
     _payload_arrays,
-    open_rendezvous_listener,
-    serve_rendezvous,
+    connect_mesh,
 )
 
 __all__ = [
@@ -233,12 +235,6 @@ class CommConfig:
         Screen every collective result for NaN/Inf and raise a typed
         :class:`~repro.core.errors.NumericalFaultError` naming the
         rank, phase, and collective when corruption is observed.
-    tcp_connect_timeout:
-        TCP backend only: seconds allotted to the whole mesh setup
-        (rendezvous check-in, address exchange, peer connect/accept)
-        and to each later reconnect attempt.  Distinct from
-        ``collective_timeout`` because setup crosses process-spawn
-        latency, not collective skew.
     recovery:
         What happens when a rank dies mid-run.  ``"restart"`` (the
         default) keeps the PR-3 behavior: the world tears down and
@@ -356,7 +352,6 @@ class CommConfig:
     eager_max_words: int | None = None
     fault_plan: FaultPlan | None = None
     check_numerics: bool = False
-    tcp_connect_timeout: float = 20.0
     recovery: str = "restart"
     agree_timeout: float = 2.0
     verify: bool = False
@@ -1349,33 +1344,18 @@ def _rank_body(
     fn_bytes: bytes,
     rank: int,
     size: int,
-    peers: dict[int, socket.socket] | None,
+    peers: dict[int, socket.socket],
     result_queue: "mp.Queue",
     run_token: str,
     config: CommConfig,
     args: tuple,
     board: object | None = None,
     backend: str = "p2p",
-    rendezvous: tuple[str, int] | None = None,
 ) -> None:
     """One logical rank's lifetime: transport, comm, program, report."""
     channel: Transport
     if backend == "tcp":
-        try:
-            channel = TcpSocketTransport(rank, size, config, rendezvous)
-        except Exception as exc:  # mesh setup failed: report, don't hang
-            result_queue.put(
-                (
-                    rank,
-                    "error",
-                    {
-                        "error": repr(exc),
-                        "traceback": traceback_mod.format_exc(),
-                        "trace_tail": [],
-                    },
-                )
-            )
-            return
+        channel = TcpSocketTransport(rank, size, peers, config)
     else:
         channel = ShmPoolTransport(rank, size, peers, run_token, config)
     comm = ProcessComm(rank, size, channel, config, board=board)
@@ -1453,14 +1433,13 @@ def _p2p_worker(
     fn_bytes: bytes,
     ranks: Sequence[int],
     size: int,
-    mesh: list | None,
+    mesh: list[dict[int, socket.socket]],
     result_queue: "mp.Queue",
     run_token: str,
     config: CommConfig,
     args: tuple,
     board: object | None = None,
     backend: str = "p2p",
-    rendezvous: tuple[str, int] | None = None,
 ) -> None:
     """One OS process hosting one or more logical ranks.
 
@@ -1472,23 +1451,21 @@ def _p2p_worker(
     with it every collective schedule and reduction order, is exactly
     that of the original run.
 
-    ``mesh[r]`` maps each peer to rank ``r``'s end of their shm
-    socketpair (``None`` on tcp).  The fork copied every end into this
-    process; all but the hosted ranks' own are closed first, since a
-    peer's exit reads as EOF only once no other process holds its end.
+    ``mesh[r]`` maps each peer to rank ``r``'s end of their stream
+    (:func:`~repro.vmpi.transport.connect_mesh`).  The fork copied every
+    end into this process; all but the hosted ranks' own are closed
+    first, since a peer's exit reads as EOF only once no other process
+    holds its end.
     """
     ranks = list(ranks)
-    if mesh is None:
-        mesh = [None] * size
-    else:
-        for r, ends in enumerate(mesh):
-            if r not in ranks:
-                for sock in ends.values():
-                    sock.close()
+    for r, ends in enumerate(mesh):
+        if r not in ranks:
+            for sock in ends.values():
+                sock.close()
     if len(ranks) == 1:
         _rank_body(
             fn_bytes, ranks[0], size, mesh[ranks[0]], result_queue,
-            run_token, config, args, board, backend, rendezvous,
+            run_token, config, args, board, backend,
         )
         return
     threads = [
@@ -1496,7 +1473,7 @@ def _p2p_worker(
             target=_rank_body,
             args=(
                 fn_bytes, r, size, mesh[r], result_queue, run_token,
-                config, args, board, backend, rendezvous,
+                config, args, board, backend,
             ),
             name=f"hosted-rank-{r}",
         )
@@ -1506,19 +1483,6 @@ def _p2p_worker(
         t.start()
     for t in threads:
         t.join()
-
-
-def _serve_rendezvous_quietly(
-    listener, size: int, timeout: float
-) -> None:
-    """Daemon-thread wrapper around :func:`serve_rendezvous`: a failed
-    exchange (a rank crashed before checking in, teardown closed the
-    listener) is surfaced by the ranks themselves as mesh-setup errors;
-    the thread must not spew a traceback on top."""
-    try:
-        serve_rendezvous(listener, size, timeout)
-    except Exception:
-        pass
 
 
 def _sweep_shm(run_token: str) -> None:
@@ -1562,21 +1526,29 @@ def run_spmd(
     path.  Every argument is validated before anything is spawned or
     reported to ``monitor``, so a rejected call has no side effects.
 
+    Every rank pair's stream is connected before the fork
+    (:func:`~repro.vmpi.transport.connect_mesh`), so the ranks start
+    with their communicator wired, as under an MPI launcher.
+
     Parameters
     ----------
+    timeout:
+        Seconds the launcher waits for every rank to report; must be
+        positive.
     transport:
         ``"p2p"`` (default; alias ``"shm"``) hands every rank a
         :class:`ProcessComm` over the pooled shared-memory
-        point-to-point layer; ``"tcp"`` hands out the same
-        communicator over per-peer TCP connections meshed through a
-        loopback rendezvous.
+        point-to-point layer (AF_UNIX socketpairs); ``"tcp"`` hands out
+        the same communicator over one loopback TCP connection per
+        rank pair.
     config:
         :class:`CommConfig` for timeouts, the shared-memory threshold,
         the short/long allreduce threshold, fault injection
         (``fault_plan``), numerics guards, recovery, and the
         observability switches.
     collective_timeout:
-        Shorthand overriding ``config.collective_timeout``.
+        Shorthand overriding ``config.collective_timeout``; either one
+        must be positive.
     profile_out:
         With ``config.profile``, filled with each rank's
         :class:`~repro.observability.spans.RankProfile` — on success
@@ -1613,6 +1585,12 @@ def run_spmd(
             f"unknown recovery policy {cfg.recovery!r} "
             f"(expected 'restart', 'respawn', or 'shrink')"
         )
+    for name, value in (
+        ("collective_timeout", cfg.collective_timeout),
+        ("timeout", timeout),
+    ):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     if host_map is None:
         host_map = [[rank] for rank in range(size)]
     else:
@@ -1632,14 +1610,7 @@ def run_spmd(
     result_queue: mp.Queue = ctx.Queue()
     run_token = uuid.uuid4().hex[:8]
 
-    # shm backend: one AF_UNIX socketpair per rank pair, made before
-    # the fork; mesh[r][p] is rank r's end of the (r, p) pair.
-    mesh = None
-    if transport == "p2p":
-        mesh = [{} for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                mesh[i][j], mesh[j][i] = socket.socketpair()
+    mesh = connect_mesh(size, transport)
     # Verify mode: a lock-free shared board of (waiting_on, op_id,
     # stamp) triples, one per rank, feeding the wait-for-graph
     # deadlock detector.  Each rank writes only its own slots.
@@ -1651,19 +1622,6 @@ def run_spmd(
     if board is not None:
         for r in range(size):
             board[3 * r] = -1  # idle, not "waiting on rank 0"
-    # TCP backend: the launcher runs the one-shot rendezvous round
-    # (address exchange) on a loopback listener; ranks mesh up against
-    # it during transport construction.
-    rdv_listener = None
-    rendezvous: tuple[str, int] | None = None
-    if transport == "tcp" and size > 1:
-        rdv_listener = open_rendezvous_listener("127.0.0.1")
-        rendezvous = rdv_listener.getsockname()[:2]
-        threading.Thread(
-            target=_serve_rendezvous_quietly,
-            args=(rdv_listener, size, cfg.tcp_connect_timeout),
-            daemon=True,
-        ).start()
     workers = [
         ctx.Process(
             target=_p2p_worker,
@@ -1678,7 +1636,6 @@ def run_spmd(
                 args,
                 board,
                 transport,
-                rendezvous,
             ),
         )
         for hosted in host_map
@@ -1690,7 +1647,7 @@ def run_spmd(
     finally:
         # The workers own the socket ends now: drop the launcher's
         # copies so a rank's exit is EOF to its peers.
-        for ends in mesh or ():
+        for ends in mesh:
             for sock in ends.values():
                 sock.close()
 
@@ -1806,11 +1763,6 @@ def run_spmd(
             if w.is_alive():  # pragma: no cover - hang safety
                 w.terminate()
                 w.join(timeout=10)
-        if rdv_listener is not None:
-            try:
-                rdv_listener.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
         if transport == "p2p":
             _sweep_shm(run_token)
     if errors or dead or recoveries or timed_out:

@@ -7,20 +7,19 @@ lifecycle, fault-injection, verification, and profiling hooks the rest
 of the stack taps.  Both backends speak one wire: length-prefixed
 pickled frames over one stream socket per peer (``selectors``,
 non-blocking with buffered writes so symmetric exchange patterns
-cannot deadlock on full socket buffers).  They differ only in how the
-sockets are made and where large payloads travel:
+cannot deadlock on full socket buffers).  :func:`connect_mesh` makes
+every rank pair's socket in the launcher before it forks, as an MPI
+launcher wires up a communicator before user code runs; the backends
+differ only in the kind of socket and where large payloads travel:
 
-* :class:`ShmPoolTransport` — the fast single-host default.
-  :func:`~repro.vmpi.mp_comm.run_spmd` creates one AF_UNIX
-  ``socketpair`` per rank pair before it forks.  NumPy payloads of at
-  least ``CommConfig.shm_min_bytes`` travel through *pooled*
-  shared-memory segments (files under ``/dev/shm`` that both ranks
-  ``mmap``, with no helper process) without pickling: only the segment
-  name and the receiver's free credit ride the stream.
-* :class:`TcpSocketTransport` — per-peer persistent TCP connections.
-  Ranks find each other through a tiny rendezvous server
-  (:func:`serve_rendezvous`) on a loopback ``host:port`` that
-  :func:`~repro.vmpi.mp_comm.run_spmd` serves and hands to every rank.
+* :class:`ShmPoolTransport` — the fast single-host default, over one
+  AF_UNIX ``socketpair`` per rank pair.  NumPy payloads of at least
+  ``CommConfig.shm_min_bytes`` travel through *pooled* shared-memory
+  segments (files under ``/dev/shm`` that both ranks ``mmap``, with no
+  helper process) without pickling: only the segment name and the
+  receiver's free credit ride the stream.
+* :class:`TcpSocketTransport` — one loopback TCP connection per rank
+  pair; every payload is pickled into the frame.
 
 Small messages on a stream, large payloads through shared memory: the
 eager/rendezvous split the MPI libraries under TuckerMPI use inside a
@@ -55,7 +54,6 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
-import random
 import selectors
 import socket
 import struct
@@ -71,8 +69,7 @@ __all__ = [
     "Transport",
     "TransportClosedError",
     "WorldRevokedError",
-    "open_rendezvous_listener",
-    "serve_rendezvous",
+    "connect_mesh",
 ]
 
 
@@ -253,9 +250,10 @@ class Transport:
     :mod:`selectors` loop that drains readable sockets (parsing
     complete frames into the pending buffers) and flushes writable
     ones, and raises :class:`CollectiveTimeoutError` when nothing
-    arrives in time.  Subclasses connect a socket per peer and hand
-    them to :meth:`_attach`; the shm backend also overrides how array
-    payloads are encoded (:meth:`_encode_arrays` / :meth:`_decode`).
+    arrives in time.  ``peers`` maps each peer rank to this rank's end
+    of their stream (:func:`connect_mesh`); the shm backend also
+    overrides how array payloads are encoded (:meth:`_encode_arrays` /
+    :meth:`_decode`).
 
     A peer that exits or closes is EOF on its socket: once no
     buffered message matches, a wait on it raises
@@ -294,7 +292,9 @@ class Transport:
     #: second per slice).
     _PROBE_SLICE = 0.25
 
-    def __init__(self, rank: int, size: int, config) -> None:
+    def __init__(
+        self, rank: int, size: int, peers: dict[int, socket.socket], config
+    ) -> None:
         self.rank = rank
         self.size = size
         self._config = config
@@ -340,9 +340,12 @@ class Transport:
         self.recv_bytes = 0
         self.shm_messages = 0
         self._sel = selectors.DefaultSelector()
-        self._peers: dict[int, socket.socket] = {}
-        self._rx: dict[int, bytearray] = {}
-        self._tx: dict[int, bytearray] = {}
+        self._peers: dict[int, socket.socket] = dict(peers)
+        self._rx: dict[int, bytearray] = {p: bytearray() for p in peers}
+        self._tx: dict[int, bytearray] = {p: bytearray() for p in peers}
+        for peer, sock in peers.items():
+            sock.setblocking(False)
+            self._sel.register(sock, selectors.EVENT_READ, peer)
         self._writable: set[int] = set()  # peers with WRITE interest on
         self._gone: set[int] = set()  # peers whose stream hit EOF
         self._finished: set[int] = set()  # peers whose program returned
@@ -358,14 +361,6 @@ class Transport:
             self.recv_bytes,
             self.shm_messages,
         )
-
-    def _attach(self, peers: dict[int, socket.socket]) -> None:
-        for peer, sock in peers.items():
-            sock.setblocking(False)
-            self._peers[peer] = sock
-            self._rx[peer] = bytearray()
-            self._tx[peer] = bytearray()
-            self._sel.register(sock, selectors.EVENT_READ, peer)
 
     # -- wire ---------------------------------------------------------------
 
@@ -827,13 +822,11 @@ class ShmPoolTransport(Transport):
     """The stream over pre-forked AF_UNIX socketpairs, plus a segment
     pool for large payloads.
 
-    ``peers`` maps each peer rank to this rank's end of their
-    socketpair (:func:`~repro.vmpi.mp_comm.run_spmd` makes them before
-    it forks).  Array payloads of at least ``CommConfig.shm_min_bytes``
-    travel through *pooled* :class:`_Segment` files under ``/dev/shm``:
-    the frame carries only the segment name; the receiver copies the
-    data out, caches its mapping, and returns the segment name to the
-    owner as a frame on :data:`_FREE_TAG`, so the next send reuses the
+    Array payloads of at least ``CommConfig.shm_min_bytes`` travel
+    through *pooled* :class:`_Segment` files under ``/dev/shm``: the
+    frame carries only the segment name; the receiver copies the data
+    out, caches its mapping, and returns the segment name to the owner
+    as a frame on :data:`_FREE_TAG`, so the next send reuses the
     already-faulted-in pages.  A credit for an owner that already
     closed is dropped.  ``close`` unlinks every pooled segment;
     in-flight ones stay for ``run_spmd``'s run-token sweep.
@@ -852,13 +845,12 @@ class ShmPoolTransport(Transport):
         run_token: str,
         config,
     ) -> None:
-        super().__init__(rank, size, config)
+        super().__init__(rank, size, peers, config)
         self._run_token = run_token
         self._shm_seq = 0
         self._owned: dict[str, _Segment] = {}
         self._free: dict[int, deque] = {}  # size class -> free names
         self._rx_cache: dict[str, _Segment] = {}  # attached peer segments
-        self._attach(peers)
 
     # -- shared-memory segment pool -----------------------------------------
 
@@ -1018,197 +1010,59 @@ class ShmPoolTransport(Transport):
         return dict(items)
 
 
+
+
 # ---------------------------------------------------------------------------
-# TCP backend: the stream over a rendezvous-built mesh
+# TCP backend, and the mesh both backends run over
 # ---------------------------------------------------------------------------
-
-
-def _sock_send_obj(sock: socket.socket, obj: object) -> None:
-    """Blocking framed pickle send (rendezvous / handshake only)."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LEN.pack(len(data)) + data)
-
-
-def _sock_recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise TransportClosedError(
-                f"connection closed after {len(buf)} of {n} expected "
-                "bytes (torn frame)"
-            )
-        buf += chunk
-    return bytes(buf)
-
-
-def _sock_recv_obj(sock: socket.socket) -> object:
-    (n,) = _LEN.unpack(_sock_recv_exact(sock, _LEN.size))
-    return pickle.loads(_sock_recv_exact(sock, n))
-
-
-def open_rendezvous_listener(
-    host: str = "127.0.0.1", port: int = 0
-) -> socket.socket:
-    """A listening socket for :func:`serve_rendezvous` — bind first,
-    read the chosen port from ``getsockname()``, then hand the
-    ``host:port`` to the ranks as a worker argument."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(128)
-    return listener
-
-
-def serve_rendezvous(
-    listener: socket.socket, size: int, timeout: float = 60.0
-) -> dict[int, tuple[str, int]]:
-    """Run one address-exchange round for ``size`` ranks.
-
-    Every rank connects, announces ``("hello", rank, host, port)`` (its
-    own mesh listener), and receives the full ``{rank: (host, port)}``
-    map once all ranks have checked in.  Returns the map (the launcher
-    may log it).  Closes the accepted connections but not ``listener``
-    — the caller owns that.
-    """
-    listener.settimeout(timeout)
-    conns: list[socket.socket] = []
-    addrs: dict[int, tuple[str, int]] = {}
-    try:
-        while len(addrs) < size:
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                raise CollectiveTimeoutError(
-                    f"rendezvous: only {len(addrs)} of {size} ranks "
-                    f"checked in within {timeout:.1f}s"
-                ) from None
-            conn.settimeout(timeout)
-            msg = _sock_recv_obj(conn)
-            if not (isinstance(msg, tuple) and msg and msg[0] == "hello"):
-                conn.close()
-                continue
-            _, rank, host, port = msg
-            addrs[int(rank)] = (str(host), int(port))
-            conns.append(conn)
-        for conn in conns:
-            _sock_send_obj(conn, addrs)
-    finally:
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-    return addrs
 
 
 class TcpSocketTransport(Transport):
-    """The stream over per-peer TCP connections.
-
-    Mesh establishment: each rank opens its own listener on an
-    ephemeral port, registers ``(rank, host, port)`` with the
-    rendezvous server at ``rendezvous``, receives the full address
-    map, then connects to every lower rank and accepts from every
-    higher one (a rank handshake names the connector).  Connections
-    are persistent for the lifetime of the rank; every payload is
-    pickled into the frame.
-    """
+    """The stream over per-peer loopback TCP connections that
+    :func:`connect_mesh` makes; every payload is pickled into the
+    frame."""
 
     kind = "tcp"
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        config,
-        rendezvous: tuple[str, int] | None = None,
-    ) -> None:
-        super().__init__(rank, size, config)
-        if size > 1:
-            if rendezvous is None:
-                raise ValueError(
-                    "TcpSocketTransport needs a rendezvous (host, port) "
-                    "for size > 1"
-                )
-            self._establish_mesh(rendezvous)
 
-    # -- mesh setup ---------------------------------------------------------
+def connect_mesh(size: int, wire: str) -> list[dict[int, socket.socket]]:
+    """One connected stream per rank pair, made before the ranks fork:
+    ``mesh[r][p]`` is rank ``r``'s end of its stream to rank ``p``.
 
-    @property
-    def _connect_timeout(self) -> float:
-        return float(getattr(self._config, "tcp_connect_timeout", 20.0))
-
-    def _connect_retry(
-        self, addr: tuple[str, int], deadline: float
-    ) -> socket.socket:
-        """Connect with jittered exponential backoff until ``deadline``
-        — the peer's listener (or the rendezvous server) may not be up
-        yet.
-
-        The backoff doubles from 50 ms toward 1 s with ±50% jitter, so
-        a wide world starting up does not hammer one listener in
-        lockstep.  Exhaustion raises :class:`TransportClosedError`
-        *from* the last socket error, so callers (and tracebacks) see
-        the real cause (``ConnectionRefusedError``, ``EHOSTUNREACH``,
-        ...) chained under the timeout instead of a bare refusal.
-        """
-        last: Exception | None = None
-        delay = 0.05
-        while time.monotonic() < deadline:
-            try:
-                return socket.create_connection(addr, timeout=1.0)
-            except OSError as exc:
-                last = exc
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                sleep = delay * (0.5 + random.random())
-                time.sleep(min(sleep, max(remaining, 0.0)))
-                delay = min(delay * 2.0, 1.0)
-        raise TransportClosedError(
-            f"rank {self.rank}: could not connect to {addr[0]}:{addr[1]} "
-            f"within {self._connect_timeout:.1f}s "
-            f"(last error: {last!r})"
-        ) from last
-
-    def _establish_mesh(self, rendezvous: tuple[str, int]) -> None:
-        timeout = self._connect_timeout
-        deadline = time.monotonic() + timeout
-        listener = open_rendezvous_listener()
-        peers: dict[int, socket.socket] = {}
-        try:
-            host, port = listener.getsockname()[:2]
-            rdv = self._connect_retry(tuple(rendezvous), deadline)
-            try:
-                rdv.settimeout(timeout)
-                _sock_send_obj(rdv, ("hello", self.rank, host, port))
-                addrs = _sock_recv_obj(rdv)
-            finally:
-                rdv.close()
-            # Lower ranks are (or will be) accepting: connect to them;
-            # higher ranks connect to us: accept and read the rank
-            # handshake.  The listen backlog holds early connectors,
-            # so ordering across ranks cannot deadlock.
-            for peer in range(self.rank):
-                sock = self._connect_retry(tuple(addrs[peer]), deadline)
-                sock.settimeout(timeout)
-                _sock_send_obj(sock, ("peer", self.rank))
-                peers[peer] = sock
-            for _ in range(self.size - self.rank - 1):
-                listener.settimeout(max(0.1, deadline - time.monotonic()))
-                try:
-                    sock, _ = listener.accept()
-                except socket.timeout:
-                    raise CollectiveTimeoutError(
-                        f"rank {self.rank}: mesh setup timed out waiting "
-                        f"for higher-rank connections "
-                        f"({len(peers)} of {self.size - 1} peers up)"
-                    ) from None
-                sock.settimeout(timeout)
-                msg = _sock_recv_obj(sock)
-                peers[int(msg[1])] = sock
-        finally:
+    ``wire="tcp"`` connects each pair over loopback TCP through one
+    short-lived listener, with ``TCP_NODELAY`` on both ends (a frame is
+    written whole, so Nagle's algorithm could only delay it); any other
+    wire (``"shm"``, alias ``"p2p"``) gets an AF_UNIX ``socketpair()``.
+    If a connection fails partway, every socket made so far is closed
+    before the error propagates.
+    """
+    mesh: list[dict[int, socket.socket]] = [{} for _ in range(size)]
+    tcp = wire == "tcp"
+    listener = (
+        socket.create_server(("127.0.0.1", 0)) if tcp and size > 1 else None
+    )
+    try:
+        for i in range(size):
+            for j in range(i + 1, size):
+                if not tcp:
+                    mesh[i][j], mesh[j][i] = socket.socketpair()
+                    continue
+                client = socket.create_connection(listener.getsockname())
+                mesh[i][j] = client
+                while True:
+                    server, addr = listener.accept()
+                    if addr == client.getsockname():
+                        break
+                    server.close()  # another process on the loopback port
+                mesh[j][i] = server
+                for sock in (client, server):
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except BaseException:
+        for ends in mesh:
+            for sock in ends.values():
+                sock.close()
+        raise
+    finally:
+        if listener is not None:
             listener.close()
-        for sock in peers.values():
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._attach(peers)
+    return mesh

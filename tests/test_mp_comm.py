@@ -249,8 +249,21 @@ class TestRunSPMD:
             ({"transport": "star"}, r"'star'.*'p2p', 'shm', 'tcp'"),
             ({"host_map": [[0]]}, "host_map must partition"),
             ({"config": CommConfig(recovery="bogus")}, "recovery policy"),
+            ({"collective_timeout": 0}, "^collective_timeout must be"),
+            (
+                {"config": CommConfig(collective_timeout=-1.0)},
+                "^collective_timeout must be",
+            ),
+            ({"timeout": 0}, "^timeout must be"),
         ],
-        ids=["transport", "host_map", "recovery"],
+        ids=[
+            "transport",
+            "host_map",
+            "recovery",
+            "collective_timeout",
+            "config-collective_timeout",
+            "timeout",
+        ],
     )
     def test_rejected_call_logs_nothing(self, kwargs, match):
         """Arguments are validated before any side effect: a rejected

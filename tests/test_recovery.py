@@ -5,13 +5,11 @@ The contract under test: a seeded hard crash mid-sweep, under
 run with factors *bit-identical* to the fault-free baseline, on both
 transport wires, leaving no shm residue — plus unit coverage for the
 pieces (buddy replication, revoke-and-agree, the shrink host-map, the
-hosted-rank equivalence that makes shrink bit-identical, and the
-satellite behaviors: tcp connect cause chains and ``repro resume``
-validation).
+hosted-rank equivalence that makes shrink bit-identical, and
+``repro resume`` validation).
 """
 
 import glob
-import socket
 
 import numpy as np
 import pytest
@@ -35,7 +33,7 @@ from repro.vmpi.mp_comm import (
     RankFailureError,
     run_spmd,
 )
-from repro.vmpi.transport import TransportClosedError, WorldRevokedError
+from repro.vmpi.transport import WorldRevokedError
 
 
 def _shm_residue() -> list[str]:
@@ -310,30 +308,8 @@ class TestRecoveryPieces:
 
 
 # ---------------------------------------------------------------------------
-# satellites: tcp connect cause chain, resume validation
+# satellites: resume validation
 # ---------------------------------------------------------------------------
-
-
-class TestTcpConnectBackoff:
-    def test_refused_connect_raises_closed_with_cause(self):
-        from repro.vmpi.transport import TcpSocketTransport
-
-        # A listener that never accepts mesh peers: bind and close, so
-        # connects are refused for the whole (short) window.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        addr = probe.getsockname()[:2]
-        probe.close()
-
-        import time
-
-        t = TcpSocketTransport.__new__(TcpSocketTransport)
-        t.rank = 0
-        t._config = CommConfig(tcp_connect_timeout=0.6)
-        with pytest.raises(TransportClosedError) as err:
-            t._connect_retry(addr, time.monotonic() + 0.6)
-        assert "could not connect" in str(err.value)
-        assert isinstance(err.value.__cause__, OSError)
 
 
 class TestResumeValidation:

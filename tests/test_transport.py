@@ -1,12 +1,13 @@
 """Unit tests for the Transport and its two backends.
 
-The suite drives both wires *in process* — tcp transports meshed over
-loopback from threads, shm transports built on ``socket.socketpair()``
-— so framing, timeout, and lifecycle behavior is tested without the
-launcher in the way.  Each ``_*Cases`` class holds wire-neutral cases;
-its ``TestTcp*`` and ``TestShm*`` subclasses run them on one wire.
-Shm-only cases cover the segment pool, plus a CLI smoke test for
-``repro run --backend tcp``.
+The suite drives both wires *in process*, over the streams
+:func:`~repro.vmpi.transport.connect_mesh` makes (loopback TCP
+connections or ``socket.socketpair()``), so framing, timeout, and
+lifecycle behavior is tested without the launcher in the way.  Each
+``_*Cases`` class holds wire-neutral cases; its ``TestTcp*`` and
+``TestShm*`` subclasses run them on one wire.  Shm-only cases cover
+the segment pool, plus a CLI smoke test for ``repro run --backend
+tcp``.
 """
 
 from __future__ import annotations
@@ -29,44 +30,20 @@ from repro.vmpi.transport import (
     TcpSocketTransport,
     Transport,
     TransportClosedError,
-    open_rendezvous_listener,
-    serve_rendezvous,
+    connect_mesh,
 )
 
 
 def _tcp_mesh(
     size: int, config: CommConfig | None = None
 ) -> list[TcpSocketTransport]:
-    """Mesh ``size`` TcpSocketTransports over loopback, in threads
-    (constructors block on each other's rendezvous check-in)."""
+    """``size`` TcpSocketTransports over loopback, as ``run_spmd``
+    builds them."""
     config = config or CommConfig(collective_timeout=10.0)
-    listener = open_rendezvous_listener("127.0.0.1")
-    rendezvous = listener.getsockname()[:2]
-    server = threading.Thread(
-        target=serve_rendezvous, args=(listener, size, 10.0), daemon=True
-    )
-    server.start()
-    out: list[TcpSocketTransport | None] = [None] * size
-    errs: list[Exception] = []
-
-    def build(rank: int) -> None:
-        try:
-            out[rank] = TcpSocketTransport(rank, size, config, rendezvous)
-        except Exception as exc:  # pragma: no cover - setup failure
-            errs.append(exc)
-
-    threads = [
-        threading.Thread(target=build, args=(r,)) for r in range(size)
+    mesh = connect_mesh(size, "tcp")
+    return [
+        TcpSocketTransport(r, size, mesh[r], config) for r in range(size)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=15.0)
-    server.join(timeout=15.0)
-    listener.close()
-    assert not errs, errs
-    assert all(t is not None for t in out)
-    return out  # type: ignore[return-value]
 
 
 def _shm_pair(config: CommConfig | None = None, token: str | None = None):
@@ -227,15 +204,18 @@ class _TimeoutCases:
         with pytest.raises(CollectiveTimeoutError, match="diverged"):
             b.recv(0, (9, "never"), timeout=0.3)
 
-
-class TestShmTimeouts(_TimeoutCases):
-    wire = "shm"
-
     def test_single_rank_needs_no_peers(self):
-        t = ShmPoolTransport(0, 1, {}, uuid.uuid4().hex[:8], CommConfig())
+        if self.wire == "tcp":
+            (t,) = _tcp_mesh(1)
+        else:
+            t = ShmPoolTransport(0, 1, {}, uuid.uuid4().hex[:8], CommConfig())
         t.send(0, (1, "a"), np.array([7.0]))
         np.testing.assert_array_equal(t.recv(0, (1, "a")), [7.0])
         t.close()
+
+
+class TestShmTimeouts(_TimeoutCases):
+    wire = "shm"
 
 
 class TestTcpTimeouts(_TimeoutCases):
@@ -244,34 +224,6 @@ class TestTcpTimeouts(_TimeoutCases):
     def test_timeout_is_a_runtime_error_subclass(self):
         assert issubclass(TransportClosedError, CollectiveTimeoutError)
         assert issubclass(CollectiveTimeoutError, RuntimeError)
-
-    def test_rendezvous_timeout_when_ranks_missing(self):
-        listener = open_rendezvous_listener("127.0.0.1")
-        try:
-            with pytest.raises(CollectiveTimeoutError, match="checked in"):
-                serve_rendezvous(listener, size=2, timeout=0.3)
-        finally:
-            listener.close()
-
-    def test_mesh_setup_timeout_without_rendezvous_server(self):
-        # Nobody listening at the rendezvous address: setup must fail
-        # with a timeout, not hang.
-        dead = open_rendezvous_listener("127.0.0.1")
-        addr = dead.getsockname()[:2]
-        dead.close()
-        cfg = CommConfig(tcp_connect_timeout=0.5)
-        with pytest.raises(CollectiveTimeoutError, match="connect"):
-            TcpSocketTransport(0, 2, cfg, addr)
-
-    def test_requires_rendezvous_for_multirank(self):
-        with pytest.raises(ValueError, match="rendezvous"):
-            TcpSocketTransport(0, 2, CommConfig(), None)
-
-    def test_single_rank_needs_no_rendezvous(self):
-        t = TcpSocketTransport(0, 1, CommConfig())
-        t.send(0, (1, "a"), np.array([7.0]))
-        np.testing.assert_array_equal(t.recv(0, (1, "a")), [7.0])
-        t.close()
 
 
 class _LifecycleCases:
@@ -439,6 +391,91 @@ class TestShmPool:
         assert glob.glob(f"/dev/shm/mpx{token}*") == []
 
 
+def _close_ends(mesh) -> None:
+    for ends in mesh:
+        for sock in ends.values():
+            sock.close()
+
+
+class TestConnectMesh:
+    """``connect_mesh`` makes one connected stream per rank pair, with
+    ``mesh[r][p]`` as rank ``r``'s end, on both wires."""
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    @pytest.mark.parametrize("wire", ["shm", "tcp"])
+    def test_every_pair_carries_a_byte_each_way(self, wire, size):
+        mesh = connect_mesh(size, wire)
+        try:
+            assert [sorted(ends) for ends in mesh] == [
+                [p for p in range(size) if p != r] for r in range(size)
+            ]
+            for r, ends in enumerate(mesh):
+                for sock in ends.values():
+                    sock.sendall(bytes([r]))
+            for r, ends in enumerate(mesh):
+                for p, sock in ends.items():
+                    sock.settimeout(5.0)
+                    assert sock.recv(1) == bytes([p])
+        finally:
+            _close_ends(mesh)
+
+    def test_tcp_ends_are_partners_without_nagle(self):
+        mesh = connect_mesh(3, "tcp")
+        try:
+            for r, ends in enumerate(mesh):
+                for p, sock in ends.items():
+                    assert sock.getpeername() == mesh[p][r].getsockname()
+                    assert sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+        finally:
+            _close_ends(mesh)
+
+    @pytest.mark.parametrize(
+        "wire, factory",
+        [("shm", "socketpair"), ("tcp", "create_connection")],
+    )
+    def test_failure_partway_closes_every_socket(
+        self, monkeypatch, wire, factory
+    ):
+        """The third pair fails: ``connect_mesh`` raises, and every
+        socket it made (pair ends, accepted ends, the listener) is
+        closed."""
+        made: list[socket.socket] = []
+        calls = 0
+        real_factory = getattr(socket, factory)
+        real_server = socket.create_server
+        real_accept = socket.socket.accept
+
+        def failing_factory(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise ConnectionRefusedError("injected")
+            out = real_factory(*args, **kwargs)
+            made.extend(out if wire == "shm" else [out])
+            return out
+
+        def server(*args, **kwargs):
+            made.append(real_server(*args, **kwargs))
+            return made[-1]
+
+        def accept(listener):
+            conn, addr = real_accept(listener)
+            made.append(conn)
+            return conn, addr
+
+        monkeypatch.setattr(socket, factory, failing_factory)
+        monkeypatch.setattr(socket, "create_server", server)
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        with pytest.raises(ConnectionRefusedError, match="injected"):
+            connect_mesh(3, wire)
+        assert calls == 3
+        # shm: two socketpairs; tcp: two connected pairs and a listener.
+        assert len(made) == (4 if wire == "shm" else 5)
+        assert all(sock.fileno() == -1 for sock in made)
+
+
 class TestTransportContract:
     wire = "tcp"
 
@@ -455,7 +492,7 @@ class TestTransportContract:
         assert TcpSocketTransport.kind == "tcp"
 
     def test_counters_shape(self):
-        t = TcpSocketTransport(0, 1, CommConfig())
+        t = TcpSocketTransport(0, 1, {}, CommConfig())
         assert t.counters() == (0,) * 7
         t.close()
 

@@ -240,6 +240,8 @@ def _prog_use_after_release(comm: ProcessComm):
     # Injected pool corruption: rank 0 hands its in-flight segment
     # straight back to the free pool without waiting for the credit,
     # so the next big send reuses memory a peer may still be reading.
+    # Rank 1 reads nothing before rank 0's tag-2 token, so its real
+    # credit cannot release the segment ahead of the second send.
     big = np.full(80_000, float(comm.rank))  # 640 KB -> shm path
     if comm.rank == 0:
         comm.send(1, big, tag=0)
@@ -248,7 +250,9 @@ def _prog_use_after_release(comm: ProcessComm):
         t._free.setdefault(len(t._owned[name].buf), __import__(
             "collections").deque()).append(name)
         comm.send(1, big, tag=1)  # reuses the in-flight segment
+        comm.send(1, np.zeros(1), tag=2)
         return None
+    comm.recv(0, tag=2)
     got0 = comm.recv(0, tag=0)
     got1 = comm.recv(0, tag=1)
     return float(got0[0] + got1[0])
