@@ -10,9 +10,8 @@ launches per trial, on the same worker set and blocks:
   metrics registry;
 * ``verify=True`` — the tier-2 collective-matching verifier, wait-for
   deadlock monitor and shm sanitizer;
-* ``race_detect=True`` — the happens-before race sanitizer (vector
-  clocks per thread, clock snapshots riding every message, shm segment
-  access checks);
+* ``race_detect=True`` — the transport occupancy guard (SPMD223): a
+  lock and a short call-site capture at each send and blocking wait;
 * the default config again, the A/A row: what the bench reads when
   nothing changes.
 
@@ -38,7 +37,7 @@ bit-identical to the default's.  The A/A row is not gated: it shows
 how far apart two launches of the same work read, so a feature row
 inside its magnitude is inside the host's noise.  Each feature adds a
 fixed cost per collective or per boundary (a few clock reads and
-appends, a sub-KB control round, a clock snapshot), which vanishes on
+appends, a sub-KB control round, a guard entry), which vanishes on
 the shapes where GEMMs and payload transfer dominate; the guard shape
 is sized so compute dominates the same way.  Smoke mode
 (``MP_BENCH_SMOKE=1``, the CI path) runs a tiny shape where that fixed

@@ -47,8 +47,8 @@ SECTIONS: tuple[tuple[str, str], ...] = (
     ("mp_dimension_tree", "Infrastructure — memoized vs direct mp HOOI"),
     (
         "overhead",
-        "Infrastructure — flight recorder, profiler, verifier and race "
-        "sanitizer overhead",
+        "Infrastructure — flight recorder, profiler, verifier and "
+        "transport guard overhead",
     ),
     ("kernels_speedup", "Infrastructure — native kernels vs tensordot"),
     ("overlap", "Infrastructure — comm/compute overlap"),

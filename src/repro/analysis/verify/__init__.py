@@ -5,9 +5,11 @@ tier 1b (:mod:`.protocol`) is the whole-program collective-protocol
 model checker behind ``repro lint --protocol``; tier 2
 (:mod:`.runtime`) is the runtime collective-matching verifier,
 deadlock detector, and shm-lifecycle sanitizer activated by
-``CommConfig(verify=True)``, joined by the happens-before race
-sanitizer (:mod:`.races`) behind ``CommConfig(race_detect=True)``.
-All tiers share the rule registry in :mod:`.rules`.
+``CommConfig(verify=True)``, joined by the transport occupancy guard
+(:mod:`.races`, SPMD223) behind ``CommConfig(race_detect=True)``, which
+certifies that the overlap worker and its rank's main thread are never
+inside one transport at once.  All tiers share the rule registry in
+:mod:`.rules`.
 
 This package is imported lazily by :mod:`repro.vmpi.mp_comm` (only
 when verify mode is on) and must therefore never import from
@@ -16,13 +18,7 @@ scope.
 """
 
 from repro.analysis.verify.protocol import check_paths, check_source
-from repro.analysis.verify.races import (
-    RaceDetector,
-    RaceError,
-    VectorClock,
-    get_detector,
-    reset_detector,
-)
+from repro.analysis.verify.races import RaceError, TransportGuard
 from repro.analysis.verify.rules import RULES, Baseline, Finding, Rule, rule
 from repro.analysis.verify.runtime import (
     CollectiveMismatchError,
@@ -43,20 +39,17 @@ __all__ = [
     "DeadlockError",
     "Finding",
     "RULES",
-    "RaceDetector",
     "RaceError",
     "Rule",
     "ShmLifecycleError",
     "ShmSanitizer",
-    "VectorClock",
+    "TransportGuard",
     "VerifyError",
     "WaitMonitor",
     "check_paths",
     "check_source",
-    "get_detector",
     "lint_paths",
     "lint_source",
     "match_signatures",
-    "reset_detector",
     "rule",
 ]

@@ -161,19 +161,7 @@ _RULE_TABLE: tuple[Rule, ...] = (
         "error",
         "shm segment still in flight at rank exit (leak)",
     ),
-    # -- tier 2: happens-before race sanitizer ------------------------------
-    Rule(
-        "SPMD221",
-        DYNAMIC,
-        "error",
-        "write-write race on a shared buffer (no happens-before order)",
-    ),
-    Rule(
-        "SPMD222",
-        DYNAMIC,
-        "error",
-        "read-write race on a shared buffer (no happens-before order)",
-    ),
+    # -- tier 2: transport occupancy guard ----------------------------------
     Rule(
         "SPMD223",
         DYNAMIC,

@@ -452,7 +452,6 @@ def resume_main(argv: Sequence[str] | None = None) -> int:
             "recorded one); a silent switch usually means the wrong "
             "checkpoint file"
         )
-    transport = "tcp" if backend == "tcp" else "p2p"
     print(
         f"Resuming {ck.algorithm} from {args.checkpoint} "
         f"({ck.iteration} completed "
@@ -474,7 +473,7 @@ def resume_main(argv: Sequence[str] | None = None) -> int:
             ranks=None if eps > 0 else ranks,
             resume_from=ck,
             checkpoint_path=args.checkpoint,
-            transport=transport,
+            transport=backend,
         )
     elif ck.algorithm in ("mp_hooi_dt", "mp_rahosi_dt"):
         from repro.distributed.mp_hooi import mp_hooi_dt, mp_rahosi_dt
@@ -512,7 +511,7 @@ def resume_main(argv: Sequence[str] | None = None) -> int:
                 ),
                 resume_from=ck,
                 checkpoint_path=args.checkpoint,
-                transport=transport,
+                transport=backend,
             )
         else:
             tucker, _ = mp_hooi_dt(
@@ -527,7 +526,7 @@ def resume_main(argv: Sequence[str] | None = None) -> int:
                 ),
                 resume_from=ck,
                 checkpoint_path=args.checkpoint,
-                transport=transport,
+                transport=backend,
             )
     else:
         raise ConfigError(

@@ -544,7 +544,7 @@ def mp_hooi_dt(
     *,
     rule: str = "half",
     timeout: float = 240.0,
-    transport: str = "p2p",
+    transport: str = "shm",
     comm_config: CommConfig | None = None,
     collective_timeout: float | None = None,
     checkpoint_path: str | None = None,
@@ -921,7 +921,7 @@ def mp_rahosi_dt(
     *,
     rule: str = "half",
     timeout: float = 240.0,
-    transport: str = "p2p",
+    transport: str = "shm",
     comm_config: CommConfig | None = None,
     collective_timeout: float | None = None,
     checkpoint_path: str | None = None,

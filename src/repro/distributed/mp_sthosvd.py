@@ -158,7 +158,7 @@ def mp_sthosvd(
     ranks: Sequence[int] | None = None,
     eps: float | None = None,
     timeout: float = 120.0,
-    transport: str = "p2p",
+    transport: str = "shm",
     comm_config: CommConfig | None = None,
     collective_timeout: float | None = None,
     checkpoint_path: str | None = None,

@@ -39,35 +39,29 @@ classification — triggers recovery.
 * ``"restart"`` (default) — the PR-3 behavior: tear down, raise.
 * ``"respawn"`` — relaunch the full-size world, every rank rehydrated
   from the buddy replica of the newest sweep boundary (injected as the
-  drivers' ``resume`` argument).
-* ``"shrink"`` — relaunch on *fewer OS processes*: each failed logical
-  rank is hosted as an extra thread (own transport endpoint, own
-  ``ProcessComm``) inside its buddy's process via ``run_spmd``'s
-  ``host_map``.  The logical world size — and with it the processor
-  grid, the block layout, every collective group, schedule, and
-  reduction order — is exactly that of the original run, which is what
-  makes the continuation *bit-identical*: mp_hooi results are not
+  drivers' ``resume`` argument).  The world size — and with it the
+  processor grid, the block layout, every collective group, schedule,
+  and reduction order — is exactly that of the original run, which is
+  what makes the continuation *bit-identical*: mp_hooi results are not
   grid-invariant (reductions combine in group-rank order with
-  grid-dependent blocking), so a true re-gridding could not reproduce
-  the unfailed factors.
+  grid-dependent blocking), so a re-gridded continuation could not
+  reproduce the unfailed factors.
 
-Both elastic policies resume from the last completed sweep boundary
-(including an iteration-0 snapshot taken before the first sweep, so a
-crash in sweep 1 is also covered) and produce factors bit-identical to
-an unfailed run at the same world size — certified by
-``tests/test_recovery.py`` against the PR-3 fault matrix on both
-wires.
+Respawn resumes from the last completed sweep boundary (including an
+iteration-0 snapshot taken before the first sweep, so a crash in
+sweep 1 is also covered) and produces factors bit-identical to an
+unfailed run — certified by ``tests/test_recovery.py`` against the
+PR-3 fault matrix on both wires.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.distributed.checkpoint import SweepCheckpoint
 from repro.vmpi.mp_comm import (
-    ELASTIC_POLICIES,
     CommConfig,
     RankFailureError,
     _flight_snapshot,
@@ -82,7 +76,6 @@ __all__ = [
     "RecoveryEvent",
     "RecoveryManager",
     "run_elastic",
-    "shrink_host_map",
 ]
 
 #: Tag kinds of the recovery control plane.  They ride the raw
@@ -108,9 +101,8 @@ class RecoveryEvent:
     #: sweeps); filled in once that attempt returns.
     relaunch_seconds: float = -1.0
     #: rank -> FlightRing collected from the failed attempt — the
-    #: flight-recorder events of the episode survive the respawn/
-    #: shrink relaunch here (hosted ranks included: each gets its own
-    #: comm and therefore its own ring).
+    #: flight-recorder events of the episode survive the respawn
+    #: relaunch here.
     flight_records: dict | None = None
     #: the failed attempt's causal postmortem (or None).
     postmortem: object | None = None
@@ -118,7 +110,7 @@ class RecoveryEvent:
 
 class RecoveryManager:
     """Per-rank elastic recovery state, installed by ``ProcessComm``
-    when ``CommConfig.recovery`` is ``respawn`` or ``shrink``.
+    when ``CommConfig.recovery`` is ``respawn``.
 
     Holds the rank's own latest snapshot and the buddy replica it
     protects; on failure runs the revoke-and-agree round and builds
@@ -277,45 +269,6 @@ class RecoveryManager:
 # ---------------------------------------------------------------------------
 
 
-def shrink_host_map(
-    host_map: Sequence[Sequence[int]] | None,
-    failed: set[int],
-    size: int,
-) -> list[list[int]]:
-    """The post-shrink process layout: failed logical ranks move in
-    with their buddies.
-
-    A process death orphans *all* its hosted ranks; each orphan walks
-    the buddy ring (``+1``) to the first logical rank still
-    hosted by a surviving process and joins that process.  Raises
-    :class:`RankFailureError` if no process survived.
-    """
-    hm = (
-        [list(entry) for entry in host_map]
-        if host_map is not None
-        else [[r] for r in range(size)]
-    )
-    dead_procs = {
-        pi for pi, hosted in enumerate(hm)
-        if any(r in failed for r in hosted)
-    }
-    orphans = sorted(r for pi in dead_procs for r in hm[pi])
-    keep = [hosted for pi, hosted in enumerate(hm) if pi not in dead_procs]
-    if not keep:
-        raise RankFailureError(
-            f"shrink: every process died (failed ranks {sorted(failed)})",
-            failed=sorted(failed),
-        )
-    owner = {r: hosted for hosted in keep for r in hosted}
-    for r in orphans:
-        target = (r + 1) % size
-        while target not in owner:
-            target = (target + 1) % size
-        owner[target].append(r)
-        owner[r] = owner[target]
-    return keep
-
-
 def _pick_snapshot(
     reports: dict[int, dict], failed: set[int]
 ) -> tuple[bytes | None, int, str]:
@@ -360,7 +313,7 @@ def run_elastic(
     *args: object,
     resume_slot: int,
     timeout: float = 120.0,
-    transport: str = "p2p",
+    transport: str = "shm",
     config: CommConfig | None = None,
     collective_timeout: float | None = None,
     profile_out: dict[int, object] | None = None,
@@ -374,9 +327,8 @@ def run_elastic(
     elastic policy, picks the newest buddy replica from the survivor
     reports, injects it at ``args[resume_slot]`` (the driver's
     ``resume`` parameter), strips the ``fault_plan`` (a seeded crash
-    must not re-fire in the continuation), and relaunches — full size
-    for ``respawn``, survivors-host-the-dead (``host_map``) for
-    ``shrink``.  Repeats until the run completes or ``max_attempts``
+    must not re-fire in the continuation), and relaunches the
+    full-size world.  Repeats until the run completes or ``max_attempts``
     (default: the world size) is exhausted; non-elastic configs and
     failures without recovery reports re-raise unchanged.
 
@@ -384,7 +336,7 @@ def run_elastic(
     (the benchmark and stats surfaces read these).
     """
     cfg = config or CommConfig()
-    if cfg.recovery not in ELASTIC_POLICIES or size < 2:
+    if cfg.recovery != "respawn" or size < 2:
         return run_spmd(
             fn, size, *args, timeout=timeout, transport=transport,
             config=cfg, collective_timeout=collective_timeout,
@@ -392,7 +344,6 @@ def run_elastic(
         )
     attempts = max_attempts if max_attempts is not None else size
     run_args = list(args)
-    host_map: list[list[int]] | None = None
     event: RecoveryEvent | None = None
     for attempt in range(attempts):
         t0 = time.monotonic()
@@ -401,7 +352,6 @@ def run_elastic(
                 fn, size, *run_args, timeout=timeout, transport=transport,
                 config=cfg, collective_timeout=collective_timeout,
                 profile_out=profile_out, monitor=monitor,
-                host_map=host_map,
             )
             if event is not None:
                 event.relaunch_seconds = time.monotonic() - t0
@@ -420,8 +370,6 @@ def run_elastic(
             # The seeded fault already fired; re-arming it would crash
             # the continuation at the same op index forever.
             cfg = replace(cfg, fault_plan=None)
-            if cfg.recovery == "shrink":
-                host_map = shrink_host_map(host_map, failed, size)
             event = RecoveryEvent(
                 policy=cfg.recovery,
                 attempt=attempt,

@@ -65,7 +65,7 @@ def _run_hooi(
     *,
     want_model: bool,
     cfg: CommConfig | None = None,
-    transport: str = "p2p",
+    transport: str = "shm",
     monitor: object | None = None,
 ) -> tuple[RunProfile, dict[str, float] | None, str]:
     dims = params.get_ints("global dims")
@@ -158,7 +158,7 @@ def _run_sthosvd(
     *,
     want_model: bool,
     cfg: CommConfig | None = None,
-    transport: str = "p2p",
+    transport: str = "shm",
     monitor: object | None = None,
 ) -> tuple[RunProfile, dict[str, float] | None, str]:
     dims = params.get_ints("global dims")
@@ -327,7 +327,6 @@ def top_main(argv: Sequence[str] | None = None) -> int:
     from repro.observability.telemetry import TelemetryMonitor
 
     params = ParameterFile.from_path(args.parameter_file)
-    transport = "p2p" if args.backend == "shm" else "tcp"
     monitor = TelemetryMonitor()
     # profile=True keeps the runner helpers' RunProfile assembly valid;
     # telemetry rides out of band either way.
@@ -341,7 +340,7 @@ def top_main(argv: Sequence[str] | None = None) -> int:
                 params,
                 want_model=False,
                 cfg=cfg,
-                transport=transport,
+                transport=args.backend,
                 monitor=monitor,
             )
         except BaseException as exc:  # surfaced after the UI loop

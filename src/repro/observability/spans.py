@@ -158,11 +158,11 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict copy of all three namespaces.
 
-        Tolerant of concurrent writers: hosted-rank threads and the
-        telemetry pusher snapshot a registry the rank is still
-        updating, so a histogram inserted mid-iteration (RuntimeError
-        from the comprehension) just retries — values read during a
-        retry window are each internally consistent, which is all a
+        Tolerant of concurrent writers: the telemetry pusher
+        snapshots a registry the rank is still updating, so a
+        histogram inserted mid-iteration (RuntimeError from the
+        comprehension) just retries — values read during a retry
+        window are each internally consistent, which is all a
         heartbeat needs.
         """
         for _ in range(8):

@@ -23,8 +23,7 @@ Three cooperating pieces, NCCL-flight-recorder style:
 
 ``build_postmortem``
     On failure, all rank rings are merged into one causally-ordered global
-    timeline using collective sequence numbers (with PR-9 vector clocks as a
-    refinement when the race sanitizer is armed) and a per-rank
+    timeline using collective sequence numbers and a per-rank
     last-known-state report that names the diverging rank and collective.
 """
 
@@ -167,14 +166,13 @@ class FlightRecorder:
                 continue
         return None
 
-    def snapshot(self, clock: Mapping[int, int] | None = None) -> "FlightRing":
+    def snapshot(self) -> "FlightRing":
         return FlightRing(
             rank=self.rank,
             wall_origin=self.wall_origin,
             capacity=self.capacity,
             seq=self.seq,
             events=list(self._events),
-            clock=dict(clock) if clock else None,
         )
 
 
@@ -187,7 +185,6 @@ class FlightRing:
     capacity: int
     seq: int
     events: list
-    clock: dict | None = None
 
     @property
     def dropped(self) -> int:
@@ -254,27 +251,6 @@ def merge_flight_rings(rings: Mapping[int, FlightRing]) -> list[dict]:
     return rows
 
 
-def _clock_dominated(a: Mapping[int, int], b: Mapping[int, int]) -> bool:
-    """True when clock ``a`` happened strictly before clock ``b``."""
-
-    keys = set(a) | set(b)
-    le = all(a.get(k, 0) <= b.get(k, 0) for k in keys)
-    lt = any(a.get(k, 0) < b.get(k, 0) for k in keys)
-    return le and lt
-
-
-def _causally_earliest(rings: Mapping[int, FlightRing]) -> int | None:
-    """Rank whose final vector clock precedes every other rank's, if known."""
-
-    clocked = {r: ring.clock for r, ring in rings.items() if ring.clock}
-    if len(clocked) < 2:
-        return None
-    for r, clk in sorted(clocked.items()):
-        if all(_clock_dominated(clk, other) for q, other in clocked.items() if q != r):
-            return r
-    return None
-
-
 @dataclass
 class Postmortem:
     """Merged causal timeline plus a diagnosis naming the diverging rank."""
@@ -336,8 +312,7 @@ def build_postmortem(
     that merely reported an error.  The diagnosis prefers, in order: a
     crashed rank, ranks lagging behind the blocked frontier, mismatched
     collectives at the frontier, and ranks that exited while peers still
-    wait.  Vector clocks (attached when ``race_detect`` is armed) refine
-    the verdict with the causally-earliest stop.
+    wait.
     """
 
     completed = sorted(set(completed) & set(rings))
@@ -411,10 +386,6 @@ def build_postmortem(
             )
     elif states:
         verdict = "no blocked collectives recorded"
-
-    earliest = _causally_earliest(rings)
-    if earliest is not None:
-        verdict += f"; causally earliest stop: rank {earliest} (vector clocks)"
 
     return Postmortem(
         timeline=timeline,

@@ -8,7 +8,7 @@ sub-communicators for the per-mode operations.
 
 Two wires carry the same communicator:
 
-* ``"p2p"`` (alias ``"shm"``; default, :class:`ProcessComm` over
+* ``"shm"`` (default, :class:`ProcessComm` over
   :class:`~repro.vmpi.transport.ShmPoolTransport`) — a peer-to-peer
   point-to-point layer (tagged, length-prefixed frames over one
   AF_UNIX socketpair per rank pair; NumPy payloads of at least a size
@@ -60,7 +60,6 @@ import pickle
 import queue as queue_mod
 import socket
 import sys
-import threading
 import time
 import traceback as traceback_mod
 import uuid
@@ -106,17 +105,8 @@ __all__ = [
     "run_spmd",
 ]
 
-#: ``CommConfig.recovery`` values that enable in-run elastic recovery
-#: (buddy replication + revoke-and-agree + orchestrated continuation).
-ELASTIC_POLICIES = ("respawn", "shrink")
-
-#: Accepted ``transport=`` spellings for :func:`run_spmd` (and the
-#: ``--backend`` flag of ``repro run``) mapped to canonical names.
-TRANSPORT_ALIASES = {
-    "p2p": "p2p",
-    "shm": "p2p",
-    "tcp": "tcp",
-}
+#: The wires :func:`run_spmd` accepts (``repro run --backend``).
+TRANSPORTS = ("shm", "tcp")
 
 
 #: Liveness poll cadence of the launcher while awaiting results.
@@ -154,8 +144,8 @@ class RankFailureError(RuntimeError):
         attributable to a phase — plus full profiles from ranks that
         finished first.  Empty when profiling was off.
     ``recovery_reports``
-        Elastic runs (``CommConfig.recovery`` in ``respawn``/
-        ``shrink``) only: ``rank -> report`` from every survivor that
+        Elastic runs (``CommConfig.recovery="respawn"``) only:
+        ``rank -> report`` from every survivor that
         ran the revoke-and-agree round and self-extracted, each
         carrying its agreed failed set, last replicated iteration, and
         the serialized buddy replica — everything
@@ -238,18 +228,15 @@ class CommConfig:
     recovery:
         What happens when a rank dies mid-run.  ``"restart"`` (the
         default) keeps the PR-3 behavior: the world tears down and
-        :class:`RankFailureError` is raised.  ``"respawn"`` and
-        ``"shrink"`` arm elastic recovery
-        (:mod:`repro.distributed.recovery`): every rank replicates its
-        sweep state to its buddy ``(rank + 1) % size`` over the
-        transport, survivors of a failure run a revoke-and-agree round
-        and self-extract with their replicas, and the orchestrator
-        continues the run — respawn relaunches a full-size world,
-        shrink re-meshes the survivors with the dead ranks' logical
-        endpoints *hosted* as extra threads on their buddies (the
-        logical world size and hence every collective schedule is
-        preserved, which is what makes the continuation
-        bit-identical).
+        :class:`RankFailureError` is raised.  ``"respawn"`` arms
+        elastic recovery (:mod:`repro.distributed.recovery`): every
+        rank replicates its sweep state to its buddy
+        ``(rank + 1) % size`` over the transport, survivors of a
+        failure run a revoke-and-agree round and self-extract with
+        their replicas, and the orchestrator relaunches a full-size
+        world from the newest replica (the world size and hence every
+        collective schedule is preserved, which is what makes the
+        continuation bit-identical).
     agree_timeout:
         Elastic recovery: per-peer wait of each agreement round.
         Bounded best-effort — the launcher's liveness view is the
@@ -284,22 +271,15 @@ class CommConfig:
         ``fault_plan``.  Span buffers hold
         :data:`repro.observability.spans.MAX_SPANS` spans per rank.
     race_detect:
-        Arm the tier-2 happens-before race sanitizer
-        (:mod:`repro.analysis.verify.races`): every thread that
-        touches the rank runtime (main rank thread, overlap prefetch
-        worker, hosted-rank shrink threads) carries a vector clock;
-        shm-pool segment accesses, transport-endpoint occupancy, and
-        ``annotate_read``/``annotate_write`` user annotations are
-        checked for conflicting accesses with no happens-before
-        order, which raise ``RaceError`` (SPMD221–223) carrying both
-        conflicting stacks.  HB edges are derived from the message
-        channels (send→recv), shm free credits, lock
-        acquire/release, and fork/join of the overlap worker, so
-        detection depends only on the logical schedule — a seeded
-        race fires deterministically, not just on unlucky
-        interleavings.  Nothing on the payload path changes, so
-        clean detect-on runs stay bit- and trace-identical with
-        bounded overhead (``bench_overhead.py`` gates <10 % in CI).
+        Arm the tier-2 transport occupancy guard
+        (:class:`repro.analysis.verify.races.TransportGuard`) on every
+        rank's transport.  Each rank is its own process, so the only
+        thread that shares a rank's transport is the ``overlap``
+        prefetch worker; a second thread entering the transport while
+        another is still inside raises ``RaceError`` (SPMD223) naming
+        both threads and both call sites.  Nothing on the payload path
+        changes, so clean guarded runs stay bit- and trace-identical
+        (``bench_overhead.py`` measures the cost).
     overlap:
         Pipeline (double-buffer) the reduction collectives: each
         receive is prefetched on a per-rank overlap
@@ -469,24 +449,18 @@ class ProcessComm:
 
             self.profiler = SpanProfiler(rank)
             channel.profiler = self.profiler
-        #: tier-2 happens-before race detector
-        #: (repro.analysis.verify.races), imported lazily like the
-        #: verifier; process-global so hosted ranks sharing one
-        #: address space share one clock space.  None unless
-        #: config.race_detect, so every instrumented boundary pays a
-        #: single `is None` test.
-        self._race = None
+        #: tier-2 transport occupancy guard (SPMD223), imported lazily
+        #: like the verifier; the transport keeps it and pays a single
+        #: `is None` test per boundary when config.race_detect is off.
         if self.config.race_detect:
-            from repro.analysis.verify import races as _races
+            from repro.analysis.verify.races import TransportGuard
 
-            self._race = _races.get_detector()
-            self._race.register_thread(f"rank-{rank}")
-            channel.race_detector = self._race
+            channel.race_guard = TransportGuard(rank)
         #: elastic recovery manager (repro.distributed.recovery),
         #: imported lazily like the verifier/profiler; None unless
-        #: CommConfig.recovery asks for respawn/shrink on a >1 world.
+        #: CommConfig.recovery asks for respawn on a >1 world.
         self.recovery_mgr = None
-        if self.config.recovery in ELASTIC_POLICIES and size > 1:
+        if self.config.recovery == "respawn" and size > 1:
             from repro.distributed.recovery import RecoveryManager
 
             self.recovery_mgr = RecoveryManager(self)
@@ -705,26 +679,6 @@ class ProcessComm:
         if fr is not None:
             fr.record("p2p_recv", self._op_id, self._phase, src)
         return out
-
-    # -- race-sanitizer annotations -----------------------------------------
-
-    def annotate_write(self, label: str) -> None:
-        """Declare a write to the shared location ``label`` to the
-        happens-before race sanitizer (no-op unless
-        ``race_detect=True``).  Hosted ranks run as threads in one
-        process and may share Python objects the detector cannot see
-        into; annotating accesses (TSan-annotation style) extends race
-        coverage to that state.  Raises ``RaceError`` (SPMD221/222)
-        when the write is unordered against a prior access by another
-        thread."""
-        if self._race is not None:
-            self._race.on_access(("user", label), "w")
-
-    def annotate_read(self, label: str) -> None:
-        """Declare a read of the shared location ``label`` to the race
-        sanitizer (see :meth:`annotate_write`)."""
-        if self._race is not None:
-            self._race.on_access(("user", label), "r")
 
     # -- telemetry ----------------------------------------------------------
 
@@ -986,35 +940,10 @@ class ProcessComm:
                 pass
 
     def _submit_prefetch(self, group, src_v, tag):
-        """Submit a receive prefetch to the overlap worker, carrying
-        fork/join happens-before edges when the race detector is on:
-        the worker joins the submitter's clock on entry and hands its
-        own clock back with the result, so accesses on either side of
-        the hand-off are ordered and the one-in-flight contract shows
-        up clean (only genuinely concurrent access would race)."""
-        pool = self._overlap_pool()
-        det = self._race
-        if det is None:
-            return pool.submit(self._vrecv_prefetch, group, src_v, tag)
-        start = det.fork_point()
-
-        def _task():
-            det.register_thread(f"overlap-worker-rank-{self.rank}")
-            det.join_point(start)
-            out = self._vrecv_prefetch(group, src_v, tag)
-            return (det.fork_point(), out)
-
-        return pool.submit(_task)
-
-    def _join_prefetch(self, fut):
-        """Blockingly take a prefetch result, merging the worker's
-        clock into the calling thread when the race detector is on."""
-        out = fut.result()
-        det = self._race
-        if det is not None:
-            token, out = out
-            det.join_point(token)
-        return out
+        """Submit a receive prefetch to the overlap worker."""
+        return self._overlap_pool().submit(
+            self._vrecv_prefetch, group, src_v, tag
+        )
 
     def _pairwise_reduce_parts(
         self,
@@ -1072,7 +1001,7 @@ class ProcessComm:
                 if j == me:
                     contrib = np.asarray(parts[me])
                 else:
-                    payload = self._join_prefetch(fut)
+                    payload = fut.result()
                     fut = (
                         self._submit_prefetch(group, sources[nxt], tag)
                         if nxt < len(sources)
@@ -1121,7 +1050,7 @@ class ProcessComm:
                 )
                 fut = self._submit_prefetch(group, left, f"{phase}/rg{s}")
                 out[slices[prev_idx]] = prev
-                got = self._join_prefetch(fut)
+                got = fut.result()
                 fut = None
                 ((prev_idx, prev),) = got.items()
         except BaseException:
@@ -1296,20 +1225,9 @@ class ProcessComm:
 
 
 def _flight_snapshot(comm) -> object | None:
-    """Snapshot a comm's flight ring (None when disarmed), stamped
-    with the rank's final vector clock when the race sanitizer is on
-    so postmortem merging can order last-known states causally."""
+    """Snapshot a comm's flight ring (None when disarmed)."""
     fr = comm.flight
-    if fr is None:
-        return None
-    clock = None
-    det = comm._race
-    if det is not None:
-        try:
-            clock = det.fork_point().clocks
-        except Exception:  # pragma: no cover - clock extraction is
-            clock = None   # best-effort refinement only
-    return fr.snapshot(clock)
+    return None if fr is None else fr.snapshot()
 
 
 def _failure_report(exc: BaseException, comm) -> dict:
@@ -1340,19 +1258,31 @@ def _failure_report(exc: BaseException, comm) -> dict:
     return report
 
 
-def _rank_body(
+def _rank_worker(
     fn_bytes: bytes,
     rank: int,
     size: int,
-    peers: dict[int, socket.socket],
+    mesh: list[dict[int, socket.socket]],
     result_queue: "mp.Queue",
     run_token: str,
     config: CommConfig,
     args: tuple,
     board: object | None = None,
-    backend: str = "p2p",
+    backend: str = "shm",
 ) -> None:
-    """One logical rank's lifetime: transport, comm, program, report."""
+    """One rank's process: transport, comm, program, report.
+
+    ``mesh[r]`` maps each peer to rank ``r``'s end of their stream
+    (:func:`~repro.vmpi.transport.connect_mesh`).  The fork copied every
+    end into this process; all but this rank's own are closed first,
+    since a peer's exit reads as EOF only once no other process holds
+    its end.
+    """
+    for r, ends in enumerate(mesh):
+        if r != rank:
+            for sock in ends.values():
+                sock.close()
+    peers = mesh[rank]
     channel: Transport
     if backend == "tcp":
         channel = TcpSocketTransport(rank, size, peers, config)
@@ -1429,62 +1359,6 @@ def _rank_body(
             pass
 
 
-def _p2p_worker(
-    fn_bytes: bytes,
-    ranks: Sequence[int],
-    size: int,
-    mesh: list[dict[int, socket.socket]],
-    result_queue: "mp.Queue",
-    run_token: str,
-    config: CommConfig,
-    args: tuple,
-    board: object | None = None,
-    backend: str = "p2p",
-) -> None:
-    """One OS process hosting one or more logical ranks.
-
-    The common case is one rank per process.  The shrink recovery
-    policy re-launches a smaller process world whose surviving
-    processes *host* the failed logical ranks as extra threads — each
-    hosted rank gets its own transport endpoint (its own socket ends)
-    and its own :class:`ProcessComm`, so the logical world size, and
-    with it every collective schedule and reduction order, is exactly
-    that of the original run.
-
-    ``mesh[r]`` maps each peer to rank ``r``'s end of their stream
-    (:func:`~repro.vmpi.transport.connect_mesh`).  The fork copied every
-    end into this process; all but the hosted ranks' own are closed
-    first, since a peer's exit reads as EOF only once no other process
-    holds its end.
-    """
-    ranks = list(ranks)
-    for r, ends in enumerate(mesh):
-        if r not in ranks:
-            for sock in ends.values():
-                sock.close()
-    if len(ranks) == 1:
-        _rank_body(
-            fn_bytes, ranks[0], size, mesh[ranks[0]], result_queue,
-            run_token, config, args, board, backend,
-        )
-        return
-    threads = [
-        threading.Thread(
-            target=_rank_body,
-            args=(
-                fn_bytes, r, size, mesh[r], result_queue, run_token,
-                config, args, board, backend,
-            ),
-            name=f"hosted-rank-{r}",
-        )
-        for r in ranks
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-
 def _sweep_shm(run_token: str) -> None:
     """Unlink any shared-memory segments a crashed rank orphaned."""
     if _SHM_DIR is None:  # pragma: no cover - no segments made
@@ -1501,14 +1375,13 @@ def run_spmd(
     size: int,
     *args: object,
     timeout: float = 120.0,
-    transport: str = "p2p",
+    transport: str = "shm",
     config: CommConfig | None = None,
     collective_timeout: float | None = None,
     profile_out: dict[int, object] | None = None,
     monitor: object | None = None,
-    host_map: Sequence[Sequence[int]] | None = None,
 ) -> list[object]:
-    """Run ``fn(comm, *args)`` on ``size`` real processes.
+    """Run ``fn(comm, *args)`` on ``size`` real processes, one per rank.
 
     ``fn`` must be picklable (a module-level function).  Returns each
     rank's return value in rank order; raises
@@ -1536,7 +1409,7 @@ def run_spmd(
         Seconds the launcher waits for every rank to report; must be
         positive.
     transport:
-        ``"p2p"`` (default; alias ``"shm"``) hands every rank a
+        ``"shm"`` (default) hands every rank a
         :class:`ProcessComm` over the pooled shared-memory
         point-to-point layer (AF_UNIX socketpairs); ``"tcp"`` hands out
         the same communicator over one loopback TCP connection per
@@ -1561,29 +1434,21 @@ def run_spmd(
         (``CommConfig.telemetry_interval``, defaulted to 0.5 s when
         unset) whose heartbeats are routed to the monitor from the
         launcher's drain loop — the live feed behind ``repro top``.
-    host_map:
-        Optional partition of ``range(size)`` into per-process groups:
-        entry ``p`` lists the logical ranks process ``p`` hosts (extra
-        ranks run as threads with their own transport endpoints).  The
-        shrink recovery policy uses this to continue a run at full
-        *logical* world size on fewer OS processes.  ``None`` (the
-        default) is one rank per process.
     """
     if size < 1:
         raise ValueError("size must be positive")
-    if transport not in TRANSPORT_ALIASES:
+    if transport not in TRANSPORTS:
         raise ValueError(
             f"unknown transport {transport!r} "
-            f"(expected one of {sorted(TRANSPORT_ALIASES)})"
+            f"(expected one of {sorted(TRANSPORTS)})"
         )
-    transport = TRANSPORT_ALIASES[transport]
     cfg = config or CommConfig()
     if collective_timeout is not None:
         cfg = replace(cfg, collective_timeout=collective_timeout)
-    if cfg.recovery not in ("restart",) + ELASTIC_POLICIES:
+    if cfg.recovery not in ("restart", "respawn"):
         raise ValueError(
             f"unknown recovery policy {cfg.recovery!r} "
-            f"(expected 'restart', 'respawn', or 'shrink')"
+            f"(expected 'restart' or 'respawn')"
         )
     for name, value in (
         ("collective_timeout", cfg.collective_timeout),
@@ -1591,16 +1456,6 @@ def run_spmd(
     ):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
-    if host_map is None:
-        host_map = [[rank] for rank in range(size)]
-    else:
-        hosted_ranks = sorted(r for entry in host_map for r in entry)
-        if hosted_ranks != list(range(size)):
-            raise ValueError(
-                f"host_map must partition ranks 0..{size - 1}, "
-                f"got {[list(e) for e in host_map]!r}"
-            )
-        host_map = [list(entry) for entry in host_map]
     fn_bytes = pickle.dumps(fn)  # an unpicklable program fails here
     if monitor is not None:
         if cfg.telemetry_interval <= 0:
@@ -1624,10 +1479,10 @@ def run_spmd(
             board[3 * r] = -1  # idle, not "waiting on rank 0"
     workers = [
         ctx.Process(
-            target=_p2p_worker,
+            target=_rank_worker,
             args=(
                 fn_bytes,
-                tuple(hosted),
+                rank,
                 size,
                 mesh,
                 result_queue,
@@ -1638,9 +1493,8 @@ def run_spmd(
                 transport,
             ),
         )
-        for hosted in host_map
+        for rank in range(size)
     ]
-    proc_map = {r: pi for pi, hosted in enumerate(host_map) for r in hosted}
     try:
         for w in workers:
             w.start()
@@ -1660,7 +1514,7 @@ def run_spmd(
     dead: dict[int, int] = {}  # rank -> exitcode, no result posted
     timed_out = False
     abort_deadline: float | None = None
-    elastic = cfg.recovery in ELASTIC_POLICIES
+    elastic = cfg.recovery == "respawn"
     # Elastic survivors must finish the revoke-and-agree round and
     # serialize their replica reports before the abort: extend the
     # drain window by the worst-case agreement cost (two rounds, up to
@@ -1676,7 +1530,7 @@ def run_spmd(
             r: code
             for r in range(size)
             if r not in results and r not in errors and r not in recoveries
-            and (code := workers[proc_map[r]].exitcode) is not None
+            and (code := workers[r].exitcode) is not None
         }
 
     def take(rank: int, status: str, payload: object) -> None:
@@ -1763,7 +1617,7 @@ def run_spmd(
             if w.is_alive():  # pragma: no cover - hang safety
                 w.terminate()
                 w.join(timeout=10)
-        if transport == "p2p":
+        if transport == "shm":
             _sweep_shm(run_token)
     if errors or dead or recoveries or timed_out:
         # A vanished peer is detected in-band (TransportClosedError),

@@ -208,24 +208,10 @@ _FREE_TAG = ("shmfree",)
 # saw a peer's stream close (recovery's revoke-and-agree round).
 _REVOKE_TAG = ("revoke",)
 
-# Sent to every peer when a rank's program returns (written without a
-# race edge, like the free credits): EOF after it is a peer that
-# finished, so a wait on it has diverged rather than lost a peer.
+# Sent to every peer when a rank's program returns: EOF after it is a
+# peer that finished, so a wait on it has diverged rather than lost a
+# peer.
 _FIN_TAG = ("fin",)
-
-#: Lazily resolved races._TracedBody (the analysis package imports the
-#: distributed drivers, which import this module — a module-scope
-#: import here would be circular, exactly like the verifier hooks).
-_TRACED_BODY = None
-
-
-def _traced_body_cls():
-    global _TRACED_BODY
-    if _TRACED_BODY is None:
-        from repro.analysis.verify.races import _TracedBody
-
-        _TRACED_BODY = _TracedBody
-    return _TRACED_BODY
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +255,7 @@ class Transport:
     encode side); counters account array words/bytes, not frame bytes.
 
     The hook attributes (``injector``, ``sanitizer``, ``monitor``,
-    ``profiler``, ``race_detector``, ``flight``) are installed by
+    ``profiler``, ``race_guard``, ``flight``) are installed by
     :class:`~repro.vmpi.mp_comm.ProcessComm` / the launcher; ``None``
     keeps every boundary at a single ``is None`` test.
     """
@@ -309,14 +295,13 @@ class Transport:
         #: ProcessComm) — recv() splits its time into blocked-wait vs
         #: copy-out histograms.  None keeps the hot path at one test.
         self.profiler = None
-        #: race_detect mode only: the process-global happens-before
-        #: detector (repro.analysis.verify.races, installed lazily by
-        #: ProcessComm).  Sends snapshot the sender's vector clock
-        #: onto a per-(src, dst) channel, arrivals carry it to the
-        #: consuming thread, and shm segment accesses plus endpoint
-        #: occupancy are checked.  None keeps every boundary at one
-        #: `is None` test, like the other hooks.
-        self.race_detector = None
+        #: race_detect mode only: this transport's occupancy guard
+        #: (repro.analysis.verify.races.TransportGuard, installed
+        #: lazily by ProcessComm) — send and the blocking wait raise
+        #: SPMD223 when a second thread enters while another is still
+        #: inside.  None keeps both boundaries at one `is None` test,
+        #: like the other hooks.
+        self.race_guard = None
         #: always-on flight recorder (repro.observability.telemetry,
         #: installed by ProcessComm unless CommConfig.flight is off) —
         #: send() logs one "post" event per outbound payload.  A pure
@@ -366,14 +351,8 @@ class Transport:
 
     def _post(self, dest: int, tag: tuple, body: object) -> None:
         """Raw wire write of an already-encoded body — no counters, no
-        fault hooks (control traffic and revoke notices ride this)."""
-        det = self.race_detector
-        if det is not None:
-            det.channel_send((self.rank, dest))
-        self._write_frame(dest, tag, body)
-
-    def _write_frame(self, dest: int, tag: tuple, body: object) -> None:
-        """Frame ``body`` to ``dest`` — no counters, no race edge."""
+        fault hooks (control traffic, revoke notices and shm free
+        credits ride this)."""
         if dest == self.rank:
             # Self-sends never touch the wire: the pending map plays
             # the loopback.
@@ -388,7 +367,7 @@ class Transport:
     def finish(self) -> None:
         """Tell every peer this rank's program returned."""
         for peer in self._peers:
-            self._write_frame(peer, _FIN_TAG, None)
+            self._post(peer, _FIN_TAG, None)
 
     def _send_payload(self, dest: int, tag: tuple, payload: object) -> None:
         """Encode ``payload``, account it, and post it to ``dest``."""
@@ -538,17 +517,6 @@ class Transport:
         if tag == _FIN_TAG:
             self._finished.add(src)
             return
-        det = self.race_detector
-        # Every _post appends exactly one clock snapshot to the
-        # (src, dst) channel, so every noted arrival pops exactly one
-        # (revoke notices included — a skipped pop would shift the
-        # FIFO and merge stale, weaker clocks into later consumers).
-        # Free credits keep their own channel and never reach here.
-        # The snapshot is present only when the sender shares this
-        # process (hosted ranks); cross-process channels stay empty.
-        clock = (
-            det.channel_pop((src, self.rank)) if det is not None else None
-        )
         if tag == _REVOKE_TAG:
             self.revoked = True
             try:
@@ -556,13 +524,6 @@ class Transport:
             except TypeError:  # pragma: no cover - malformed notice
                 pass
             return
-        if clock is not None:
-            # Carry the sender's clock with the body so the
-            # happens-before edge is merged by the thread that
-            # *consumes* the message in _recv_body — under overlap the
-            # pumping thread may be the prefetch worker, and crediting
-            # it with the edge would invent order that does not exist.
-            body = _traced_body_cls()(clock, body)
         self._pending.setdefault((src, tag), deque()).append(body)
 
     def post_revoke(self, failed: set[int] | frozenset[int]) -> None:
@@ -623,9 +584,9 @@ class Transport:
             # logged too (the rank *did* post them).
             op_id = tag[0] if tag and isinstance(tag[0], int) else 0
             fr.record("post", op_id, "", dest)
-        det = self.race_detector
-        if det is not None:
-            det.enter_transport(id(self))
+        guard = self.race_guard
+        if guard is not None:
+            guard.enter()
         try:
             if self.injector is not None:
                 payload, dropped = self.injector.on_send(payload)
@@ -640,8 +601,8 @@ class Transport:
                     return
             self._send_payload(dest, tag, payload)
         finally:
-            if det is not None:
-                det.exit_transport(id(self))
+            if guard is not None:
+                guard.exit()
 
     # -- recv ---------------------------------------------------------------
 
@@ -702,21 +663,15 @@ class Transport:
         start = time.monotonic()
         deadline = start + timeout
         mon = self.monitor
-        det = self.race_detector
-        if det is not None:
-            det.enter_transport(id(self))
+        guard = self.race_guard
+        if guard is not None:
+            guard.enter()
         registered = False
         try:
             while True:
                 waiting = self._pending.get(key)
                 if waiting:
-                    body = waiting.popleft()
-                    if det is not None and isinstance(
-                        body, _traced_body_cls()
-                    ):
-                        det.merge_clock(body.clock)
-                        body = body.body
-                    return body
+                    return waiting.popleft()
                 self._check_revoked()
                 self._check_peer(src)
                 remaining = deadline - time.monotonic()
@@ -738,8 +693,8 @@ class Transport:
                     poll = min(poll, self._PROBE_SLICE)
                 self._pump(poll)
         finally:
-            if det is not None:
-                det.exit_transport(id(self))
+            if guard is not None:
+                guard.exit()
             if registered:
                 mon.end_wait()
 
@@ -889,14 +844,6 @@ class ShmPoolTransport(Transport):
 
     def _note(self, src: int, tag: tuple, body: object) -> None:
         if tag == _FREE_TAG:
-            det = self.race_detector
-            if det is not None:
-                # Consumer -> owner edge: the peer finished reading
-                # the segment before crediting it back, so the owner's
-                # next write to this segment is ordered after that
-                # read.  Credits are written without _post, hence
-                # their own channel key.
-                det.channel_recv(("free", src, self.rank))
             self._release_segment(body)
             return
         super()._note(src, tag, body)
@@ -959,8 +906,6 @@ class ShmPoolTransport(Transport):
             return super()._encode_arrays(contig, single)
         total = sum(_align8(a.nbytes) for _, a in contig)
         shm, name = self._obtain_segment(total)
-        if self.race_detector is not None:
-            self.race_detector.on_access(("shm", name), "w")
         metas: list[tuple[object, tuple, str, int]] = []
         offset = 0
         for key, a in contig:
@@ -988,9 +933,6 @@ class ShmPoolTransport(Transport):
             # The receive cache keeps peer mappings warm across
             # messages; close() unmaps them.
             self._rx_cache[name] = shm
-        det = self.race_detector
-        if det is not None:
-            det.on_access(("shm", name), "r")
         items: list[tuple[object, np.ndarray]] = []
         for key, shape, dtype_str, offset in metas:
             view = np.ndarray(
@@ -1000,9 +942,7 @@ class ShmPoolTransport(Transport):
             items.append((key, view.copy()))
             del view
         # Hand the drained segment back to its owner for reuse.
-        if det is not None:
-            det.channel_send(("free", self.rank, src))
-        self._write_frame(src, _FREE_TAG, name)
+        self._post(src, _FREE_TAG, name)
         self.recv_words += sum(a.size for _, a in items)
         self.recv_bytes += sum(a.nbytes for _, a in items)
         if single:
@@ -1031,8 +971,8 @@ def connect_mesh(size: int, wire: str) -> list[dict[int, socket.socket]]:
 
     ``wire="tcp"`` connects each pair over loopback TCP through one
     short-lived listener, with ``TCP_NODELAY`` on both ends (a frame is
-    written whole, so Nagle's algorithm could only delay it); any other
-    wire (``"shm"``, alias ``"p2p"``) gets an AF_UNIX ``socketpair()``.
+    written whole, so Nagle's algorithm could only delay it);
+    ``wire="shm"`` gets an AF_UNIX ``socketpair()``.
     If a connection fails partway, every socket made so far is closed
     before the error propagates.
     """

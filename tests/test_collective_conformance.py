@@ -44,6 +44,8 @@ from repro.vmpi.collectives import (
 from repro.vmpi.mp_comm import CommConfig, run_spmd
 
 GROUP_SIZES = (1, 2, 3, 4, 7, 8)
+#: The layers under test: ProcessComm on the shm wire (id ``p2p-det``),
+#: the in-process block collectives, and ProcessComm on the tcp wire.
 TRANSPORTS = (
     "p2p-det",
     "blocks",
@@ -176,7 +178,7 @@ def _run_layer(transport: str, size: int) -> tuple:
         )
     return tuple(
         run_spmd(
-            _conformance_program, size, transport="p2p", config=_P2P_CONFIG
+            _conformance_program, size, transport="shm", config=_P2P_CONFIG
         )
     )
 
@@ -264,7 +266,7 @@ def _run_traced(transport: str, size: int) -> tuple:
 @pytest.mark.transport_matrix
 @pytest.mark.parametrize("size", (2, 3, 4))
 def test_shm_and_tcp_traces_identical(size):
-    """The two p2p wires leave the same CollectiveRecord sequence.
+    """The two wires leave the same CollectiveRecord sequence.
 
     Every field — op, algorithm chosen, group size, message/word/byte
     counters, phase — must match record-for-record; ``shm_messages``
@@ -358,7 +360,7 @@ class TestDivergenceTimeout:
     @pytest.mark.parametrize(
         "transport",
         [
-            "p2p",
+            "shm",
             pytest.param("tcp", marks=pytest.mark.transport_matrix),
         ],
     )

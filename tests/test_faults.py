@@ -196,7 +196,7 @@ class TestInjectorUnit:
 @pytest.mark.parametrize(
     "transport",
     [
-        "p2p",
+        "shm",
         pytest.param("tcp", marks=pytest.mark.transport_matrix),
     ],
 )
@@ -440,7 +440,7 @@ class TestGuardRails:
         assert out == [True, True]
 
 
-@pytest.mark.parametrize("transport", ["p2p"])
+@pytest.mark.parametrize("transport", ["shm"])
 class TestShmHygiene:
     def test_clean_run_leaves_no_residue(self, transport):
         before = set(_shm_residue())

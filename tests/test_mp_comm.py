@@ -246,9 +246,9 @@ class TestRunSPMD:
         "kwargs, match",
         [
             # The message names the transports that are accepted.
-            ({"transport": "star"}, r"'star'.*'p2p', 'shm', 'tcp'"),
-            ({"host_map": [[0]]}, "host_map must partition"),
+            ({"transport": "p2p"}, r"'p2p'.*\['shm', 'tcp'\]"),
             ({"config": CommConfig(recovery="bogus")}, "recovery policy"),
+            ({"config": CommConfig(recovery="shrink")}, "recovery policy"),
             ({"collective_timeout": 0}, "^collective_timeout must be"),
             (
                 {"config": CommConfig(collective_timeout=-1.0)},
@@ -258,8 +258,8 @@ class TestRunSPMD:
         ],
         ids=[
             "transport",
-            "host_map",
             "recovery",
+            "recovery-shrink",
             "collective_timeout",
             "config-collective_timeout",
             "timeout",

@@ -1,32 +1,29 @@
-"""Tier-2 happens-before race sanitizer (``race_detect=True``).
+"""Tier-2 transport occupancy guard (``race_detect=True``, SPMD223).
 
-Detector-logic unit tests (vector clocks, the edge sources, the
-SPMD221–223 verdicts) plus the end-to-end contract: a seeded
-hosted-rank race fires deterministically on both transports and goes
-silent once the accesses are ordered through the message layer, and a
-clean run with detection on is bit-identical to detection off.
+Every rank is its own process, so the only thread that shares a
+rank's transport is the overlap prefetch worker.  Unit tests cover
+the guard (a second thread inside one transport raises, reentrancy
+by the occupant does not); end to end, the armed guard fires on a
+program that breaks the one-in-flight contract, a clean run with it
+armed is bit-identical to one without, and a failed run's postmortem
+verdict does not depend on it.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.analysis.verify.races import (
-    RaceDetector,
-    RaceError,
-    VectorClock,
-    get_detector,
-    reset_detector,
-)
+from repro.analysis.verify.races import RaceError, TransportGuard
 from repro.vmpi.mp_comm import CommConfig, RankFailureError, run_spmd
 
 
 def in_thread(fn):
-    """Run ``fn`` on a fresh thread (its own tid/clock); re-raise any
-    exception in the caller, return ``fn``'s result otherwise."""
+    """Run ``fn`` on a fresh thread; re-raise any exception in the
+    caller, return ``fn``'s result otherwise."""
     box: list[object] = []
     err: list[BaseException] = []
 
@@ -45,258 +42,84 @@ def in_thread(fn):
 
 
 # ---------------------------------------------------------------------------
-# vector clocks
-# ---------------------------------------------------------------------------
-
-
-class TestVectorClock:
-    def test_tick_and_get(self):
-        c = VectorClock()
-        assert c.get(1) == 0
-        assert c.tick(1) == 1
-        assert c.tick(1) == 2
-        assert c.get(1) == 2
-
-    def test_merge_is_pointwise_max(self):
-        a = VectorClock({1: 3, 2: 1})
-        b = VectorClock({2: 5, 3: 2})
-        a.merge(b)
-        assert a.clocks == {1: 3, 2: 5, 3: 2}
-
-    def test_copy_is_independent(self):
-        a = VectorClock({1: 1})
-        b = a.copy()
-        b.tick(1)
-        assert a.get(1) == 1
-        assert b.get(1) == 2
-
-
-# ---------------------------------------------------------------------------
-# detector verdicts and edge sources
+# the guard
 # ---------------------------------------------------------------------------
 
 
 class TestDetectorVerdicts:
-    def test_unordered_write_write_is_spmd221(self):
-        det = RaceDetector()
-        det.on_access("loc", "w")
-        with pytest.raises(RaceError) as ei:
-            in_thread(lambda: det.on_access("loc", "w"))
-        assert ei.value.rule_id == "SPMD221"
-        assert "SPMD221" in str(ei.value)
-        # both conflicting stacks are in the message.
-        assert str(ei.value).count("[") >= 2
-        assert det.races
-
-    def test_unordered_read_after_write_is_spmd222(self):
-        det = RaceDetector()
-        det.on_access("loc", "w")
-        with pytest.raises(RaceError) as ei:
-            in_thread(lambda: det.on_access("loc", "r"))
-        assert ei.value.rule_id == "SPMD222"
-
-    def test_unordered_write_after_read_is_spmd222(self):
-        det = RaceDetector()
-        det.on_access("loc", "r")
-        with pytest.raises(RaceError) as ei:
-            in_thread(lambda: det.on_access("loc", "w"))
-        assert ei.value.rule_id == "SPMD222"
-
-    def test_same_thread_accesses_never_race(self):
-        det = RaceDetector()
-        det.on_access("loc", "w")
-        det.on_access("loc", "r")
-        det.on_access("loc", "w")
-        assert det.races == []
-
-    def test_reads_do_not_race_with_reads(self):
-        det = RaceDetector()
-        det.on_access("loc", "r")
-        in_thread(lambda: det.on_access("loc", "r"))
-        assert det.races == []
-
-    def test_channel_edge_orders_accesses(self):
-        det = RaceDetector()
-        det.on_access("loc", "w")
-        det.channel_send((0, 1))
-
-        def consumer():
-            det.channel_recv((0, 1))
-            det.on_access("loc", "w")
-
-        in_thread(consumer)
-        assert det.races == []
-
-    def test_traced_body_edge_via_pop_and_merge(self):
-        """The arrival-funnel pattern: a pump thread pops the snapshot
-        without merging; the consuming thread merges it later."""
-        det = RaceDetector()
-        det.on_access("loc", "w")
-        det.channel_send((0, 1))
-        snap = in_thread(lambda: det.channel_pop((0, 1)))  # pump thread
-        assert snap is not None
-
-        def consumer():
-            det.merge_clock(snap)
-            det.on_access("loc", "w")
-
-        in_thread(consumer)
-        assert det.races == []
-
-    def test_pump_thread_pop_does_not_order_pump_itself(self):
-        """channel_pop deliberately does NOT merge — the pump thread
-        stays unordered against the sender."""
-        det = RaceDetector()
-        det.on_access("loc", "w")
-        det.channel_send((0, 1))
-
-        def pump():
-            det.channel_pop((0, 1))
-            det.on_access("loc", "w")
-
-        with pytest.raises(RaceError):
-            in_thread(pump)
-
-    def test_lock_edge_orders_accesses(self):
-        det = RaceDetector()
-        det.on_access("loc", "w")
-        det.lock_release("L")
-
-        def other():
-            det.lock_acquire("L")
-            det.on_access("loc", "w")
-
-        in_thread(other)
-        assert det.races == []
-
-    def test_fork_join_orders_accesses(self):
-        det = RaceDetector()
-        det.on_access("loc", "w")
-        fp = det.fork_point()
-
-        def worker():
-            det.merge_clock(fp)  # join on task entry
-            det.on_access("loc", "w")
-            return det.fork_point()  # completion token
-
-        token = in_thread(worker)
-        det.join_point(token)
-        det.on_access("loc", "w")
-        assert det.races == []
-
     def test_transport_occupancy_spmd223(self):
-        det = RaceDetector()
-        det.enter_transport(42)
+        guard = TransportGuard(rank=3)
+        guard.enter()
         with pytest.raises(RaceError) as ei:
-            in_thread(lambda: det.enter_transport(42))
+            in_thread(guard.enter)
         assert ei.value.rule_id == "SPMD223"
-        det.exit_transport(42)
+        msg = str(ei.value)
+        assert "SPMD223" in msg and "rank 3" in msg
+        # both threads and both call sites are in the message.
+        assert threading.current_thread().name in msg
+        assert msg.count("[") >= 3
+        guard.exit()
 
     def test_transport_reentrancy_same_thread_ok(self):
-        det = RaceDetector()
-        det.enter_transport(42)
-        det.enter_transport(42)  # collectives nest sends
-        det.exit_transport(42)
+        guard = TransportGuard(rank=0)
+        guard.enter()
+        guard.enter()  # collectives nest sends
+        guard.exit()
         # still occupied by this thread at depth 1; a second thread
         # must still trip the guard.
         with pytest.raises(RaceError):
-            in_thread(lambda: det.enter_transport(42))
-        det.exit_transport(42)
+            in_thread(guard.enter)
+        guard.exit()
         # fully exited: another thread may now enter.
-        in_thread(lambda: det.enter_transport(42))
-
-    def test_global_detector_reset_isolation(self):
-        a = get_detector()
-        assert get_detector() is a
-        b = reset_detector()
-        assert b is not a
-        assert get_detector() is b
+        in_thread(guard.enter)
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: seeded hosted-rank race, both transports
+# end to end: the armed guard fires on a broken contract
 # ---------------------------------------------------------------------------
 
 
-def _prog_hosted_shared(comm, fixed):
-    """Two logical ranks hosted as threads in one process touch the
-    same (annotated) shared object between two barriers.
-
-    ``fixed=False`` seeds the race: the writes are concurrent — no
-    message orders them — so the vector-clock detector must flag
-    SPMD221 *deterministically*, whichever thread the scheduler runs
-    first.  ``fixed=True`` orders them through the message layer
-    (rank 0 writes, sends; rank 1 receives, writes) and the same
-    program must run silently.
-    """
-    comm.barrier()
-    if fixed:
-        if comm.rank == 0:
-            comm.annotate_write("shared-buf")
-            comm.send(1, np.zeros(1), tag=7)
-        else:
-            comm.recv(0, tag=7)
-            comm.annotate_write("shared-buf")
-    else:
-        comm.annotate_write("shared-buf")
-    comm.barrier()
-    return comm.rank
+def _prog_second_thread(comm):
+    """Rank 0 parks a helper thread in a blocking receive, then its
+    main thread sends on the same transport while the helper is still
+    inside — exactly what the overlap contract forbids."""
+    if comm.rank == 1:
+        comm.recv(0, tag=2)
+        return 1
+    helper = threading.Thread(
+        target=lambda: comm.recv(1, tag=1, timeout=3.0),
+        name="helper-recv",
+        daemon=True,
+    )
+    helper.start()
+    while comm._t.race_guard._owner is None:
+        time.sleep(0.01)
+    comm.send(1, np.zeros(1), tag=2)
+    return 0
 
 
-class TestHostedRankRace:
-    def test_seeded_race_fires_deterministically(self, backend):
+class TestGuardEndToEnd:
+    def test_second_thread_in_transport_raises(self, backend):
         with pytest.raises(RankFailureError) as ei:
             run_spmd(
-                _prog_hosted_shared,
-                2,
-                False,
-                host_map=[[0, 1]],
-                config=CommConfig(race_detect=True, collective_timeout=15.0),
-                transport=backend,
+                _prog_second_thread, 2, transport=backend,
+                config=CommConfig(race_detect=True, collective_timeout=10.0),
                 timeout=60.0,
             )
+        assert ei.value.failed_ranks == (0,)
         msg = str(ei.value)
-        assert "SPMD221" in msg
-        assert "shared-buf" in msg
-        assert "no happens-before order" in msg
-        # both conflicting sites survive the process boundary.
-        assert "rank-0" in msg and "rank-1" in msg
-
-    def test_ordered_accesses_are_silent(self, backend):
-        outs = run_spmd(
-            _prog_hosted_shared,
-            2,
-            True,
-            host_map=[[0, 1]],
-            config=CommConfig(race_detect=True, collective_timeout=15.0),
-            transport=backend,
-            timeout=60.0,
-        )
-        assert outs == [0, 1]
-
-    def test_annotations_off_detector_is_free(self, backend):
-        # same racy program without race_detect: annotations are
-        # no-ops, the run completes.
-        outs = run_spmd(
-            _prog_hosted_shared,
-            2,
-            False,
-            host_map=[[0, 1]],
-            config=CommConfig(collective_timeout=15.0),
-            transport=backend,
-            timeout=60.0,
-        )
-        assert outs == [0, 1]
+        assert "SPMD223" in msg
+        assert "helper-recv" in msg and "MainThread" in msg
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: clean runs are bit-identical with detection on
+# end to end: clean runs are bit-identical with the guard armed
 # ---------------------------------------------------------------------------
 
 
 def _prog_numeric(comm, n):
     """A clean mixed collective/p2p workload whose result must not
-    depend on whether the sanitizer is watching."""
+    depend on whether the guard is armed."""
     rng = np.random.default_rng(1000 + comm.rank)
     x = rng.standard_normal(n)
     total = comm.allreduce(x)
@@ -313,10 +136,9 @@ def _prog_numeric(comm, n):
 class TestBitIdentity:
     def test_overlap_worker_is_clean_under_detection(self, backend):
         """The overlap prefetch thread pumps the transport while the
-        main thread computes — the fork/join edges and the
-        same-thread-reentrancy rule must keep the one-in-flight
-        contract (SPMD223) and the shm accesses race-free, and the
-        result bit-identical to the non-overlapped detect-on run."""
+        main thread computes — the one-in-flight hand-off must keep
+        the guard (SPMD223) silent, and the result bit-identical to
+        the non-overlapped guarded run."""
         plain = run_spmd(
             _prog_numeric, 2, 256,
             config=CommConfig(race_detect=True, collective_timeout=15.0),
@@ -347,3 +169,37 @@ class TestBitIdentity:
         for b, t in zip(base, traced):
             for bb, tt in zip(b, t):
                 np.testing.assert_array_equal(bb, tt)
+
+
+# ---------------------------------------------------------------------------
+# postmortems do not depend on the guard
+# ---------------------------------------------------------------------------
+
+
+def _prog_raise_after_four(comm):
+    """Rank 2 raises after 4 allreduces; ranks 0 and 1 block in the
+    fifth."""
+    for _ in range(4):
+        comm.allreduce(np.ones(3))
+    if comm.rank == 2:
+        raise RuntimeError("rank 2 gives up")
+    comm.allreduce(np.ones(3))
+    return comm.rank
+
+
+class TestPostmortem:
+    def test_verdict_independent_of_race_detect(self, backend):
+        verdicts = []
+        for race_detect in (False, True):
+            with pytest.raises(RankFailureError) as ei:
+                run_spmd(
+                    _prog_raise_after_four, 3, transport=backend,
+                    config=CommConfig(
+                        race_detect=race_detect, collective_timeout=15.0
+                    ),
+                    timeout=60.0,
+                )
+            verdicts.append(ei.value.postmortem.verdict)
+        assert verdicts[0] == verdicts[1]
+        assert "vector clocks" not in verdicts[1]
+        assert verdicts[0].startswith("rank(s) [2] never reached allreduce")

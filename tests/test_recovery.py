@@ -1,12 +1,10 @@
 """Elastic in-run failure recovery (``repro.distributed.recovery``).
 
 The contract under test: a seeded hard crash mid-sweep, under
-``CommConfig.recovery`` in ``{"respawn", "shrink"}``, completes the
-run with factors *bit-identical* to the fault-free baseline, on both
-transport wires, leaving no shm residue — plus unit coverage for the
-pieces (buddy replication, revoke-and-agree, the shrink host-map, the
-hosted-rank equivalence that makes shrink bit-identical, and
-``repro resume`` validation).
+``CommConfig(recovery="respawn")``, completes the run with factors
+*bit-identical* to the fault-free baseline, on both transport wires,
+leaving no shm residue — plus unit coverage for the pieces (buddy
+replication, revoke-and-agree, and ``repro resume`` validation).
 """
 
 import glob
@@ -21,11 +19,7 @@ from repro.core.rank_adaptive import RankAdaptiveOptions
 from repro.distributed.checkpoint import SweepCheckpoint
 from repro.distributed.mp_hooi import mp_hooi_dt, mp_rahosi_dt
 from repro.distributed.mp_sthosvd import mp_sthosvd
-from repro.distributed.recovery import (
-    RecoveryEvent,
-    run_elastic,
-    shrink_host_map,
-)
+from repro.distributed.recovery import RecoveryEvent, run_elastic
 from repro.vmpi.faults import FaultPlan
 from repro.vmpi.mp_comm import (
     CommConfig,
@@ -54,7 +48,7 @@ def _assert_tucker_equal(a, b) -> None:
 
 class TestElasticBitIdentity:
     """Seeded ``crash(hard=True)`` mid-sweep into mp_hooi_dt on both
-    wires, both policies — factors must equal the fault-free run's."""
+    wires — factors must equal the fault-free run's."""
 
     _OPTS = HOOIOptions(max_iters=3, seed=1)
 
@@ -67,11 +61,10 @@ class TestElasticBitIdentity:
         tucker, _ = mp_hooi_dt(x, (3, 3, 2), (2, 2, 1), self._OPTS)
         return tucker
 
-    @pytest.mark.parametrize("policy", ["respawn", "shrink"])
-    def test_hard_crash_mid_sweep(self, backend, policy, x, baseline):
+    def test_hard_crash_mid_sweep(self, backend, x, baseline):
         cfg = CommConfig(
             fault_plan=FaultPlan.kill(1, op_index=11),
-            recovery=policy,
+            recovery="respawn",
             collective_timeout=15.0,
         )
         tucker, stats = mp_hooi_dt(
@@ -81,7 +74,7 @@ class TestElasticBitIdentity:
         _assert_tucker_equal(tucker, baseline)
         (event,) = stats.recovery_events
         assert isinstance(event, RecoveryEvent)
-        assert event.policy == policy
+        assert event.policy == "respawn"
         assert event.failed == (1,)
         assert event.relaunch_seconds > 0
         assert "rank 1" in event.source
@@ -92,7 +85,7 @@ class TestElasticBitIdentity:
         # from the iteration-2 buddy replica, not from scratch.
         cfg = CommConfig(
             fault_plan=FaultPlan.kill(2, op_index=40),
-            recovery="shrink",
+            recovery="respawn",
             collective_timeout=15.0,
         )
         tucker, stats = mp_hooi_dt(
@@ -157,12 +150,12 @@ class TestElasticOtherDrivers:
         )
         _assert_tucker_equal(out, base)
 
-    def test_rahosi_shrink(self, small3):
+    def test_rahosi_respawn(self, small3):
         opts = RankAdaptiveOptions(seed=3, max_iters=4)
         base, _ = mp_rahosi_dt(small3, 0.4, (2, 2, 2), (2, 2, 1), opts)
         cfg = CommConfig(
             fault_plan=FaultPlan.kill(3, op_index=25),
-            recovery="shrink",
+            recovery="respawn",
             collective_timeout=15.0,
         )
         out, stats = mp_rahosi_dt(
@@ -176,7 +169,7 @@ class TestElasticOtherDrivers:
 
 
 # ---------------------------------------------------------------------------
-# pieces: replication, agreement, host_map, run_elastic policies
+# pieces: replication, agreement, run_elastic policies
 # ---------------------------------------------------------------------------
 
 
@@ -211,17 +204,6 @@ def _prog_revoke_all(comm: ProcessComm, _resume) -> None:
     raise WorldRevokedError("unit: always fails", failed=())
 
 
-def _prog_hosted(comm: ProcessComm, blocks, shape) -> tuple:
-    """The mp_hooi rank program with the same knobs mp_hooi_dt passes
-    for ``HOOIOptions(max_iters=2, seed=1)`` (tree on, subspace LLSV)."""
-    from repro.distributed.mp_hooi import _hooi_rank_program
-
-    return _hooi_rank_program(
-        comm, blocks, (2, 2, 1), shape, (3, 3, 2),
-        True, "half", True, 1, 2, 1, "", None, None, None,
-    )
-
-
 class TestRecoveryPieces:
     def test_buddy_ring_replication(self, backend):
         cfg = CommConfig(recovery="respawn", collective_timeout=15.0)
@@ -248,41 +230,6 @@ class TestRecoveryPieces:
         assert sorted(reports) == [0, 1, 3]
         assert all(rep["failed"] == [2] for rep in reports.values())
         assert err.value.failed_ranks == (2,)
-
-    def test_shrink_host_map_merges_into_buddy(self):
-        hm = shrink_host_map(None, {1}, 4)
-        assert hm == [[0], [2, 1], [3]]
-        # sequential second failure: the orphan walks past dead hosts
-        hm2 = shrink_host_map(hm, {2, 1}, 4)
-        assert hm2 == [[0], [3, 1, 2]]
-
-    def test_shrink_host_map_all_dead_raises(self):
-        with pytest.raises(RankFailureError):
-            shrink_host_map([[0, 1]], {0}, 2)
-
-    def test_hosted_ranks_bit_identical(self, small3):
-        # The theorem shrink relies on: running 4 logical ranks on 2
-        # processes (threads) is bit-identical to 4 processes.
-        base, _ = mp_hooi_dt(
-            small3, (3, 3, 2), (2, 2, 1), HOOIOptions(max_iters=2, seed=1)
-        )
-        from repro.distributed.mp_hooi import _scatter_blocks
-        from repro.vmpi.grid import ProcessorGrid
-
-        blocks = _scatter_blocks(small3, ProcessorGrid((2, 2, 1)))
-        outs = run_spmd(
-            _prog_hosted, 4, blocks, tuple(small3.shape),
-            host_map=[[0, 2], [1, 3]],
-            config=CommConfig(collective_timeout=15.0),
-        )
-        core, factors, _ = outs[0]
-        np.testing.assert_array_equal(core, base.core)
-        for u, v in zip(factors, base.factors):
-            np.testing.assert_array_equal(u, v)
-
-    def test_host_map_validation(self):
-        with pytest.raises(ValueError, match="host_map"):
-            run_spmd(_prog_replicate, 3, host_map=[[0, 1]])
 
     def test_run_elastic_without_replicas_reraises(self):
         # Survivor reports exist but no boundary was ever replicated

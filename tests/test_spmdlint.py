@@ -18,7 +18,7 @@ def ids(findings):
 
 class TestRuleRegistry:
     def test_ids_unique_and_well_formed(self):
-        assert len(RULES) == 21
+        assert len(RULES) == 19
         for rid, r in RULES.items():
             assert rid == r.id
             assert rid.startswith("SPMD")

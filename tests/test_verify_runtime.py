@@ -452,37 +452,6 @@ class TestVerifyOnTcp:
         assert time.monotonic() - start < 30
 
 
-class TestVerifyWithHostMap:
-    """``verify=True`` with ranks hosted as threads: each hosted rank's
-    control rounds ride its own stream, and the wait-for board has one
-    slot per logical rank."""
-
-    HOST_MAP = [[0], [1, 2]]
-
-    def test_clean_run_bit_and_trace_identical(self, backend):
-        plain = run_spmd(_prog_clean, 3, transport=backend)
-        verified = run_spmd(
-            _prog_clean, 3, transport=backend, config=VERIFY,
-            host_map=self.HOST_MAP,
-        )
-        for p, v in zip(plain, verified):
-            np.testing.assert_array_equal(p["total"], v["total"])
-            np.testing.assert_array_equal(p["payload"], v["payload"])
-            np.testing.assert_array_equal(p["part"], v["part"])
-            np.testing.assert_array_equal(p["gathered"], v["gathered"])
-            assert p["trace"] == v["trace"]
-
-    def test_wrong_root_raises_mismatch(self, backend):
-        with pytest.raises(RankFailureError) as ei:
-            run_spmd(
-                _prog_wrong_root, 3, transport=backend, config=VERIFY,
-                collective_timeout=15, host_map=self.HOST_MAP,
-            )
-        msg = str(ei.value)
-        assert "SPMD201" in msg
-        assert "CollectiveMismatchError" in msg
-
-
 class TestVerifiedDrivers:
     def test_mp_hooi_dt_verify_smoke(self):
         # The CI smoke: a 2x2 grid sweep under full verification must
