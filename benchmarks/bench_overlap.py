@@ -116,7 +116,7 @@ def test_overlap(benchmark):
                 ["off", t_off * 1e3, f"{vis_off:.4f}", f"{hid_off:.4f}"],
                 ["on", t_on * 1e3, f"{vis_on:.4f}", f"{hid_on:.4f}"],
             ],
-            title=f"deterministic allreduce x{ROUNDS}, {WORDS} words, "
+            title=f"pairwise-rs+ring-ag allreduce x{ROUNDS}, {WORDS} words, "
             f"{RANKS} ranks (best of {TRIALS}, slowest rank)",
         ),
     )

@@ -1,11 +1,15 @@
 """End-to-end CLI driver tests (artifact-style parameter files)."""
 
+import json
 import re
 
 import pytest
 
+from repro.analysis.attribution import parse_attribution_report
 from repro.cli import hooi_main, main, sthosvd_main
 from repro.core.errors import ConfigError
+from repro.observability.profile import validate_chrome_trace
+from repro.observability.telemetry import validate_telemetry_jsonl
 
 STHOSVD_CFG = """
 Print options = true
@@ -199,6 +203,155 @@ class TestCheckpointResumeCLI:
         (ckdir / "parameters.cfg").unlink()
         with pytest.raises(ConfigError, match="no parameter file"):
             main(["resume", str(ckdir / "checkpoint.npz")])
+
+
+# HOSI-DT on 2 processes; with a threshold and ranks 2 2 2 it grows
+# once, so its first sweep is checkpointed.
+MP_HOSI_CFG = """
+Print options = false
+Dimension Tree Memoization = true
+Noise = 0.0001
+HOOI-Adapt Threshold = {adapt}
+HOOI max iters = 4
+SVD Method = 2
+Processor grid dims = {grid}
+Processors = 2
+Global dims = 12 10 8
+Construction Ranks = 3 3 2
+Decomposition Ranks = {dranks}
+"""
+
+
+def _history(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("iteration")]
+
+
+class TestOneRequestPerFile:
+    """Every subcommand reads a parameter file the same way."""
+
+    @pytest.mark.parametrize("dranks", ["2 2 2", "auto"])
+    def test_run_hooi_is_rank_adaptive(self, tmp_path, capsys, dranks):
+        pfile = _write(
+            tmp_path, MP_HOSI_CFG.format(adapt=5e-4, grid="2 1 1", dranks=dranks)
+        )
+        ckdir = str(tmp_path / "ck")
+        assert main(
+            ["hooi", "--parameter-file", pfile, "--checkpoint-dir", ckdir]
+        ) == 0
+        want = capsys.readouterr().out
+        assert main(["run", "--algorithm", "hooi", "--parameter-file", pfile]) == 0
+        out = capsys.readouterr().out
+        assert "Converged: True" in out
+        assert _history(out) == _history(want)
+        assert _final_error(out) == _final_error(want)
+
+    def test_auto_grid_checkpoint_then_resume(self, tmp_path, capsys):
+        cfg = MP_HOOI_CFG.replace(
+            "Processor grid dims = 2 1 1",
+            "Processor grid dims = auto\nProcessors = 2",
+        )
+        pfile = _write(tmp_path, cfg)
+        ckdir = tmp_path / "ck"
+        rc = main(
+            ["hooi", "--parameter-file", pfile, "--checkpoint-dir", str(ckdir)]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "Auto-tuned grid for hooi-dt at P=2" in out
+        err_run = _final_error(out)
+
+        assert main(["resume", str(ckdir / "checkpoint.npz")]) == 0
+        out = capsys.readouterr().out
+        assert "Resuming mp_hooi_dt" in out
+        assert _final_error(out) == err_run
+
+    @pytest.mark.parametrize(
+        "written, resumed",
+        [(5e-4, 0.0), (0.0, 5e-4)],
+        ids=["mp_rahosi_dt-without-threshold", "mp_hooi_dt-with-threshold"],
+    )
+    def test_resume_refuses_other_hooi_driver(
+        self, tmp_path, capsys, written, resumed
+    ):
+        pfile = _write(
+            tmp_path, MP_HOSI_CFG.format(adapt=written, grid="2 1 1", dranks="2 2 2")
+        )
+        ckdir = tmp_path / "ck"
+        main(["hooi", "--parameter-file", pfile, "--checkpoint-dir", str(ckdir)])
+        capsys.readouterr()
+        other = _write(
+            tmp_path,
+            MP_HOSI_CFG.format(adapt=resumed, grid="2 1 1", dranks="2 2 2"),
+            name="other.cfg",
+        )
+        with pytest.raises(ConfigError, match="HOOI-Adapt Threshold"):
+            main(
+                [
+                    "resume",
+                    str(ckdir / "checkpoint.npz"),
+                    "--parameter-file",
+                    other,
+                ]
+            )
+
+    def test_prof_with_auto_grid_and_ranks(self, tmp_path, capsys):
+        pfile = _write(
+            tmp_path, MP_HOSI_CFG.format(adapt=5e-4, grid="auto", dranks="auto")
+        )
+        trace_out = tmp_path / "trace.json"
+        rc = main(
+            [
+                "prof", "hooi", "--parameter-file", pfile,
+                "--trace-out", str(trace_out),
+                "--metrics-out", str(tmp_path / "metrics.json"),
+                "--report",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        trace = json.loads(trace_out.read_text())
+        validate_chrome_trace(trace)
+        lanes = {e["tid"] for e in trace["traceEvents"] if e["ph"] == "X"}
+        assert lanes == {0, 1}
+        assert parse_attribution_report(out)
+
+    def test_top_logs_one_final_record_per_rank(self, tmp_path, capsys):
+        pfile = _write(tmp_path, MP_HOOI_CFG)
+        jsonl = tmp_path / "top.jsonl"
+        rc = main(
+            [
+                "top", "hooi", "--parameter-file", pfile, "--no-ui",
+                "--interval", "0.2", "--jsonl", str(jsonl),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        counts = validate_telemetry_jsonl(jsonl.read_text().splitlines())
+        assert counts["final"] == 2
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--np", "3", "--parameter-file", "{pfile}"], "--np"),
+            (["--smoke", "--parameter-file", "{pfile}"], "--parameter-file"),
+            (["--smoke", "--algorithm", "hooi"], "--algorithm"),
+        ],
+        ids=["np-without-smoke", "smoke-with-file", "smoke-with-algorithm"],
+    )
+    def test_ignored_flag_is_rejected(self, tmp_path, capsys, argv, flag):
+        pfile = _write(tmp_path, MP_STHOSVD_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *(a.format(pfile=pfile) for a in argv)])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("repro run: error:")
+        assert flag in error
+
+    def test_smoke_defaults_to_two_ranks(self, capsys):
+        assert main(["run", "--smoke"]) == 0
+        assert "smoke ok: 2 ranks" in capsys.readouterr().out
 
 
 class TestUmbrellaDispatcher:

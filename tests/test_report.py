@@ -32,3 +32,12 @@ class TestGenerateReport:
             stems.update(re.findall(r'save_result\(\s*"(\w+)"', f.read_text()))
         known = {s for s, _ in SECTIONS}
         assert stems <= known, stems - known
+
+
+def test_committed_report_matches_results():
+    """``results/REPORT.md`` is ``generate_report`` over the committed
+    tables, so a table regenerated on its own cannot leave it stale."""
+    from pathlib import Path
+
+    results = Path(__file__).resolve().parent.parent / "results"
+    assert (results / "REPORT.md").read_text() == generate_report(results)
