@@ -1,13 +1,13 @@
 """Overhead of the observability and verification features on
 ``mp_hooi_dt``, in one interleaved bench.
 
-Times the dimension-tree HOOI sweep loop on real processes in six
+Times the dimension-tree HOOI sweep loop on real processes in five
 launches per trial, on the same worker set and blocks:
 
 * ``flight=False`` — the flight recorder off;
-* the default config (the recorder on, nothing else armed);
-* ``profile=True`` — phase, kernel and per-collective spans plus the
-  metrics registry;
+* the default config (the recorder on: its event ring with the sweep,
+  phase, kernel and collective spans, and its metrics registry;
+  nothing else armed);
 * ``verify=True`` — the tier-2 collective-matching verifier, wait-for
   deadlock monitor and shm sanitizer;
 * ``race_detect=True`` — the transport occupancy guard (SPMD223): a
@@ -82,7 +82,6 @@ if SMOKE:
 MODES = {
     "no-flight": CommConfig(flight=False),
     "default": CommConfig(),
-    "profile": CommConfig(profile=True),
     "verify": CommConfig(verify=True),
     "race_detect": CommConfig(race_detect=True),
     "default-again": CommConfig(),
@@ -91,7 +90,6 @@ MODES = {
 #: (feature, mode with it on, baseline mode).
 FEATURES = (
     ("flight", "default", "no-flight"),
-    ("profile", "profile", "default"),
     ("verify", "verify", "default"),
     ("race_detect", "race_detect", "default"),
 )

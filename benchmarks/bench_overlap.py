@@ -6,7 +6,7 @@ real processes.  The contract this bench enforces everywhere, smoke
 included: overlapping changes *scheduling only* — results bit-identical,
 collective traces identical record for record — and the receive waits
 the pipeline hides are visible as the ``collective_wait_hidden_seconds``
-histogram in the profile.
+histogram in the flight rings of the timed runs.
 
 The wall-clock column is reported but only loosely gated (overlap must
 not make things dramatically worse): on an unloaded many-core host the
@@ -59,24 +59,23 @@ def _prog(comm: ProcessComm, words: int, rounds: int) -> tuple:
     return dt / rounds, a[:64].copy(), trace
 
 
-def _launch(overlap: bool, profile: bool = False):
+def _launch(overlap: bool):
     cfg = CommConfig(
         overlap=overlap,
         eager_max_words=4096,
         collective_timeout=120.0,
-        profile=profile,
     )
-    prof: dict = {}
+    rings: dict = {}
     outs = run_spmd(
         _prog, RANKS, WORDS, ROUNDS,
-        timeout=600.0, config=cfg, profile_out=prof if profile else None,
+        timeout=600.0, config=cfg, profile_out=rings,
     )
-    return max(o[0] for o in outs), outs, prof
+    return max(o[0] for o in outs), outs, rings
 
 
-def _wait_totals(prof: dict) -> tuple[float, float]:
+def _wait_totals(rings: dict) -> tuple[float, float]:
     visible = hidden = 0.0
-    for p in prof.values():
+    for p in rings.values():
         hists = p.metrics["histograms"]
         visible += hists.get("collective_wait_seconds", {}).get("total", 0.0)
         hidden += hists.get(
@@ -88,22 +87,20 @@ def _wait_totals(prof: dict) -> tuple[float, float]:
 def test_overlap(benchmark):
     def run():
         t_off = t_on = float("inf")
-        outs_off = outs_on = None
+        outs_off = outs_on = rings_off = rings_on = None
         for _ in range(TRIALS):  # interleaved, best-of-trials
-            t, outs, _ = _launch(False)
+            t, outs, rings = _launch(False)
             if t < t_off:
-                t_off, outs_off = t, outs
-            t, outs, _ = _launch(True)
+                t_off, outs_off, rings_off = t, outs, rings
+            t, outs, rings = _launch(True)
             if t < t_on:
-                t_on, outs_on = t, outs
+                t_on, outs_on, rings_on = t, outs, rings
         # Scheduling-only: same bits, same trace, on every rank.
         for off, on in zip(outs_off, outs_on):
             np.testing.assert_array_equal(off[1], on[1])
             assert off[2] == on[2]
-        # Profiled pass for the wait attribution split.
-        _, _, prof_off = _launch(False, profile=True)
-        _, _, prof_on = _launch(True, profile=True)
-        return t_off, t_on, _wait_totals(prof_off), _wait_totals(prof_on)
+        # The wait attribution split, from the best runs' rings.
+        return t_off, t_on, _wait_totals(rings_off), _wait_totals(rings_on)
 
     t_off, t_on, (vis_off, hid_off), (vis_on, hid_on) = benchmark.pedantic(
         run, rounds=1, iterations=1

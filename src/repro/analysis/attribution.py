@@ -1,7 +1,7 @@
 """Model-vs-measured attribution: join profiled spans to the ledger.
 
 The headline claims rest on the alpha-beta-gamma machine model
-(:class:`~repro.vmpi.cost.CostLedger`); the span profiler records
+(:class:`~repro.vmpi.cost.CostLedger`); the flight recorder records
 where wall-clock *actually* went.  This module joins the two per
 phase: measured mean/max seconds across ranks, load imbalance
 (max/mean), the critical path (per phase instance, the slowest rank's

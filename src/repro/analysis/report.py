@@ -47,7 +47,7 @@ SECTIONS: tuple[tuple[str, str], ...] = (
     ("mp_dimension_tree", "Infrastructure — memoized vs direct mp HOOI"),
     (
         "overhead",
-        "Infrastructure — flight recorder, profiler, verifier and "
+        "Infrastructure — flight recorder, verifier and "
         "transport guard overhead",
     ),
     ("kernels_speedup", "Infrastructure — native kernels vs tensordot"),

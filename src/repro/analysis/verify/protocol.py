@@ -41,7 +41,7 @@ Rules (see :mod:`~repro.analysis.verify.rules`):
     or roots at a matched position).
 ``SPMD123``
     The same matched collective position carries different phase tags
-    on different ranks — the trace lanes and profiler spans disagree
+    on different ranks — the trace lanes and recorder spans disagree
     across the group even though the schedule itself matches.
 ``SPMD124``
     A raw transport post/receive uses a tag in the reserved
@@ -994,7 +994,7 @@ def _check_divergence(
                 f"rank 0 tags comm.{a.kind}() at {a.site.render()} "
                 f"with phase {a.phase!r} but rank {r} tags the same "
                 f"collective at {b.site.render()} with phase "
-                f"{b.phase!r} — the trace lanes and profiler spans "
+                f"{b.phase!r} — the trace lanes and recorder spans "
                 "disagree across the group",
             )
             return

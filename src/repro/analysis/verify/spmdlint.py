@@ -35,7 +35,7 @@ synchronous programs (the code shape of the TuckerMPI-style drivers in
     (``repro.vmpi.trace.PHASES``): a ``phase=`` argument or default, a
     ``<x>.phase = "..."`` assignment, or the first argument of a
     cost-ledger charge (``.compute/.sequential/.comm/.gather``).  The
-    trace lanes, the span profiler, and the measured-vs-modeled
+    trace lanes, the flight recorder's spans, and the measured-vs-modeled
     attribution all join on these names, so a drifted literal silently
     drops time from every report.  The empty string (untagged) is
     allowed; non-literal tags (f-strings, variables) are not checked.
@@ -569,8 +569,8 @@ class _ModuleLinter:
             "SPMD106",
             node,
             f"phase tag {value!r} ({where}) is not in the shared "
-            "vocabulary repro.vmpi.trace.PHASES — trace lanes, the span "
-            "profiler, and the measured-vs-modeled attribution join on "
+            "vocabulary repro.vmpi.trace.PHASES — trace lanes, the flight "
+            "recorder's spans, and the measured-vs-modeled attribution join on "
             "these names, so a drifted literal silently drops time from "
             "every report; add it to PHASES or fix the spelling",
         )

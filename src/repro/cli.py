@@ -632,18 +632,18 @@ def _driver_parser(prog: str, description: str) -> argparse.ArgumentParser:
 
 
 def prof_main(argv: Sequence[str] | None = None) -> int:
-    """``repro prof``: run an mp driver with the span profiler armed.
+    """``repro prof``: run an mp driver and render where its time went.
 
     Runs the parameter file's request on the process-parallel layer
-    with ``CommConfig(profile=True)`` and renders the gathered
-    :class:`~repro.observability.profile.RunProfile`: ``--trace-out``
+    with the default config and renders the flight rings every rank
+    ships home as a :class:`~repro.observability.profile.RunProfile`:
+    ``--trace-out``
     writes Chrome ``trace_event`` JSON (one lane per rank, spans nested
     sweep > phase > kernel/collective), ``--metrics-out`` per-rank
     metrics JSON, ``--timeline`` a per-rank ASCII timeline, and
     ``--report`` prices the same request on the simulated machine and
     prints the measured-vs-modeled attribution per phase (see
-    :mod:`repro.analysis.attribution`).  Profiled runs are
-    bit-identical to unprofiled ones.  The renderers are imported
+    :mod:`repro.analysis.attribution`).  The renderers are imported
     lazily: they pull in the analysis stack.
     """
     parser = _driver_parser(
@@ -677,20 +677,19 @@ def prof_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.observability.profile import RunProfile, validate_chrome_trace
-    from repro.vmpi.mp_comm import CommConfig
 
     request = _read_request(
         ParameterFile.from_path(args.parameter_file), args.driver
     )
     sink: dict[int, object] = {}
-    _run_mp(request, comm_config=CommConfig(profile=True), profile_out=sink)
+    _run_mp(request, profile_out=sink)
     profile = RunProfile.from_ranks(sink)
 
     spans = sum(len(p.spans) for p in profile.ranks)
     dropped = sum(p.dropped for p in profile.ranks)
     print(
         f"Profiled {profile.size} ranks: {spans} spans"
-        + (f" ({dropped} dropped at capacity)" if dropped else "")
+        + (f" ({dropped} events dropped off the ring)" if dropped else "")
     )
     if args.trace_out is not None:
         trace = profile.chrome_trace()
@@ -770,9 +769,7 @@ def top_main(argv: Sequence[str] | None = None) -> int:
         ParameterFile.from_path(args.parameter_file), args.driver
     )
     monitor = TelemetryMonitor()
-    # profile=True arms each rank's metrics registry, whose snapshot
-    # rides every heartbeat.
-    cfg = CommConfig(profile=True, telemetry_interval=args.interval)
+    cfg = CommConfig(telemetry_interval=args.interval)
     outcome: dict[str, BaseException] = {}
 
     def _drive() -> None:

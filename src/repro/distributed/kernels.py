@@ -318,10 +318,10 @@ def dist_core_analysis_cost(core: DistTensor) -> None:
 class _comm_phase:
     """Tag collectives issued in this block with an algorithm phase.
 
-    With ``CommConfig(profile=True)`` the block is additionally
-    bracketed by a phase-category span, so the profiler's timeline
-    mirrors the trace's phase attribution with zero extra plumbing at
-    the call sites."""
+    With the flight recorder on (the default) the block is also
+    bracketed by a phase-category span, the one record of the phase, so
+    the recorder's timeline mirrors the trace's phase attribution with
+    zero extra plumbing at the call sites."""
 
     def __init__(self, comm: ProcessComm, phase: str) -> None:
         self._comm = comm
@@ -331,12 +331,12 @@ class _comm_phase:
     def __enter__(self) -> None:
         self._prev = self._comm.phase
         self._comm.phase = self._phase
-        if self._comm.profiler is not None:
-            self._comm.profiler.begin(self._phase, "phase", self._phase)
+        if self._comm.flight is not None:
+            self._comm.flight.begin(self._phase, "phase", self._phase)
 
     def __exit__(self, *exc: object) -> None:
-        if self._comm.profiler is not None:
-            self._comm.profiler.end()
+        if self._comm.flight is not None:
+            self._comm.flight.end()
         self._comm.phase = self._prev
 
 
@@ -382,18 +382,18 @@ def mp_ttm(
     grid = layout.grid
     group = tuple(grid.mode_comm_ranks(mode, coords))
     a, b = layout.bounds[mode][coords[mode]]
-    prof = comm.profiler
-    if prof is not None:
+    fr = comm.flight
+    if fr is not None:
         # GEMM (r x local_n) @ (local_n x rest): local_n*rest = block.size.
-        prof.metrics.inc("ttm_flops", 2.0 * u.shape[1] * block.size)
-        prof.begin("ttm:gemm", "kernel", phase)
+        fr.metrics.inc("ttm_flops", 2.0 * u.shape[1] * block.size)
+        fr.begin("ttm:gemm", "kernel", phase)
     # Contiguous row slice, transposed inside the kernel: u[a:b] is a
     # zero-copy C-contiguous view and BLAS consumes the transpose
     # natively, whereas spelling it u.T[:, a:b] hands the GEMM a
     # column-strided operand.  Same values, same bits (parity-fuzzed).
     partial = ttm(block, u[a:b], mode, transpose=True)
-    if prof is not None:
-        prof.end()
+    if fr is not None:
+        fr.end()
     with _comm_phase(comm, phase):
         out = comm.reduce_scatter(partial, axis=mode, group=group)
     new_shape = list(layout.shape)
@@ -420,11 +420,11 @@ def mp_gram(
     grid = layout.grid
     group = tuple(grid.mode_comm_ranks(mode, coords))
     n = layout.shape[mode]
-    prof = comm.profiler
+    fr = comm.flight
     with _comm_phase(comm, phase):
         full_mode = comm.allgather(block, axis=mode, group=group)
-        if prof is not None:
-            prof.begin("gram:local", "kernel", phase)
+        if fr is not None:
+            fr.begin("gram:local", "kernel", phase)
         if coords[mode] == 0:
             # Shared GEMM kernel (repro.kernels via ops.gram): the same
             # local Gram every execution layer computes, so the layers
@@ -432,8 +432,8 @@ def mp_gram(
             local_gram = gram(full_mode, mode)
         else:
             local_gram = _zeros_contribution((n, n), block.dtype)
-        if prof is not None:
-            prof.end()
+        if fr is not None:
+            fr.end()
         g = comm.allreduce(local_gram)
     # In-place symmetrize: one internal buffer for the aliased add
     # instead of two explicit n x n temporaries.  The allreduce output
@@ -477,7 +477,7 @@ def mp_subspace_llsv(
         raise ValueError(f"rank {rank} exceeds subspace width {width}")
 
     q = u_prev
-    prof = comm.profiler
+    fr = comm.flight
     for _ in range(n_iters):
         g_block, _ = mp_ttm(
             comm, block, layout, coords, q, mode, phase=phase
@@ -485,20 +485,20 @@ def mp_subspace_llsv(
         with _comm_phase(comm, phase):
             y_full = comm.allgather(block, axis=mode, group=group)
             g_full = comm.allgather(g_block, axis=mode, group=group)
-            if prof is not None:
-                prof.begin("llsv:contract", "kernel", phase)
+            if fr is not None:
+                fr.begin("llsv:contract", "kernel", phase)
             if coords[mode] == 0:
                 z_local = contract_all_but_mode(y_full, g_full, mode)
             else:
                 z_local = _zeros_contribution((n, width), block.dtype)
-            if prof is not None:
-                prof.end()
+            if fr is not None:
+                fr.end()
             z = comm.allreduce(z_local)
-        if prof is not None:
-            prof.begin("llsv:qrcp", "kernel", phase)
+        if fr is not None:
+            fr.begin("llsv:qrcp", "kernel", phase)
         q, _, _ = qrcp(z)
-        if prof is not None:
-            prof.end()
+        if fr is not None:
+            fr.end()
     return np.ascontiguousarray(q[:, :rank])
 
 
@@ -514,12 +514,12 @@ def mp_gram_evd_llsv(
 ) -> np.ndarray:
     """Rank-specified Gram+EVD LLSV on real blocks (replicated EVD)."""
     g = mp_gram(comm, block, layout, coords, mode, phase=phase)
-    prof = comm.profiler
-    if prof is not None:
-        prof.begin("llsv:evd", "kernel", phase)
+    fr = comm.flight
+    if fr is not None:
+        fr.begin("llsv:evd", "kernel", phase)
     _, vecs = gram_evd(g)
-    if prof is not None:
-        prof.end()
+    if fr is not None:
+        fr.end()
     return np.ascontiguousarray(vecs[:, :rank])
 
 
@@ -540,12 +540,12 @@ def mp_gather_core(
         gathered = comm.gather(block, root=root)
     if comm.rank != root:
         return None
-    prof = comm.profiler
-    if prof is not None:
-        prof.begin("core:assemble", "kernel", phase)
+    fr = comm.flight
+    if fr is not None:
+        fr.begin("core:assemble", "kernel", phase)
     core = np.empty(layout.shape, dtype=block.dtype)
     for rank_id, piece in enumerate(gathered):
         core[layout.local_slices(grid.coords(rank_id))] = piece
-    if prof is not None:
-        prof.end()
+    if fr is not None:
+        fr.end()
     return core

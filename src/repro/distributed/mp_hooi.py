@@ -61,7 +61,6 @@ from repro.distributed.checkpoint import (
     SweepCheckpoint,
     decode_history,
     encode_history,
-    tensor_digest,
 )
 from repro.distributed.kernels import (
     check_factor_orthogonality,
@@ -71,7 +70,12 @@ from repro.distributed.kernels import (
     mp_ttm,
 )
 from repro.distributed.layout import BlockLayout
-from repro.distributed.recovery import run_elastic
+from repro.distributed.recovery import (
+    prepare_resume,
+    run_elastic,
+    save_checkpoint,
+    scatter_blocks,
+)
 from repro.linalg.llsv import LLSVMethod
 from repro.tensor.dense import tensor_norm
 from repro.tensor.random import random_orthonormal
@@ -267,14 +271,15 @@ SPMDTreeEngine`, but each state carries a *signature* identifying the
         self._cache.clear()
 
 
-def _stamp_engine_metrics(prof, engine: MPTreeEngine) -> None:
+def _stamp_engine_metrics(comm: ProcessComm, engine: MPTreeEngine) -> None:
     """End-of-program gauges: the engine's lifetime TTM/cache counters."""
-    prof.metrics.gauge("ttm_count", float(engine.ttm_count))
-    prof.metrics.gauge("cache_hits", float(engine.cache_hits))
-    prof.metrics.gauge("cache_misses", float(engine.cache_misses))
-    prof.metrics.gauge(
-        "cache_evictions", float(engine.cache_evictions)
-    )
+    if comm.flight is None:
+        return
+    metrics = comm.flight.metrics
+    metrics.gauge("ttm_count", float(engine.ttm_count))
+    metrics.gauge("cache_hits", float(engine.cache_hits))
+    metrics.gauge("cache_misses", float(engine.cache_misses))
+    metrics.gauge("cache_evictions", float(engine.cache_evictions))
 
 
 def _direct_sweep(engine: MPTreeEngine, state: MPState, d: int) -> None:
@@ -295,9 +300,9 @@ class MPHooiStats:
     outer iteration — certified in the tests against
     :func:`repro.analysis.costs.hooi_ttm_count` (the core-forming TTM
     appears only in the final entry).  ``trace`` is rank 0's
-    phase-tagged collective trace.  ``profile`` is the gathered
-    :class:`~repro.observability.profile.RunProfile` when the run was
-    launched with ``CommConfig(profile=True)``, else ``None``.
+    phase-tagged collective trace.  ``profile`` is the
+    :class:`~repro.observability.profile.RunProfile` of the gathered
+    flight rings, or ``None`` with ``CommConfig(flight=False)``.
     """
 
     per_iteration_ttms: list[int] = field(default_factory=list)
@@ -328,16 +333,6 @@ class MPRankAdaptiveStats:
     profile: object | None = None
     #: one entry per in-run recovery episode (elastic policies only).
     recovery_events: list = field(default_factory=list)
-
-
-def _gather_run_profile(profiles: dict[int, object]):
-    """Assemble ``run_spmd``'s profile_out dict into a RunProfile
-    (lazy import: observability is only loaded on profiled runs)."""
-    if not profiles:
-        return None
-    from repro.observability.profile import RunProfile
-
-    return RunProfile.from_ranks(profiles)
 
 
 def _hooi_rank_program(
@@ -427,11 +422,11 @@ def _hooi_rank_program(
         # crash inside the very first sweep must also be recoverable.
         mgr.replicate(_boundary_ck(start_it))
     state: MPState = (x_block, x_layout, ())
-    prof = comm.profiler
+    fr = comm.flight
     for it in range(start_it, max_iters):
         comm.note_progress(iteration=it + 1, total=max_iters)
-        if prof is not None:
-            prof.begin(f"sweep {it + 1}", "sweep")
+        if fr is not None:
+            fr.begin(f"sweep {it + 1}", "sweep")
         # The core feeds nothing until the run ends, so the trailing
         # TTM runs exactly once, after the final sweep.
         engine.form_core_enabled = it == max_iters - 1
@@ -448,21 +443,13 @@ def _hooi_rank_program(
             and comm.rank == 0
             and it + 1 < max_iters
         ):
-            if prof is not None:
-                prof.begin("checkpoint", "kernel")
-            _boundary_ck(it + 1).save(checkpoint_path)
-            comm.note_event("checkpoint", {"iteration": it + 1})
-            if prof is not None:
-                prof.metrics.observe(
-                    "checkpoint_write_seconds", prof.end()
-                )
-        if prof is not None:
-            prof.end()
+            save_checkpoint(comm, _boundary_ck(it + 1), checkpoint_path)
+        if fr is not None:
+            fr.end()
 
     assert engine.core_state is not None
     core = mp_gather_core(comm, *engine.core_state)
-    if prof is not None:
-        _stamp_engine_metrics(prof, engine)
+    _stamp_engine_metrics(comm, engine)
     stats = {
         "per_iteration_ttms": per_iter,
         "cache_hits": engine.cache_hits,
@@ -486,54 +473,6 @@ def _llsv_is_subspace(method: LLSVMethod) -> bool:
             "process-parallel HOOI supports GRAM_EVD or SUBSPACE kernels"
         )
     return method is LLSVMethod.SUBSPACE
-
-
-def _prepare_resume(
-    algorithm: str,
-    x: np.ndarray,
-    grid: ProcessorGrid,
-    resume_from: str | SweepCheckpoint | None,
-    checkpoint_path: str | None,
-    *,
-    max_iters: int,
-) -> tuple[SweepCheckpoint | None, str]:
-    """Load/validate a resume checkpoint; digest ``x`` when needed.
-
-    The digest is only computed when checkpointing or resuming is
-    requested — plain runs must not pay a full pass over ``x``.
-    """
-    if resume_from is None and checkpoint_path is None:
-        return None, ""
-    x_dig = tensor_digest(x)
-    if resume_from is None:
-        return None, x_dig
-    resume = (
-        resume_from
-        if isinstance(resume_from, SweepCheckpoint)
-        else SweepCheckpoint.load(resume_from)
-    )
-    resume.validate_resume(
-        algorithm=algorithm,
-        shape=tuple(x.shape),
-        grid_dims=tuple(grid.dims),
-        x_digest=x_dig,
-    )
-    if resume.iteration >= max_iters:
-        raise CheckpointError(
-            f"checkpoint already covers {resume.iteration} iterations; "
-            f"max_iters={max_iters} leaves nothing to resume"
-        )
-    return resume, x_dig
-
-
-def _scatter_blocks(
-    x: np.ndarray, grid: ProcessorGrid
-) -> list[np.ndarray]:
-    layout = BlockLayout(x.shape, grid)
-    return [
-        np.ascontiguousarray(x[layout.local_slices(coords)])
-        for _, coords in grid.iter_ranks()
-    ]
 
 
 def mp_hooi_dt(
@@ -570,9 +509,10 @@ def mp_hooi_dt(
     non-final iteration; ``resume_from`` (a path or loaded checkpoint)
     restarts from one, bit-identically to an uninterrupted run.
     ``orthogonality_tol`` enables the per-update factor drift guard.
-    With ``comm_config.profile``, ``stats.profile`` carries the
-    gathered :class:`~repro.observability.profile.RunProfile` (and
-    ``profile_out``, when given, the raw per-rank profiles).
+    With the flight recorder on (the default), ``stats.profile`` views
+    the gathered rings as a
+    :class:`~repro.observability.profile.RunProfile` (and
+    ``profile_out``, when given, receives the rings themselves).
     """
     options = options or HOOIOptions()
     ranks = check_ranks(x.shape, ranks)
@@ -581,7 +521,7 @@ def mp_hooi_dt(
         raise ValueError(f"{x.ndim}-way tensor needs a {x.ndim}-way grid")
     subspace = _llsv_is_subspace(options.llsv_method)
 
-    resume, x_dig = _prepare_resume(
+    resume, x_dig = prepare_resume(
         "mp_hooi_dt",
         x,
         grid,
@@ -595,12 +535,12 @@ def mp_hooi_dt(
             f"ranks {tuple(ranks)}"
         )
 
-    prof_sink: dict[int, object] = {}
+    rings: dict[int, object] = {}
     events: list = []
     outs = run_elastic(
         _hooi_dispatch,
         grid.size,
-        _scatter_blocks(x, grid),
+        scatter_blocks(x, grid),
         tuple(grid.dims),
         tuple(x.shape),
         tuple(ranks),
@@ -619,14 +559,17 @@ def mp_hooi_dt(
         transport=transport,
         config=comm_config,
         collective_timeout=collective_timeout,
-        profile_out=prof_sink,
+        profile_out=rings,
         events_out=events,
         monitor=monitor,
     )
     if profile_out is not None:
-        profile_out.update(prof_sink)
+        profile_out.update(rings)
     core, factors, st = outs[0]
     assert core is not None and factors is not None
+    # Imported here: the renderers stay out of `import repro`.
+    from repro.observability.profile import RunProfile
+
     stats = MPHooiStats(
         per_iteration_ttms=st["per_iteration_ttms"],
         cache_hits=st["cache_hits"],
@@ -634,7 +577,7 @@ def mp_hooi_dt(
         used_tree=st["used_tree"],
         rule=st["rule"],
         trace=st["trace"],
-        profile=_gather_run_profile(prof_sink),
+        profile=RunProfile.from_ranks(rings) if rings else None,
         recovery_events=events,
     )
     return TuckerTensor(core=core, factors=factors), stats
@@ -747,11 +690,11 @@ def _rahosi_rank_program(
         # crash inside the very first sweep must also be recoverable.
         mgr.replicate(_boundary_ck(start_it))
     state: MPState = (x_block, x_layout, ())
-    prof = comm.profiler
+    fr = comm.flight
     for it in range(start_it + 1, opts.max_iters + 1):
         comm.note_progress(iteration=it, total=opts.max_iters, ranks=ranks)
-        if prof is not None:
-            prof.begin(f"sweep {it}", "sweep")
+        if fr is not None:
+            fr.begin(f"sweep {it}", "sweep")
         t0 = time.perf_counter()
         before = engine.ttm_count
         # Alg. 3 consumes the core every iteration (norm-identity error
@@ -848,8 +791,8 @@ def _rahosi_rank_program(
             ranks = new_ranks
             engine.reset_factors(factors, ranks)
             if opts.stop_at_threshold:
-                if prof is not None:
-                    prof.end()
+                if fr is not None:
+                    fr.end()
                 break
         else:
             if comm.rank == 0:
@@ -872,16 +815,9 @@ def _rahosi_rank_program(
                     # the expand_factor draws.
                     mgr.replicate(_boundary_ck(it))
                 if checkpoint_path is not None and comm.rank == 0:
-                    if prof is not None:
-                        prof.begin("checkpoint", "kernel")
-                    _boundary_ck(it).save(checkpoint_path)
-                    comm.note_event("checkpoint", {"iteration": it})
-                    if prof is not None:
-                        prof.metrics.observe(
-                            "checkpoint_write_seconds", prof.end()
-                        )
-        if prof is not None:
-            prof.end()
+                    save_checkpoint(comm, _boundary_ck(it), checkpoint_path)
+        if fr is not None:
+            fr.end()
 
     if result_core is None and comm.rank == 0:
         # Budget never met within max_iters; return the last iterate.
@@ -889,8 +825,7 @@ def _rahosi_rank_program(
         result_core = core
         result_factors = list(factors)
 
-    if prof is not None:
-        _stamp_engine_metrics(prof, engine)
+    _stamp_engine_metrics(comm, engine)
     stats = {
         "x_norm": x_norm,
         "history": history,
@@ -956,7 +891,7 @@ def mp_rahosi_dt(
         raise ValueError(f"{x.ndim}-way tensor needs a {x.ndim}-way grid")
     _llsv_is_subspace(options.llsv_method)
 
-    resume, x_dig = _prepare_resume(
+    resume, x_dig = prepare_resume(
         "mp_rahosi_dt",
         x,
         grid,
@@ -965,12 +900,12 @@ def mp_rahosi_dt(
         max_iters=options.max_iters,
     )
 
-    prof_sink: dict[int, object] = {}
+    rings: dict[int, object] = {}
     events: list = []
     outs = run_elastic(
         _rahosi_dispatch,
         grid.size,
-        _scatter_blocks(x, grid),
+        scatter_blocks(x, grid),
         tuple(grid.dims),
         tuple(x.shape),
         tuple(init_ranks),
@@ -987,14 +922,17 @@ def mp_rahosi_dt(
         transport=transport,
         config=comm_config,
         collective_timeout=collective_timeout,
-        profile_out=prof_sink,
+        profile_out=rings,
         events_out=events,
         monitor=monitor,
     )
     if profile_out is not None:
-        profile_out.update(prof_sink)
+        profile_out.update(rings)
     core, factors, st = outs[0]
     assert core is not None and factors is not None
+    # Imported here: the renderers stay out of `import repro`.
+    from repro.observability.profile import RunProfile
+
     stats = MPRankAdaptiveStats(
         x_norm=st["x_norm"],
         history=st["history"],
@@ -1006,7 +944,7 @@ def mp_rahosi_dt(
         used_tree=st["used_tree"],
         rule=st["rule"],
         trace=st["trace"],
-        profile=_gather_run_profile(prof_sink),
+        profile=RunProfile.from_ranks(rings) if rings else None,
         recovery_events=events,
     )
     return TuckerTensor(core=core, factors=factors), stats

@@ -16,9 +16,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.errors import CheckpointError
 from repro.core.tucker import TuckerTensor
-from repro.distributed.checkpoint import SweepCheckpoint, tensor_digest
+from repro.distributed.checkpoint import SweepCheckpoint
 from repro.distributed.kernels import (
     check_factor_orthogonality,
     mp_gather_core,
@@ -28,7 +27,12 @@ from repro.distributed.kernels import (
 from repro.distributed.layout import BlockLayout
 from repro.linalg.evd import gram_evd, rank_from_spectrum
 from repro.tensor.validation import check_ranks
-from repro.distributed.recovery import run_elastic
+from repro.distributed.recovery import (
+    prepare_resume,
+    run_elastic,
+    save_checkpoint,
+    scatter_blocks,
+)
 from repro.vmpi.grid import ProcessorGrid
 from repro.vmpi.mp_comm import CommConfig, ProcessComm
 
@@ -87,24 +91,24 @@ def _rank_program(
         # Starting-point snapshot (mode 0 or the resume point): a
         # crash inside the very first mode must also be recoverable.
         mgr.replicate(_boundary_ck(start_mode))
-    prof = comm.profiler
+    fr = comm.flight
     for mode in range(start_mode, len(shape)):
         comm.note_progress(
             mode=mode,
             total=len(shape),
             ranks=tuple(f.shape[1] for f in factors),
         )
-        if prof is not None:
+        if fr is not None:
             # STHOSVD's outer loop is its "sweep": one pass per mode.
-            prof.begin(f"mode {mode}", "sweep")
+            fr.begin(f"mode {mode}", "sweep")
         # --- parallel Gram (allgather + coord-0 local Gram + allreduce)
         # and replicated EVD + rank choice (every rank identical).
         g = mp_gram(comm, block, layout, coords, mode, phase="gram")
-        if prof is not None:
-            prof.begin("gram:evd", "kernel", "gram")
+        if fr is not None:
+            fr.begin("gram:evd", "kernel", "gram")
         sq_vals, vecs = gram_evd(g)
-        if prof is not None:
-            prof.end()
+        if fr is not None:
+            fr.end()
         if ranks is not None:
             r = ranks[mode]
         else:
@@ -133,16 +137,9 @@ def _rank_program(
             and comm.rank == 0
             and mode + 1 < len(shape)
         ):
-            if prof is not None:
-                prof.begin("checkpoint", "kernel")
-            _boundary_ck(mode + 1).save(checkpoint_path)
-            comm.note_event("checkpoint", {"mode": mode + 1})
-            if prof is not None:
-                prof.metrics.observe(
-                    "checkpoint_write_seconds", prof.end()
-                )
-        if prof is not None:
-            prof.end()
+            save_checkpoint(comm, _boundary_ck(mode + 1), checkpoint_path)
+        if fr is not None:
+            fr.end()
 
     # --- gather the core blocks at rank 0.
     core = mp_gather_core(comm, block, layout)
@@ -183,9 +180,9 @@ def mp_sthosvd(
     :class:`~repro.distributed.checkpoint.SweepCheckpoint` after every
     non-final mode; ``resume_from`` restarts from one, bit-identically
     to an uninterrupted run.  ``orthogonality_tol`` enables the
-    per-mode factor drift guard.  With ``comm_config.profile``,
-    ``profile_out`` receives each rank's
-    :class:`~repro.observability.spans.RankProfile`.  ``monitor``
+    per-mode factor drift guard.  With the flight recorder on (the
+    default), ``profile_out`` receives each rank's
+    :class:`~repro.observability.telemetry.FlightRing`.  ``monitor``
     attaches a live telemetry monitor
     (:class:`~repro.observability.telemetry.TelemetryMonitor`): ranks
     publish per-mode progress out of band while the sweep runs.
@@ -203,41 +200,16 @@ def mp_sthosvd(
         else (eps * float(np.linalg.norm(x.ravel()))) ** 2 / x.ndim
     )
 
-    resume: SweepCheckpoint | None = None
-    x_dig = ""
-    if resume_from is not None or checkpoint_path is not None:
-        x_dig = tensor_digest(x)
-    if resume_from is not None:
-        resume = (
-            resume_from
-            if isinstance(resume_from, SweepCheckpoint)
-            else SweepCheckpoint.load(resume_from)
-        )
-        resume.validate_resume(
-            algorithm="mp_sthosvd",
-            shape=tuple(x.shape),
-            grid_dims=tuple(grid.dims),
-            x_digest=x_dig,
-        )
-        if resume.iteration >= x.ndim:
-            raise CheckpointError(
-                f"checkpoint already covers all {resume.iteration} "
-                "modes; nothing to resume"
-            )
-
-    layout = BlockLayout(x.shape, grid)
-    # Scatter: per-rank blocks are passed as each worker's argument.
-    blocks = [
-        np.ascontiguousarray(x[layout.local_slices(coords)])
-        for _, coords in grid.iter_ranks()
-    ]
+    resume, x_dig = prepare_resume(
+        "mp_sthosvd", x, grid, resume_from, checkpoint_path, max_iters=x.ndim
+    )
 
     # run_spmd passes identical *args to every rank; blocks differ per
     # rank, so wrap the program to index by comm.rank.
     outs = run_elastic(
         _dispatch,
         grid.size,
-        blocks,
+        scatter_blocks(x, grid),
         tuple(grid.dims),
         tuple(x.shape),
         None if ranks is None else tuple(ranks),

@@ -52,6 +52,12 @@ iteration-0 snapshot taken before the first sweep, so a crash in
 sweep 1 is also covered) and produces factors bit-identical to an
 unfailed run — certified by ``tests/test_recovery.py`` against the
 PR-3 fault matrix on both wires.
+
+Since every mp driver launches through :func:`run_elastic`, this module
+also holds the launch helpers the three drivers share:
+:func:`prepare_resume` (load and check a resume checkpoint),
+:func:`scatter_blocks` (the per-rank input blocks) and
+:func:`save_checkpoint` (rank 0's timed disk checkpoint write).
 """
 
 from __future__ import annotations
@@ -60,9 +66,15 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from repro.distributed.checkpoint import SweepCheckpoint
+import numpy as np
+
+from repro.core.errors import CheckpointError
+from repro.distributed.checkpoint import SweepCheckpoint, tensor_digest
+from repro.distributed.layout import BlockLayout
+from repro.vmpi.grid import ProcessorGrid
 from repro.vmpi.mp_comm import (
     CommConfig,
+    ProcessComm,
     RankFailureError,
     _flight_snapshot,
     run_spmd,
@@ -75,7 +87,10 @@ from repro.vmpi.transport import (
 __all__ = [
     "RecoveryEvent",
     "RecoveryManager",
+    "prepare_resume",
     "run_elastic",
+    "save_checkpoint",
+    "scatter_blocks",
 ]
 
 #: Tag kinds of the recovery control plane.  They ride the raw
@@ -146,10 +161,9 @@ class RecoveryManager:
         t = comm._t
         self._seq += 1
         tag = (_BUDDY_TAG, self._seq)
-        prof = comm.profiler
-        if prof is not None:
-            prof.begin("buddy_replicate", "kernel", phase="buddy_replicate")
-        t0 = time.perf_counter()
+        fr = comm.flight
+        if fr is not None:
+            fr.begin("buddy_replicate", "kernel", phase="buddy_replicate")
         try:
             payload = ck.to_bytes()
             t._post(self.buddy, tag, payload)
@@ -159,16 +173,9 @@ class RecoveryManager:
             self.own_bytes = payload
             self.replica_bytes = blob
             self.iteration = int(ck.iteration)
-            comm.note_event(
-                "replicate",
-                {"iteration": self.iteration, "buddy": self.buddy},
-            )
         finally:
-            if prof is not None:
-                prof.end()
-                prof.metrics.observe(
-                    "buddy_replicate_seconds", time.perf_counter() - t0
-                )
+            if fr is not None:
+                fr.metrics.observe("buddy_replicate_seconds", fr.end())
 
     # -- revoke and agree ---------------------------------------------------
 
@@ -184,9 +191,9 @@ class RecoveryManager:
         t = comm._t
         t0 = time.perf_counter()
         comm.note_event("recovery", repr(exc)[:120])
-        prof = comm.profiler
-        if prof is not None:
-            prof.begin("recovery", "phase", phase="recovery")
+        fr = comm.flight
+        if fr is not None:
+            fr.begin("recovery", "phase", phase="recovery")
         suspects: set[int] = set(getattr(exc, "failed_hint", ()) or ())
         suspects |= set(getattr(t, "_gone", ()))
         suspects |= set(t.revoked_hint)
@@ -201,13 +208,13 @@ class RecoveryManager:
         suspects |= set(t.revoked_hint)
         suspects.discard(comm.rank)
         t_agree = time.perf_counter()
-        if prof is not None:
-            prof.begin("agree", "phase", phase="agree")
+        if fr is not None:
+            fr.begin("agree", "phase", phase="agree")
         try:
             agreed = self._agree(suspects)
         finally:
-            if prof is not None:
-                prof.end()
+            if fr is not None:
+                fr.end()
         agree_seconds = time.perf_counter() - t_agree
         report = {
             "rank": comm.rank,
@@ -219,14 +226,9 @@ class RecoveryManager:
             "error": repr(exc),
             "agree_seconds": agree_seconds,
         }
-        if prof is not None:
-            prof.end()
-            prof.metrics.observe("recovery_agree_seconds", agree_seconds)
-            prof.metrics.observe(
-                "recovery_seconds", time.perf_counter() - t0
-            )
-            prof.finalize_transport(t)
-            report["profile"] = prof.rank_profile()
+        if fr is not None:
+            fr.metrics.observe("recovery_agree_seconds", agree_seconds)
+            fr.metrics.observe("recovery_seconds", fr.end())
         report["flight"] = _flight_snapshot(comm)
         report["recovery_seconds"] = time.perf_counter() - t0
         return report
@@ -265,8 +267,72 @@ class RecoveryManager:
 
 
 # ---------------------------------------------------------------------------
-# the orchestrator
+# the orchestrator and the drivers' launch helpers
 # ---------------------------------------------------------------------------
+
+
+def prepare_resume(
+    algorithm: str,
+    x: np.ndarray,
+    grid: ProcessorGrid,
+    resume_from: str | SweepCheckpoint | None,
+    checkpoint_path: str | None,
+    *,
+    max_iters: int,
+) -> tuple[SweepCheckpoint | None, str]:
+    """Load/validate a resume checkpoint; digest ``x`` when needed.
+
+    ``max_iters`` is the driver's number of checkpoint boundaries (outer
+    iterations, or modes for STHOSVD); a checkpoint that already covers
+    them leaves nothing to resume.  The digest is only computed when
+    checkpointing or resuming is requested — plain runs must not pay a
+    full pass over ``x``.
+    """
+    if resume_from is None and checkpoint_path is None:
+        return None, ""
+    x_dig = tensor_digest(x)
+    if resume_from is None:
+        return None, x_dig
+    resume = (
+        resume_from
+        if isinstance(resume_from, SweepCheckpoint)
+        else SweepCheckpoint.load(resume_from)
+    )
+    resume.validate_resume(
+        algorithm=algorithm,
+        shape=tuple(x.shape),
+        grid_dims=tuple(grid.dims),
+        x_digest=x_dig,
+    )
+    if resume.iteration >= max_iters:
+        raise CheckpointError(
+            f"checkpoint already covers {resume.iteration} iterations; "
+            f"max_iters={max_iters} leaves nothing to resume"
+        )
+    return resume, x_dig
+
+
+def scatter_blocks(x: np.ndarray, grid: ProcessorGrid) -> list[np.ndarray]:
+    """Every rank's block of ``x``, in rank order (each worker indexes
+    its own by ``comm.rank``)."""
+    layout = BlockLayout(x.shape, grid)
+    return [
+        np.ascontiguousarray(x[layout.local_slices(coords)])
+        for _, coords in grid.iter_ranks()
+    ]
+
+
+def save_checkpoint(
+    comm: ProcessComm, ck: SweepCheckpoint, path: str
+) -> None:
+    """Write ``ck`` to ``path`` as a ``checkpoint`` kernel span, timed
+    into the ``checkpoint_write_seconds`` histogram."""
+    fr = comm.flight
+    if fr is not None:
+        fr.begin("checkpoint", "kernel")
+    ck.save(path)
+    if fr is not None:
+        fr.metrics.observe("checkpoint_write_seconds", fr.end())
 
 
 def _pick_snapshot(

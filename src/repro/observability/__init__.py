@@ -1,16 +1,18 @@
 """Measured-time observability for the process-parallel layer.
 
-The span profiler and metrics registry (:mod:`.spans`) record where
-wall-clock actually goes on a live mp run; :mod:`.profile` gathers the
-per-rank snapshots into a :class:`RunProfile` with Chrome-trace,
-metrics-JSON, and ASCII renderers.  Armed via
-``CommConfig(profile=True)``; zero cost when off.  The
-model-vs-measured join lives in :mod:`repro.analysis.attribution`.
+Every rank keeps one recorder, the
+:class:`~repro.observability.telemetry.FlightRecorder`: a bounded ring
+of structured events (collectives, sweep/phase/kernel spans,
+checkpoints, recovery steps) plus a metrics registry (:mod:`.spans`).
+It is on by default; ``CommConfig(flight=False)`` is the only off
+switch.  :mod:`.profile` views the rings ``run_spmd`` gathers as a
+:class:`RunProfile` with Chrome-trace, metrics-JSON, and ASCII
+renderers; the model-vs-measured join lives in
+:mod:`repro.analysis.attribution`.
 
-:mod:`.telemetry` covers the runs that never reach clean shutdown:
-the always-on :class:`FlightRecorder` ring (on even when profiling is
-off), the live out-of-band telemetry channel
-(:class:`TelemetryMonitor` + ``repro top``), and the causal
+:mod:`.telemetry` also covers the runs that never reach clean
+shutdown: the live out-of-band telemetry channel
+(:class:`TelemetryMonitor` + ``repro top``) and the causal
 :class:`Postmortem` timelines merged from all rank rings on failure.
 """
 
@@ -19,9 +21,7 @@ from repro.observability.spans import (
     SPAN_CATEGORIES,
     Histogram,
     MetricsRegistry,
-    RankProfile,
     Span,
-    SpanProfiler,
 )
 from repro.observability.telemetry import (
     FlightRecorder,
@@ -41,10 +41,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Postmortem",
-    "RankProfile",
     "RunProfile",
     "Span",
-    "SpanProfiler",
     "TelemetryMonitor",
     "TelemetryPusher",
     "build_postmortem",

@@ -1,8 +1,9 @@
 """Run-level profile artifact and its renderers.
 
-A :class:`RunProfile` assembles the per-rank
-:class:`~repro.observability.spans.RankProfile` snapshots gathered by
-``run_spmd`` into one artifact with three views:
+A :class:`RunProfile` is a view over the per-rank
+:class:`~repro.observability.telemetry.FlightRing` snapshots that
+``run_spmd`` gathers from every run with the flight recorder on (the
+default), with three renderers:
 
 ``chrome_trace()``
     Chrome ``trace_event`` JSON — one lane (``tid``) per rank, nested
@@ -24,36 +25,37 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.observability.spans import RankProfile, merge_intervals
+from repro.observability.spans import merge_intervals
+from repro.observability.telemetry import FlightRing
 from repro.vmpi.trace import render_lanes
 
 __all__ = ["RunProfile", "validate_chrome_trace"]
 
 
 class RunProfile:
-    """Profiles of every rank of one ``run_spmd`` launch."""
+    """Flight rings of every rank of one ``run_spmd`` launch.
 
-    def __init__(self, ranks: Iterable[RankProfile]) -> None:
-        self.ranks: list[RankProfile] = sorted(
-            ranks, key=lambda p: p.rank
-        )
+    Cheap to build: spans are rebuilt from the events only when a
+    renderer asks for them.
+    """
+
+    def __init__(self, ranks: Iterable[FlightRing]) -> None:
+        self.ranks: list[FlightRing] = sorted(ranks, key=lambda p: p.rank)
         if not self.ranks:
             raise ValueError("RunProfile needs at least one rank")
-        #: shared time origin: the earliest rank's profiler epoch.
+        #: shared time origin: the earliest rank's recorder epoch.
         self.wall_origin = min(p.wall_origin for p in self.ranks)
 
     @classmethod
-    def from_ranks(
-        cls, profiles: Mapping[int, RankProfile]
-    ) -> "RunProfile":
+    def from_ranks(cls, rings: Mapping[int, FlightRing]) -> "RunProfile":
         """From the ``profile_out`` dict ``run_spmd`` fills."""
-        return cls(profiles.values())
+        return cls(rings.values())
 
     @property
     def size(self) -> int:
         return len(self.ranks)
 
-    def shift(self, profile: RankProfile) -> float:
+    def shift(self, profile: FlightRing) -> float:
         """Seconds between the run origin and this rank's epoch."""
         return profile.wall_origin - self.wall_origin
 

@@ -1,35 +1,22 @@
-"""Per-rank span profiler and metrics registry for the mp layer.
+"""Span and metrics vocabulary of the per-rank flight recorder.
 
 The paper's evidence is per-phase time breakdowns (Figs. 2-9); the
-executed process-parallel layer previously recorded only collective
-*counts* (:class:`~repro.vmpi.trace.CommTrace`).  This module adds the
-measured-time side: a :class:`SpanProfiler` records nested spans —
-sweeps, algorithm phases, local kernels, and each collective — and a
-:class:`MetricsRegistry` accumulates per-rank counters, gauges, and
+executed process-parallel layer records the measured-time side in one
+event stream per rank,
+:class:`~repro.observability.telemetry.FlightRecorder`.  Its spans —
+sweeps, algorithm phases, local kernels, and each collective — are
+rebuilt from the ring's begin/end events as :class:`Span` records, and
+its :class:`MetricsRegistry` accumulates per-rank counters, gauges, and
 log-bucketed histograms (bytes moved, TTM flops, cache hits and
 evictions, checkpoint write time, collective wait-vs-transfer split).
 
-The design contract mirrors :class:`~repro.vmpi.faults.FaultPlan`:
-when ``CommConfig.profile`` is off no profiler object exists and every
-instrumented boundary pays exactly one ``is None`` test.  When on, a
-span costs two ``perf_counter`` reads and one list append; nothing on
-the payload path is touched, so profiled runs stay bit-identical to
-unprofiled runs.  The span buffer is capacity-bounded (a ring buffer
-that stops recording rather than wrapping, keeping the *earliest*
-spans, with a ``dropped`` count) so a runaway sweep cannot exhaust
-memory.
-
-Each worker ships its :class:`RankProfile` (a plain picklable
-snapshot) back through the result queue at shutdown; on rank failure
-the failure report carries the partial profile plus the innermost
-*open* span, so a hang or crash is attributable to a phase and a start
-timestamp, not just a collective index.
+Nothing here touches the payload path, so recorder-on runs stay
+bit-identical to ``CommConfig(flight=False)`` runs.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -37,9 +24,8 @@ __all__ = [
     "SPAN_CATEGORIES",
     "Histogram",
     "MetricsRegistry",
-    "RankProfile",
     "Span",
-    "SpanProfiler",
+    "merge_intervals",
 ]
 
 #: Nesting order of the instrumented layers, outermost first: driver
@@ -47,20 +33,16 @@ __all__ = [
 #: collectives.
 SPAN_CATEGORIES = ("sweep", "phase", "kernel", "collective")
 
-#: Span-buffer capacity per rank; once full, further spans are counted
-#: in ``RankProfile.dropped`` instead of recorded (metrics keep
-#: accumulating), bounding profiler memory.
-MAX_SPANS = 1 << 16
-
 
 @dataclass(frozen=True)
 class Span:
     """One finished span on one rank.
 
-    ``start`` is seconds since the rank's profiler epoch
-    (``perf_counter``-based, monotonic); :attr:`RankProfile.wall_origin`
-    maps the epoch to wall-clock time so lanes from different ranks can
-    be aligned on one axis.
+    ``start`` is seconds since the rank's recorder epoch
+    (``perf_counter``-based, monotonic);
+    :attr:`~repro.observability.telemetry.FlightRing.wall_origin` maps
+    the epoch to wall-clock time so lanes from different ranks can be
+    aligned on one axis.
     """
 
     name: str
@@ -191,52 +173,6 @@ class MetricsRegistry:
         }
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """Picklable snapshot of one rank's profiler at shutdown.
-
-    ``open_span`` is ``None`` after a clean shutdown; on the failure
-    path it names the innermost span still open when the rank died
-    (name, category, phase, start offset, wall-clock start, and how
-    long it had been open), which is what attributes a hang to a
-    phase.
-    """
-
-    rank: int
-    wall_origin: float
-    spans: tuple[Span, ...]
-    dropped: int
-    metrics: dict[str, Any]
-    open_span: dict[str, Any] | None = None
-
-    def by_category(self, category: str) -> list[Span]:
-        return [s for s in self.spans if s.category == category]
-
-    def phase_seconds(self) -> dict[str, float]:
-        """Measured seconds per phase, overlap-free.
-
-        Phase spans of the same phase can nest (a kernel helper opens
-        the phase its caller is already in), so per-phase time is the
-        length of the *union* of that phase's intervals, not the sum
-        of span durations.
-        """
-        out: dict[str, float] = {}
-        for phase, intervals in self.phase_intervals().items():
-            out[phase] = sum(end - start for start, end in intervals)
-        return out
-
-    def phase_intervals(self) -> dict[str, list[tuple[float, float]]]:
-        """Merged ``(start, end)`` intervals of each phase's spans, in
-        time order — one interval per executed phase instance."""
-        raw: dict[str, list[tuple[float, float]]] = {}
-        for s in self.spans:
-            if s.category == "phase":
-                raw.setdefault(s.name, []).append((s.start, s.end))
-        return {
-            phase: merge_intervals(ivs) for phase, ivs in raw.items()
-        }
-
-
 def merge_intervals(
     intervals: list[tuple[float, float]],
 ) -> list[tuple[float, float]]:
@@ -249,103 +185,3 @@ def merge_intervals(
         else:
             merged.append((start, end))
     return merged
-
-
-class SpanProfiler:
-    """Low-overhead nested span recorder for one rank.
-
-    ``begin``/``end`` bracket a span; nesting depth is the open-stack
-    height.  ``end`` returns the span's duration so call sites that
-    also want a histogram observation don't pay a third clock read.
-    """
-
-    __slots__ = (
-        "rank",
-        "capacity",
-        "metrics",
-        "spans",
-        "dropped",
-        "wall_origin",
-        "_origin",
-        "_stack",
-    )
-
-    def __init__(self, rank: int, capacity: int = MAX_SPANS) -> None:
-        self.rank = rank
-        self.capacity = capacity
-        self.metrics = MetricsRegistry()
-        self.spans: list[Span] = []
-        self.dropped = 0
-        self._stack: list[tuple[str, str, str, float]] = []
-        # Both clocks sampled back to back: perf_counter drives every
-        # span, wall time only anchors this rank's lane on the shared
-        # cross-rank axis.
-        self.wall_origin = time.time()
-        self._origin = time.perf_counter()
-
-    def begin(self, name: str, category: str, phase: str = "") -> None:
-        self._stack.append(
-            (name, category, phase, time.perf_counter())
-        )
-
-    def end(self) -> float:
-        name, category, phase, start = self._stack.pop()
-        now = time.perf_counter()
-        if len(self.spans) < self.capacity:
-            self.spans.append(
-                Span(
-                    name,
-                    category,
-                    phase,
-                    start - self._origin,
-                    now - start,
-                    len(self._stack),
-                )
-            )
-        else:
-            self.dropped += 1
-        return now - start
-
-    def open_span(self) -> dict[str, Any] | None:
-        """The innermost still-open span, or ``None``.
-
-        Used by the failure path: a rank that dies mid-span reports
-        what it was doing and since when (wall clock), so hangs are
-        attributable to a phase, not just a collective index.
-        """
-        if not self._stack:
-            return None
-        name, category, phase, start = self._stack[-1]
-        offset = start - self._origin
-        return {
-            "name": name,
-            "category": category,
-            "phase": phase,
-            "start": offset,
-            "wall_start": self.wall_origin + offset,
-            "open_for": time.perf_counter() - start,
-        }
-
-    def finalize_transport(self, channel: Any) -> None:
-        """Stamp the transport's lifetime byte/message counters as
-        gauges (the "bytes moved" metrics) before snapshotting."""
-        for name in (
-            "sent_messages",
-            "sent_bytes",
-            "recv_messages",
-            "recv_bytes",
-            "shm_messages",
-        ):
-            value = getattr(channel, name, None)
-            if value is not None:
-                self.metrics.gauge(name, float(value))
-
-    def rank_profile(self) -> RankProfile:
-        return RankProfile(
-            rank=self.rank,
-            wall_origin=self.wall_origin,
-            spans=tuple(self.spans),
-            dropped=self.dropped,
-            metrics=self.metrics.snapshot(),
-            open_span=self.open_span(),
-        )

@@ -1,23 +1,33 @@
-"""Always-on flight recorder, live telemetry streaming, and causal postmortems.
+"""Per-rank flight recorder, live telemetry streaming, and causal postmortems.
 
 Three cooperating pieces, NCCL-flight-recorder style:
 
 ``FlightRecorder``
-    A bounded, near-zero-overhead ring buffer of structured events kept by
-    every rank *even when profiling is off*.  Each event is a plain tuple
-    ``(seq, t, kind, op_id, phase, detail)`` where ``seq`` is a monotonically
-    increasing per-rank counter (so dropped events are visible after the ring
-    wraps), ``t`` is a ``perf_counter`` offset from the recorder's origin and
-    ``op_id`` is the rank's collective sequence number.  Recording an event
-    is one clock read plus one deque append; nothing on the payload path is
-    touched, so armed runs stay bit-identical.
+    The one recorder of every rank (``CommConfig.flight``, on by
+    default): a bounded ring of structured events plus a
+    :class:`~repro.observability.spans.MetricsRegistry`.  Each event is
+    a plain tuple ``(seq, t, kind, op_id, phase, detail)`` where ``seq``
+    is a monotonically increasing per-rank counter (so dropped events
+    are visible after the ring wraps), ``t`` is a ``perf_counter``
+    offset from the recorder's origin and ``op_id`` is the rank's
+    collective sequence number.  Spans are events too: a collective's
+    span is its ``collective_begin``/``collective_end`` pair, and
+    sweeps, phases and kernels open and close with
+    ``span_begin``/``span_end`` through :meth:`FlightRecorder.begin` /
+    :meth:`FlightRecorder.end`.  Recording an event is one clock read
+    plus one deque append; nothing on the payload path is touched, so
+    armed runs stay bit-identical.  :class:`FlightRing`, the picklable
+    snapshot every rank ships home, rebuilds the spans, phase
+    intervals and open span from its events — the per-rank view behind
+    :class:`~repro.observability.profile.RunProfile`.
 
 ``TelemetryPusher`` / ``TelemetryMonitor``
     Out-of-band live telemetry: a daemon thread per rank periodically emits
     heartbeat samples (sweep progress, residual/rank trajectory, current
-    phase, blocked-collective info, light metrics) over the existing control
-    plane, the launcher's result queue (the same on both wires).  The
-    monitor aggregates latest-state per rank, flags stalls *before*
+    phase, blocked-collective info, the metrics snapshot) over the
+    existing control plane, the launcher's result queue (the same on
+    both wires), and one last sample when it stops.  The monitor
+    aggregates latest-state per rank, flags stalls *before*
     ``CollectiveTimeoutError`` fires, renders the ``repro top`` console
     view and exports a JSONL event log.
 
@@ -36,6 +46,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.observability.spans import MetricsRegistry, Span, merge_intervals
+
 __all__ = [
     "FlightRecorder",
     "FlightRing",
@@ -48,25 +60,6 @@ __all__ = [
     "validate_telemetry_jsonl",
 ]
 
-# Known flight-recorder event kinds.  Unknown kinds are tolerated on read
-# (forward compatibility) but everything the substrate emits is listed here.
-EVENT_KINDS = frozenset(
-    {
-        "collective_begin",
-        "collective_end",
-        "post",
-        "p2p_recv",
-        "phase",
-        "sweep",
-        "checkpoint",
-        "replicate",
-        "recovery",
-        "guard",
-        "timeout",
-        "error",
-    }
-)
-
 # Merge order inside one collective sequence number: every rank's begin
 # happens before any in-flight post, which happens before any rank's end,
 # which happens before whatever the rank does next at the same op_id.
@@ -75,9 +68,11 @@ _STAGE = {"collective_begin": 0, "post": 1, "collective_end": 2}
 TELEMETRY_SCHEMA_VERSION = 1
 
 #: Ring capacity (events per rank) of the flight recorder.  Once full,
-#: the oldest events are dropped (the monotone ``seq`` makes the drop
-#: count visible in the snapshot).
-FLIGHT_CAPACITY = 256
+#: the oldest events are dropped, so a postmortem keeps the end of the
+#: run (the monotone ``seq`` makes the drop count visible in the
+#: snapshot).  A 2-sweep hcci ``ra`` request records about 300 events
+#: per rank, kernel spans included.
+RING_CAPACITY = 4096
 
 _RECORD_KINDS = frozenset({"run", "heartbeat", "stall", "final", "postmortem"})
 _REQUIRED_FIELDS = {
@@ -93,6 +88,9 @@ def _fmt_detail(detail: Any) -> str:
     if detail == "" or detail is None:
         return ""
     if isinstance(detail, tuple) and len(detail) == 2 and isinstance(detail[0], str):
+        # (collective, group size) or (span name, span category)
+        if isinstance(detail[1], str):
+            return f"{detail[0]} ({detail[1]})"
         return f"{detail[0]} p={detail[1]}"
     if isinstance(detail, dict):
         return " ".join(f"{k}={v}" for k, v in detail.items())
@@ -113,38 +111,66 @@ def format_event(event: tuple) -> str:
 
 
 class FlightRecorder:
-    """Bounded per-rank ring buffer of structured runtime events.
+    """Bounded per-rank ring of structured runtime events, the rank's
+    open-span stack, and its metrics registry.
 
-    Always on by default (``CommConfig.flight``); the only cost per event is
-    one ``perf_counter`` read and one bounded-deque append.  The recorder is
-    written from the rank's main thread and read (racily but safely) from
-    the telemetry pusher thread; readers retry on concurrent mutation.
+    On by default (``CommConfig.flight``); the only cost per event is
+    one ``perf_counter`` read and one bounded-deque append.  The recorder
+    is written from the rank's main thread (the overlap worker only
+    observes receive histograms) and read (racily but safely) from the
+    telemetry pusher thread; readers retry on concurrent mutation.
     """
 
-    __slots__ = ("rank", "capacity", "wall_origin", "_origin", "_events", "seq")
+    __slots__ = (
+        "rank",
+        "capacity",
+        "wall_origin",
+        "metrics",
+        "op_id",
+        "_origin",
+        "_events",
+        "_stack",
+        "seq",
+    )
 
-    def __init__(self, rank: int, capacity: int = FLIGHT_CAPACITY) -> None:
+    def __init__(self, rank: int, capacity: int = RING_CAPACITY) -> None:
         self.rank = int(rank)
         self.capacity = max(8, int(capacity))
+        self.metrics = MetricsRegistry()
+        #: the rank's collective sequence number, kept current by
+        #: ``ProcessComm``; stamps span events for the causal merge.
+        self.op_id = 0
+        self._stack: list[tuple[str, str, str, float]] = []
         self.wall_origin = time.time()
         self._origin = time.perf_counter()
         self._events: deque[tuple] = deque(maxlen=self.capacity)
         self.seq = 0
 
-    def record(self, kind: str, op_id: int, phase: str, detail: Any = "") -> None:
+    def record(
+        self, kind: str, op_id: int, phase: str, detail: Any = ""
+    ) -> float:
+        """Append one event; returns its time offset."""
         self.seq += 1
-        self._events.append(
-            (self.seq, time.perf_counter() - self._origin, kind, op_id, phase, detail)
-        )
+        t = time.perf_counter() - self._origin
+        self._events.append((self.seq, t, kind, op_id, phase, detail))
+        return t
+
+    def begin(self, name: str, category: str, phase: str = "") -> None:
+        """Open a span (one ``span_begin`` event and a stack push)."""
+        detail = (name, category)
+        t = self.record("span_begin", self.op_id, phase, detail)
+        self._stack.append((name, category, phase, t))
+
+    def end(self) -> float:
+        """Close the innermost open span; returns its duration, so a
+        call site that also wants a histogram observation does not pay
+        a third clock read."""
+        name, category, phase, start = self._stack.pop()
+        t = self.record("span_end", self.op_id, phase, (name, category))
+        return t - start
 
     def now(self) -> float:
         return time.perf_counter() - self._origin
-
-    def last(self) -> tuple | None:
-        try:
-            return self._events[-1]
-        except IndexError:
-            return None
 
     def open_collective(self) -> tuple | None:
         """Return the begin event of an unmatched collective, if any.
@@ -166,6 +192,25 @@ class FlightRecorder:
                 continue
         return None
 
+    def open_span(self) -> dict[str, Any] | None:
+        """The innermost still-open span, or ``None``.
+
+        Used by the failure path: a rank that dies mid-span reports
+        what it was doing and since when (wall clock), so hangs are
+        attributable to a phase, not just a collective index.
+        """
+        if not self._stack:
+            return None
+        name, category, phase, start = self._stack[-1]
+        return {
+            "name": name,
+            "category": category,
+            "phase": phase,
+            "start": start,
+            "wall_start": self.wall_origin + start,
+            "open_for": self.now() - start,
+        }
+
     def snapshot(self) -> "FlightRing":
         return FlightRing(
             rank=self.rank,
@@ -173,22 +218,77 @@ class FlightRecorder:
             capacity=self.capacity,
             seq=self.seq,
             events=list(self._events),
+            metrics=self.metrics.snapshot(),
+            open_span=self.open_span(),
         )
 
 
 @dataclass
 class FlightRing:
-    """Picklable snapshot of one rank's flight recorder."""
+    """Picklable snapshot of one rank's flight recorder: the ring, the
+    metrics snapshot and the span still open at snapshot time.
+
+    ``spans``, ``by_category``, ``phase_intervals`` and
+    ``phase_seconds`` are views rebuilt from the events, so a ring
+    shipped from a crashed rank is as readable as a finished one.
+    """
 
     rank: int
     wall_origin: float
     capacity: int
     seq: int
     events: list
+    metrics: dict = field(default_factory=dict)
+    open_span: dict | None = None
 
     @property
     def dropped(self) -> int:
         return max(0, self.seq - len(self.events))
+
+    @property
+    def spans(self) -> list[Span]:
+        """Finished spans in closing order: every
+        ``span_begin``/``span_end`` pair and every collective's
+        ``collective_begin``/``collective_end`` pair.  A pair whose
+        begin fell off the ring is skipped; depth counts the spans open
+        around it."""
+        out: list[Span] = []
+        stack: list[tuple[str, str, str, float]] = []
+        coll: tuple[str, str, float, int] | None = None
+        for _, t, kind, _, phase, detail in self.events:
+            if kind == "span_begin":
+                stack.append((detail[0], detail[1], phase, t))
+            elif kind == "span_end":
+                if stack:
+                    name, cat, ph, start = stack.pop()
+                    out.append(Span(name, cat, ph, start, t - start, len(stack)))
+            elif kind == "collective_begin":
+                coll = (detail[0], phase, t, len(stack))
+            elif kind == "collective_end" and coll is not None:
+                name, ph, start, depth = coll
+                out.append(Span(name, "collective", ph, start, t - start, depth))
+                coll = None
+        return out
+
+    def by_category(self, category: str) -> list[Span]:
+        return [s for s in self.spans if s.category == category]
+
+    def phase_intervals(self) -> dict[str, list[tuple[float, float]]]:
+        """Merged ``(start, end)`` intervals of each phase's spans, in
+        time order — one interval per executed phase instance (a
+        helper that opens the phase its caller is already in nests a
+        span of the same phase, which the union absorbs)."""
+        raw: dict[str, list[tuple[float, float]]] = {}
+        for s in self.by_category("phase"):
+            raw.setdefault(s.name, []).append((s.start, s.end))
+        return {phase: merge_intervals(ivs) for phase, ivs in raw.items()}
+
+    def phase_seconds(self) -> dict[str, float]:
+        """Measured seconds per phase, overlap-free."""
+        return {
+            phase: sum(end - start for start, end in intervals)
+            for phase, intervals in self.phase_intervals().items()
+        }
 
     def tail(self, n: int = 8) -> list[str]:
         return [format_event(ev) for ev in self.events[-n:]]
@@ -404,8 +504,10 @@ class TelemetryPusher(threading.Thread):
 
     ``sample`` is a zero-argument callable returning a picklable dict (the
     comm's ``telemetry_sample``); ``emit`` ships it over whatever control
-    plane the launcher provided.  Emit failures stop the pusher silently —
-    telemetry must never take a rank down.
+    plane the launcher provided.  :meth:`stop` makes it emit one last
+    sample before it exits, so the monitor sees where the rank ended
+    even when the run was shorter than one interval.  Emit failures stop
+    the pusher silently — telemetry must never take a rank down.
     """
 
     def __init__(
@@ -421,13 +523,15 @@ class TelemetryPusher(threading.Thread):
         self._halt = threading.Event()
 
     def run(self) -> None:
+        halted = False
         while True:
             try:
                 self._emit(self._sample())
             except Exception:
                 return
-            if self._halt.wait(self._interval):
+            if halted:
                 return
+            halted = self._halt.wait(self._interval)
 
     def stop(self, timeout: float = 2.0) -> None:
         self._halt.set()

@@ -136,13 +136,6 @@ class RankFailureError(RuntimeError):
     ``exitcodes``
         ``rank -> exitcode`` for ranks whose *process* died (crashes
         and kills; absent for ordinary raised exceptions).
-    ``profiles``
-        ``rank -> RankProfile`` of every profile that reached the
-        launcher before the abort (``CommConfig.profile`` runs only):
-        the partial span buffers of the failed ranks — each including
-        its last *open* span with a start timestamp, so a hang is
-        attributable to a phase — plus full profiles from ranks that
-        finished first.  Empty when profiling was off.
     ``recovery_reports``
         Elastic runs (``CommConfig.recovery="respawn"``) only:
         ``rank -> report`` from every survivor that
@@ -152,11 +145,12 @@ class RankFailureError(RuntimeError):
         :func:`repro.distributed.recovery.run_elastic` needs to
         continue the run.
     ``flight_records``
-        ``rank -> FlightRing`` — every always-on flight-recorder ring
-        that reached the launcher (failed ranks embed theirs in the
-        failure report; finished ranks ship theirs before their
-        result; woken survivors post theirs on the way out).  Empty
-        only when ``CommConfig.flight`` was off.
+        ``rank -> FlightRing`` — every flight-recorder ring that
+        reached the launcher (failed ranks embed theirs in the failure
+        report, each with its last *open* span and a start timestamp,
+        so a hang is attributable to a phase; finished ranks ship
+        theirs before their result; woken survivors post theirs on the
+        way out).  Empty only when ``CommConfig.flight`` was off.
     ``postmortem``
         :class:`repro.observability.telemetry.Postmortem` merging the
         collected rings into one causally-ordered global timeline with
@@ -172,7 +166,6 @@ class RankFailureError(RuntimeError):
         succeeded: Sequence[int] = (),
         aborted: Sequence[int] = (),
         exitcodes: dict[int, int] | None = None,
-        profiles: dict[int, object] | None = None,
         recovery_reports: dict[int, dict] | None = None,
         flight_records: dict[int, object] | None = None,
         postmortem: object | None = None,
@@ -182,7 +175,6 @@ class RankFailureError(RuntimeError):
         self.succeeded_ranks = tuple(succeeded)
         self.aborted_ranks = tuple(aborted)
         self.exitcodes = dict(exitcodes or {})
-        self.profiles = dict(profiles or {})
         self.recovery_reports = dict(recovery_reports or {})
         self.flight_records = dict(flight_records or {})
         self.postmortem = postmortem
@@ -257,19 +249,6 @@ class CommConfig:
         leak-at-exit.  Control traffic is counter-neutral (like the
         ``shmfree`` credits), so traces and reductions stay
         bit-identical to a non-verify run.
-    profile:
-        Arm the per-rank span profiler and metrics registry
-        (:mod:`repro.observability`): nested spans for sweeps, phases,
-        kernels, and each collective, plus counters/gauges/histograms
-        (bytes moved, TTM flops, cache hits/evictions, checkpoint
-        write time, collective wait-vs-transfer split).  Profiles are
-        gathered by :func:`run_spmd` (``profile_out``) and attached to
-        :class:`RankFailureError` on failure.  Nothing on the payload
-        path is touched, so profiled runs stay bit- and
-        trace-identical to plain runs; when off (default) no profiler
-        exists and every boundary pays a single ``is None`` test, like
-        ``fault_plan``.  Span buffers hold
-        :data:`repro.observability.spans.MAX_SPANS` spans per rank.
     race_detect:
         Arm the tier-2 transport occupancy guard
         (:class:`repro.analysis.verify.races.TransportGuard`) on every
@@ -290,7 +269,7 @@ class CommConfig:
         shm/socket copy-out behind payload math.  The message
         schedule, tags, payloads, reduction order, and counters are
         all unchanged, so overlapped runs stay bit-identical and
-        trace-counter-identical to serial runs; with ``profile`` on,
+        trace-counter-identical to serial runs; with ``flight`` on,
         the hidden blocked time is attributed to
         ``collective_wait_hidden_seconds`` instead of
         ``collective_wait_seconds``, which is how the attribution
@@ -301,22 +280,24 @@ class CommConfig:
         it has no local payload math to hide; overlap pays off where
         the α-β model charges per-step payload work.)
     flight:
-        Always-on flight recorder
-        (:class:`repro.observability.telemetry.FlightRecorder`): every
-        rank keeps a bounded ring buffer of structured events --
-        collective begin/end with group and sequence number, transport
-        posts, sweep/phase transitions, checkpoint/replication/
-        recovery events, guard-rail trips -- recorded *even when*
-        ``profile`` is off.  Each event costs one clock read and one
-        deque append and nothing on the payload path is touched, so
-        recorder-on runs stay bit-identical
-        (``bench_overhead.py`` gates <10 % in CI).  On
-        failure all rings are collected and merged into a causal
-        postmortem timeline attached to :class:`RankFailureError`.
-        Rings hold
-        :data:`repro.observability.telemetry.FLIGHT_CAPACITY` events
-        per rank.  On by default; turn off only for overhead
-        baselines.
+        The per-rank recorder
+        (:class:`repro.observability.telemetry.FlightRecorder`): a
+        bounded ring of structured events -- collective begin/end with
+        group and sequence number, transport posts, sweep, phase and
+        kernel spans, checkpoint/replication/recovery steps, guard-rail
+        trips -- plus a metrics registry (bytes moved, TTM flops, cache
+        hits/evictions, checkpoint write time, collective
+        wait-vs-transfer split).  Each event costs one clock read and
+        one deque append and nothing on the payload path is touched, so
+        recorder-on runs stay bit- and trace-identical
+        (``bench_overhead.py`` measures the cost).  :func:`run_spmd`
+        gathers every rank's ring (``profile_out``), and on failure
+        merges them into a causal postmortem timeline attached to
+        :class:`RankFailureError`.  Rings keep the last
+        :data:`repro.observability.telemetry.RING_CAPACITY` events per
+        rank.  On by default; off, no recorder exists and every
+        boundary pays a single ``is None`` test, like ``fault_plan`` --
+        the baseline of overhead measurements.
     telemetry_interval:
         Seconds between out-of-band telemetry heartbeats pushed from
         every rank to the launcher over the control plane (sweep
@@ -335,7 +316,6 @@ class CommConfig:
     recovery: str = "restart"
     agree_timeout: float = 2.0
     verify: bool = False
-    profile: bool = False
     race_detect: bool = False
     flight: bool = True
     telemetry_interval: float = 0.0
@@ -391,19 +371,19 @@ class ProcessComm:
         self.config = config or CommConfig()
         self.trace = CommTrace()
         #: caller-set phase label stamped on every CollectiveRecord
-        #: (same vocabulary as the simulator's ledger phases); exposed
-        #: as the ``phase`` property so transitions land in the flight
-        #: recorder.
-        self._phase = ""
+        #: and flight event (same vocabulary as the simulator's ledger
+        #: phases).
+        self.phase = ""
         self._op_id = 0
         #: live sweep-progress dict published via note_progress() and
         #: shipped in telemetry heartbeats.
         self._progress: dict[str, object] = {}
-        #: always-on flight recorder (repro.observability.telemetry):
-        #: a bounded ring of structured events kept even when
-        #: profiling is off, collected into causal postmortems on
-        #: failure.  None only when CommConfig.flight is off, in which
-        #: case every recording boundary pays one `is None` test.
+        #: the rank's one recorder (repro.observability.telemetry): a
+        #: bounded ring of structured events and spans plus the metrics
+        #: registry, gathered by run_spmd and merged into causal
+        #: postmortems on failure.  None only when CommConfig.flight is
+        #: off, in which case every recording boundary pays one
+        #: `is None` test.
         self.flight = None
         if self.config.flight:
             from repro.observability.telemetry import FlightRecorder
@@ -440,15 +420,6 @@ class ProcessComm:
                 channel.sanitizer = _vrt.ShmSanitizer(rank)
             if board is not None and size > 1:
                 channel.monitor = _vrt.WaitMonitor(board, rank, size)
-        #: per-rank span profiler (repro.observability), imported
-        #: lazily like the verifier; None unless config.profile, so
-        #: every instrumented boundary pays one `is None` test.
-        self.profiler = None
-        if self.config.profile:
-            from repro.observability.spans import SpanProfiler
-
-            self.profiler = SpanProfiler(rank)
-            channel.profiler = self.profiler
         #: tier-2 transport occupancy guard (SPMD223), imported lazily
         #: like the verifier; the transport keeps it and pays a single
         #: `is None` test per boundary when config.race_detect is off.
@@ -457,7 +428,7 @@ class ProcessComm:
 
             channel.race_guard = TransportGuard(rank)
         #: elastic recovery manager (repro.distributed.recovery),
-        #: imported lazily like the verifier/profiler; None unless
+        #: imported lazily like the verifier; None unless
         #: CommConfig.recovery asks for respawn on a >1 world.
         self.recovery_mgr = None
         if self.config.recovery == "respawn" and size > 1:
@@ -466,18 +437,6 @@ class ProcessComm:
             self.recovery_mgr = RecoveryManager(self)
 
     # -- plumbing -----------------------------------------------------------
-
-    @property
-    def phase(self) -> str:
-        return self._phase
-
-    @phase.setter
-    def phase(self, value: str) -> None:
-        if value != self._phase:
-            fr = self.flight
-            if fr is not None:
-                fr.record("phase", self._op_id, value)
-        self._phase = value
 
     def _guard_numerics(self, op: str, result: object) -> None:
         """Optional NaN/Inf screen on a collective's result."""
@@ -677,7 +636,7 @@ class ProcessComm:
             raise
         fr = self.flight
         if fr is not None:
-            fr.record("p2p_recv", self._op_id, self._phase, src)
+            fr.record("p2p_recv", self._op_id, self.phase, src)
         return out
 
     # -- telemetry ----------------------------------------------------------
@@ -692,16 +651,16 @@ class ProcessComm:
         self._progress.update(info)
         fr = self.flight
         if fr is not None:
-            fr.record("sweep", self._op_id, self._phase, dict(info))
+            fr.record("sweep", self._op_id, self.phase, dict(info))
 
     def note_event(self, kind: str, detail: object = "") -> None:
-        """Record a structured runtime event (``checkpoint``,
-        ``replicate``, ``recovery``, ...) in the flight recorder.
-        No-op when the recorder is disarmed; ``detail`` must be
-        picklable."""
+        """Record a discrete runtime event (``recovery``, ...) in the
+        flight recorder; timed steps are spans
+        (``comm.flight.begin``/``end``).  No-op when the recorder is
+        disarmed; ``detail`` must be picklable."""
         fr = self.flight
         if fr is not None:
-            fr.record(kind, self._op_id, self._phase, detail)
+            fr.record(kind, self._op_id, self.phase, detail)
 
     def telemetry_sample(self) -> dict:
         """One heartbeat for the out-of-band telemetry channel.
@@ -718,7 +677,7 @@ class ProcessComm:
             "rank": self.rank,
             "ts": time.time(),
             "op_id": self._op_id,
-            "phase": self._phase,
+            "phase": self.phase,
             "progress": progress,
         }
         fr = self.flight
@@ -734,12 +693,7 @@ class ProcessComm:
                     "op_id": open_ev[3],
                     "seconds": round(fr.now() - open_ev[1], 3),
                 }
-        prof = self.profiler
-        if prof is not None:
-            try:
-                sample["metrics"] = prof.metrics.snapshot()
-            except RuntimeError:  # pragma: no cover - raced an update
-                pass
+            sample["metrics"] = fr.metrics.snapshot()
         return sample
 
     # -- collectives --------------------------------------------------------
@@ -757,8 +711,9 @@ class ProcessComm:
         hooks around it fire in this order — group and root check; op
         counter, flight ``collective_begin`` and fault injector; verify
         round (on ``block`` and the ``op``/``root``/``axis`` ``signature``);
-        counter snapshot; profiler span; ``CommTrace`` record and
-        flight ``collective_end``; numerics guard."""
+        counter snapshot; ``CommTrace`` record and flight
+        ``collective_end`` (the begin/end pair is the collective's
+        span); numerics guard."""
         group_t = self._group(group)
         if "root" in signature and signature["root"] not in group_t:
             raise ValueError(
@@ -768,28 +723,22 @@ class ProcessComm:
         self._op_id += 1
         fr = self.flight
         if fr is not None:
+            fr.op_id = self._op_id
             fr.record(
-                "collective_begin", self._op_id, self._phase, (kind, gsize)
+                "collective_begin", self._op_id, self.phase, (kind, gsize)
             )
         if self._inj is not None:
-            self._inj.at_collective(self._op_id, self._phase)
+            self._inj.at_collective(self._op_id, self.phase)
         self._verify_collective(kind, group_t, block=block, **signature)
         before = self._t.counters()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin(kind, "collective", self._phase)
-        try:
-            out, algorithm = run(group_t)
-        finally:
-            if prof is not None:
-                prof.end()
+        out, algorithm = run(group_t)
         delta = (a - b for a, b in zip(self._t.counters(), before))
         self.trace.add(
-            CollectiveRecord(kind, algorithm, gsize, *delta, self._phase)
+            CollectiveRecord(kind, algorithm, gsize, *delta, self.phase)
         )
         if fr is not None:
             fr.record(
-                "collective_end", self._op_id, self._phase, (kind, gsize)
+                "collective_end", self._op_id, self.phase, (kind, gsize)
             )
         self._guard_numerics(kind, out)
         return out
@@ -905,9 +854,9 @@ class ProcessComm:
     # copies) and never the transport, and it joins the future before
     # issuing its next transport call.  The transport therefore always
     # has exactly one user at any instant — it needs no locks — and the
-    # profiler/metrics registries are never written concurrently (the
-    # worker writes only the transport-level wait/transfer histograms,
-    # which the main thread leaves alone while a collective is open).
+    # flight recorder is never written concurrently (the worker writes
+    # only the transport-level wait/transfer histograms, which the main
+    # thread leaves alone while a collective is open).
 
     def _overlap_pool(self) -> "ThreadPoolExecutor":
         pool = self._prefetch_pool
@@ -1225,16 +1174,26 @@ class ProcessComm:
 
 
 def _flight_snapshot(comm) -> object | None:
-    """Snapshot a comm's flight ring (None when disarmed)."""
+    """Snapshot a comm's flight ring, with the transport's lifetime
+    byte/message counters stamped as gauges (None when disarmed)."""
     fr = comm.flight
-    return None if fr is None else fr.snapshot()
+    if fr is None:
+        return None
+    for name in (
+        "sent_messages",
+        "sent_bytes",
+        "recv_messages",
+        "recv_bytes",
+        "shm_messages",
+    ):
+        fr.metrics.gauge(name, float(getattr(comm._t, name)))
+    return fr.snapshot()
 
 
 def _failure_report(exc: BaseException, comm) -> dict:
-    """What a dying rank ships home: error, traceback, trace tail,
-    flight-recorder ring — and, when profiling, the partial profile
-    whose ``open_span`` names what the rank was doing (phase +
-    wall-clock start) when it died."""
+    """What a dying rank ships home: error, traceback, trace tail and
+    flight-recorder ring, whose ``open_span`` names what the rank was
+    doing (phase + wall-clock start) when it died."""
     report = {
         "error": repr(exc),
         "traceback": traceback_mod.format_exc(),
@@ -1251,10 +1210,6 @@ def _failure_report(exc: BaseException, comm) -> dict:
     if fr is not None:
         fr.record("error", comm._op_id, comm.phase, repr(exc)[:200])
         report["flight"] = _flight_snapshot(comm)
-    prof = comm.profiler
-    if prof is not None:
-        prof.finalize_transport(comm._t)
-        report["profile"] = prof.rank_profile()
     return report
 
 
@@ -1301,6 +1256,14 @@ def _rank_worker(
             config.telemetry_interval,
         )
         pusher.start()
+
+    def post(status: str, payload: object) -> None:
+        """Post a terminal status, after the pusher's last heartbeat
+        (where the rank ended) is already in the queue."""
+        if pusher is not None:
+            pusher.stop()
+        result_queue.put((rank, status, payload))
+
     try:
         fn = pickle.loads(fn_bytes)
         out = fn(comm, *args)
@@ -1310,20 +1273,15 @@ def _rank_worker(
         # From here a peer still waiting on this rank has diverged
         # rather than lost it.
         channel.finish()
-        if comm.profiler is not None:
-            comm.profiler.finalize_transport(channel)
-            result_queue.put(
-                (rank, "profile", comm.profiler.rank_profile())
-            )
         # Ship the flight ring before the completion signal so an
         # early finisher's ring is available for a postmortem even
         # when *other* ranks later hang or die.
         ring = _flight_snapshot(comm)
         if ring is not None:
             result_queue.put((rank, "flight", ring))
-        result_queue.put((rank, "ok", out))
+        post("ok", out)
     except InjectedRankCrash as exc:
-        result_queue.put((rank, "crashed", _failure_report(exc, comm)))
+        post("crashed", _failure_report(exc, comm))
         if exc.hard:
             # Simulated node loss: skip channel.close() so any pooled
             # shm segments are orphaned — the launcher's sweep must
@@ -1338,20 +1296,16 @@ def _rank_worker(
         # from these reports.
         mgr = comm.recovery_mgr
         if mgr is None:
-            result_queue.put((rank, "error", _failure_report(exc, comm)))
+            post("error", _failure_report(exc, comm))
         else:
             try:
                 report = mgr.on_failure(exc)
-                result_queue.put((rank, "recovery", report))
+                post("recovery", report)
             except Exception as exc2:  # pragma: no cover - agree broke
-                result_queue.put(
-                    (rank, "error", _failure_report(exc2, comm))
-                )
+                post("error", _failure_report(exc2, comm))
     except Exception as exc:
-        result_queue.put((rank, "error", _failure_report(exc, comm)))
+        post("error", _failure_report(exc, comm))
     finally:
-        if pusher is not None:
-            pusher.stop()
         comm.shutdown_overlap()
         try:
             channel.close()
@@ -1423,10 +1377,11 @@ def run_spmd(
         Shorthand overriding ``config.collective_timeout``; either one
         must be positive.
     profile_out:
-        With ``config.profile``, filled with each rank's
-        :class:`~repro.observability.spans.RankProfile` — on success
-        all ranks, on failure whatever profiles reached the launcher
-        (also attached to the :class:`RankFailureError`).
+        With ``config.flight`` (the default), filled with each rank's
+        :class:`~repro.observability.telemetry.FlightRing` — on
+        success all ranks, on failure whatever rings reached the
+        launcher (also attached to the :class:`RankFailureError`).
+        :class:`~repro.observability.profile.RunProfile` views them.
     monitor:
         A :class:`repro.observability.telemetry.TelemetryMonitor` (or
         anything with its ``on_start``/``on_sample``/``on_done``/
@@ -1508,7 +1463,6 @@ def run_spmd(
     results: dict[int, object] = {}
     errors: dict[int, dict] = {}
     recoveries: dict[int, dict] = {}  # rank -> recovery report
-    profiles: dict[int, object] = {}  # rank -> RankProfile
     flights: dict[int, object] = {}  # rank -> FlightRing
     hard_crashed: set[int] = set()  # ranks whose process is dying
     dead: dict[int, int] = {}  # rank -> exitcode, no result posted
@@ -1535,10 +1489,6 @@ def run_spmd(
 
     def take(rank: int, status: str, payload: object) -> None:
         nonlocal abort_deadline
-        if status == "profile":
-            # Precedes the rank's "ok"; not a completion signal.
-            profiles[rank] = payload
-            return
         if status == "flight":
             # Precedes the rank's "ok"; not a completion signal.
             flights[rank] = payload
@@ -1623,16 +1573,14 @@ def run_spmd(
         # A vanished peer is detected in-band (TransportClosedError),
         # so the victim's neighbours self-report before the launcher's
         # liveness poll fires.  They are casualties, not causes: fold
-        # them into the aborted set (with their rings and profiles)
-        # whenever a primary failure explains them.
+        # them into the aborted set (with their rings) whenever a
+        # primary failure explains them.
         secondary = [
             r for r, rep in errors.items() if rep.get("secondary")
         ]
         if (set(errors) - set(secondary)) | set(dead) | set(recoveries):
             for r in secondary:
                 rep = errors.pop(r)
-                if rep.get("profile") is not None:
-                    profiles[r] = rep["profile"]
                 if rep.get("flight") is not None:
                     flights[r] = rep["flight"]
         failed = sorted(set(errors) | set(dead))
@@ -1645,26 +1593,15 @@ def run_spmd(
             and r not in dead
             and r not in recoveries
         )
-        # Failed ranks embed their partial profile in the failure
-        # report; fold them into the gathered set so the error carries
-        # every profile that reached the launcher.
-        for r, rep in errors.items():
-            if rep.get("profile") is not None:
-                profiles[r] = rep["profile"]
-        for r, rep in recoveries.items():
-            if rep.get("profile") is not None:
-                profiles[r] = rep["profile"]
+        # Failed ranks embed their ring in the failure/recovery report,
+        # finished ranks shipped theirs ahead of their result: fold
+        # them into one set so the error carries every ring that
+        # reached the launcher.
+        for r, rep in (*errors.items(), *recoveries.items()):
+            if rep.get("flight") is not None:
+                flights[r] = rep["flight"]
         if profile_out is not None:
-            profile_out.update(profiles)
-        # Same folding for flight rings: failed ranks embed theirs in
-        # the failure/recovery report, finished ranks shipped theirs
-        # ahead of their result.
-        for r, rep in errors.items():
-            if rep.get("flight") is not None:
-                flights[r] = rep["flight"]
-        for r, rep in recoveries.items():
-            if rep.get("flight") is not None:
-                flights[r] = rep["flight"]
+            profile_out.update(flights)
         postmortem = None
         if flights:
             from repro.observability.telemetry import build_postmortem
@@ -1683,10 +1620,8 @@ def run_spmd(
             if r in errors:
                 rep = errors[r]
                 lines.append(f"rank {r} failed: {rep['error']}")
-                prof = rep.get("profile")
-                open_span = (
-                    prof.open_span if prof is not None else None
-                )
+                ring = flights.get(r)
+                open_span = ring.open_span if ring is not None else None
                 if open_span is not None:
                     lines.append(
                         f"rank {r} last open span: "
@@ -1705,8 +1640,7 @@ def run_spmd(
                 if tail:
                     lines.append(f"rank {r} last collectives:")
                     lines.extend(f"  {t}" for t in tail)
-                ring = flights.get(r)
-                if ring is not None and getattr(ring, "events", None):
+                if ring is not None and ring.events:
                     ftail = ring.tail()
                     lines.append(
                         f"rank {r} flight recorder "
@@ -1755,11 +1689,10 @@ def run_spmd(
             succeeded=succeeded,
             aborted=aborted,
             exitcodes=dead,
-            profiles=profiles,
             recovery_reports=recoveries,
             flight_records=flights,
             postmortem=postmortem,
         )
     if profile_out is not None:
-        profile_out.update(profiles)
+        profile_out.update(flights)
     return [results[r] for r in range(size)]

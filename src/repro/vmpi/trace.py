@@ -35,7 +35,7 @@ __all__ = [
 #: Canonical phase vocabulary, shared by every layer that attributes
 #: work to an algorithm phase: the executed mp layer
 #: (:attr:`CollectiveRecord.phase` / :meth:`CommTrace.for_phase` and
-#: the span profiler's phase spans) and the simulator's
+#: the flight recorder's phase spans) and the simulator's
 #: :class:`~repro.vmpi.cost.CostLedger` charges.  The first row is the
 #: executed vocabulary, the second the simulator's compute phases, the
 #: third its communication phases.  Drivers must tag work with one of
@@ -49,8 +49,8 @@ PHASES = frozenset({
     "redistribute_comm", "core_comm",
     # elastic-recovery phases (repro.distributed.recovery): the buddy
     # replication of sweep state, the revoke-and-agree rounds, and the
-    # recovery continuation itself — one namespace shared by profiler
-    # spans, trace records, and the lint rules (SPMD106/SPMD123).
+    # recovery continuation itself — one namespace shared by flight
+    # recorder spans, trace records, and the lint rules (SPMD106/SPMD123).
     "buddy_replicate", "agree", "recovery",
 })
 
@@ -205,7 +205,7 @@ def render_lanes(
     Intervals shorter than one column still print a single mark so
     brief steps (latency-bound collectives) remain visible.  Shared by
     :func:`render_timeline` (one lane per simulated phase) and the
-    span profiler's measured timeline (one lane per rank).
+    flight recorder's measured timeline (one lane per rank).
     """
     if not lanes:
         return "(no events)"

@@ -3,8 +3,8 @@
 :class:`~repro.vmpi.mp_comm.ProcessComm` runs its collective
 algorithms over a :class:`Transport`: tagged, non-blocking
 ``send`` / blocking ``recv`` point-to-point messaging plus the
-lifecycle, fault-injection, verification, and profiling hooks the rest
-of the stack taps.  Both backends speak one wire: length-prefixed
+lifecycle, fault-injection, verification, and flight-recorder hooks the
+rest of the stack taps.  Both backends speak one wire: length-prefixed
 pickled frames over one stream socket per peer (``selectors``,
 non-blocking with buffered writes so symmetric exchange patterns
 cannot deadlock on full socket buffers).  :func:`connect_mesh` makes
@@ -255,9 +255,9 @@ class Transport:
     encode side); counters account array words/bytes, not frame bytes.
 
     The hook attributes (``injector``, ``sanitizer``, ``monitor``,
-    ``profiler``, ``race_guard``, ``flight``) are installed by
-    :class:`~repro.vmpi.mp_comm.ProcessComm` / the launcher; ``None``
-    keeps every boundary at a single ``is None`` test.
+    ``race_guard``, ``flight``) are installed by
+    :class:`~repro.vmpi.mp_comm.ProcessComm`; ``None`` keeps every
+    boundary at a single ``is None`` test.
     """
 
     #: backend name, ``"shm"`` / ``"tcp"`` (``repro run --backend``).
@@ -291,10 +291,6 @@ class Transport:
         #: lazily by ProcessComm so the import stays one-directional).
         self.sanitizer = None
         self.monitor = None
-        #: profile mode only: the rank's SpanProfiler (installed by
-        #: ProcessComm) — recv() splits its time into blocked-wait vs
-        #: copy-out histograms.  None keeps the hot path at one test.
-        self.profiler = None
         #: race_detect mode only: this transport's occupancy guard
         #: (repro.analysis.verify.races.TransportGuard, installed
         #: lazily by ProcessComm) — send and the blocking wait raise
@@ -302,12 +298,13 @@ class Transport:
         #: inside.  None keeps both boundaries at one `is None` test,
         #: like the other hooks.
         self.race_guard = None
-        #: always-on flight recorder (repro.observability.telemetry,
+        #: the rank's flight recorder (repro.observability.telemetry,
         #: installed by ProcessComm unless CommConfig.flight is off) —
-        #: send() logs one "post" event per outbound payload.  A pure
-        #: observer: nothing on the payload path changes, and None
-        #: keeps the boundary at one `is None` test like the other
-        #: hooks.
+        #: send() logs one "post" event per outbound payload, and
+        #: recv() splits its time into blocked-wait vs copy-out
+        #: histograms in the recorder's metrics.  A pure observer:
+        #: nothing on the payload path changes, and None keeps each
+        #: boundary at one `is None` test like the other hooks.
         self.flight = None
         #: elastic recovery: set when a revoke notice arrives on
         #: :data:`_REVOKE_TAG`; every blocked wait then raises
@@ -607,8 +604,8 @@ class Transport:
     # -- recv ---------------------------------------------------------------
 
     def recv(self, src: int, tag: tuple, timeout: float | None = None) -> object:
-        prof = self.profiler
-        if prof is None:
+        fr = self.flight
+        if fr is None:
             return self._decode(src, self._recv_body(src, tag, timeout))
         # Wait-vs-transfer split: time blocked for the message versus
         # time copying the payload out (shm memcpy / unpickle).
@@ -616,8 +613,8 @@ class Transport:
         body = self._recv_body(src, tag, timeout)
         t1 = time.perf_counter()
         out = self._decode(src, body)
-        prof.metrics.observe("collective_wait_seconds", t1 - t0)
-        prof.metrics.observe(
+        fr.metrics.observe("collective_wait_seconds", t1 - t0)
+        fr.metrics.observe(
             "collective_transfer_seconds", time.perf_counter() - t1
         )
         return out
@@ -637,15 +634,15 @@ class Transport:
         step has completed, and joined before the main thread's next
         transport call), so no locking is needed here.
         """
-        prof = self.profiler
-        if prof is None:
+        fr = self.flight
+        if fr is None:
             return self._decode(src, self._recv_body(src, tag, timeout))
         t0 = time.perf_counter()
         body = self._recv_body(src, tag, timeout)
         t1 = time.perf_counter()
         out = self._decode(src, body)
-        prof.metrics.observe("collective_wait_hidden_seconds", t1 - t0)
-        prof.metrics.observe(
+        fr.metrics.observe("collective_wait_hidden_seconds", t1 - t0)
+        fr.metrics.observe(
             "collective_transfer_seconds", time.perf_counter() - t1
         )
         return out

@@ -1,12 +1,13 @@
-"""Span profiler, metrics, renderers, and the attribution report.
+"""Recorder spans, metrics, renderers, and the attribution report.
 
-Certifies the observability contract of the mp layer: profiled runs
-are bit-identical to unprofiled ones for every driver, the gathered
-``RunProfile`` renders a valid Chrome trace with one lane per rank,
-per-rank metrics carry the documented counters/gauges/histograms, a
-failed rank ships its partial profile and last open span inside
-``RankFailureError``, and the measured-vs-modeled attribution report
-stays machine-parseable.
+Certifies the observability contract of the mp layer: runs with the
+flight recorder on (the default) are bit-identical to
+``CommConfig(flight=False)`` runs for every driver, every default run's
+gathered rings render a ``RunProfile`` with a valid Chrome trace (one
+lane per rank), per-rank metrics carry the documented
+counters/gauges/histograms, a failed rank ships its ring and last open
+span inside ``RankFailureError``, and the measured-vs-modeled
+attribution report stays machine-parseable.
 """
 
 import json
@@ -27,13 +28,8 @@ from repro.core.rank_adaptive import RankAdaptiveOptions
 from repro.distributed.mp_hooi import mp_hooi_dt, mp_rahosi_dt
 from repro.distributed.mp_sthosvd import mp_sthosvd
 from repro.observability.profile import RunProfile, validate_chrome_trace
-from repro.observability.spans import (
-    Histogram,
-    RankProfile,
-    Span,
-    SpanProfiler,
-    merge_intervals,
-)
+from repro.observability.spans import Histogram, merge_intervals
+from repro.observability.telemetry import FlightRecorder, FlightRing
 from repro.tensor.random import tucker_plus_noise
 from repro.vmpi.faults import FaultPlan
 from repro.vmpi.mp_comm import (
@@ -54,81 +50,102 @@ def _tensor() -> np.ndarray:
 # Module-level SPMD programs (must be picklable).
 
 
-def _prog_profiled_crash(comm: ProcessComm) -> float:
-    prof = comm.profiler
-    if prof is not None:
-        prof.begin("stuck step", "phase", "ttm")
+def _prog_stuck_step(comm: ProcessComm) -> float:
+    comm.flight.begin("stuck step", "phase", "ttm")
     comm.phase = "ttm"
     out = np.zeros(4)
     for _ in range(4):
         out = out + comm.allreduce(np.ones(4))
-    if prof is not None:
-        prof.end()
+    comm.flight.end()
     return float(out.sum())
 
 
-class TestSpanProfiler:
+def _ring(events, **fields) -> FlightRing:
+    """A ring of ``(t, kind, phase, detail)`` events (op ids unused)."""
+    return FlightRing(
+        rank=fields.pop("rank", 0),
+        wall_origin=fields.pop("wall_origin", 0.0),
+        capacity=256,
+        seq=len(events),
+        events=[
+            (i + 1, t, kind, 0, phase, detail)
+            for i, (t, kind, phase, detail) in enumerate(events)
+        ],
+        **fields,
+    )
+
+
+class TestRecorderSpans:
+    """The span side of the one per-rank recorder."""
+
     def test_nesting_depth_and_order(self):
-        prof = SpanProfiler(rank=0)
-        prof.begin("sweep 1", "sweep")
-        prof.begin("ttm", "phase", "ttm")
-        prof.begin("allreduce", "collective", "ttm")
-        prof.end()
-        prof.end()
-        prof.end()
-        cats = [(s.name, s.category, s.depth) for s in prof.spans]
+        fr = FlightRecorder(rank=0)
+        fr.begin("sweep 1", "sweep")
+        fr.begin("ttm", "phase", "ttm")
+        fr.record("collective_begin", 1, "ttm", ("allreduce", 4))
+        fr.record("collective_end", 1, "ttm", ("allreduce", 4))
+        fr.end()
+        fr.end()
+        spans = fr.snapshot().spans
+        cats = [(s.name, s.category, s.depth) for s in spans]
         # Spans close innermost-first; depth is the enclosing count.
         assert cats == [
             ("allreduce", "collective", 2),
             ("ttm", "phase", 1),
             ("sweep 1", "sweep", 0),
         ]
-        assert all(s.seconds >= 0 for s in prof.spans)
+        assert all(s.seconds >= 0 for s in spans)
 
     def test_end_returns_duration(self):
-        prof = SpanProfiler(rank=0)
-        prof.begin("k", "kernel")
+        fr = FlightRecorder(rank=0)
+        fr.begin("k", "kernel")
         time.sleep(0.01)
-        dt = prof.end()
+        dt = fr.end()
         assert dt >= 0.009
-        assert prof.spans[0].seconds == dt
-
-    def test_capacity_keeps_earliest_and_counts_drops(self):
-        prof = SpanProfiler(rank=0, capacity=3)
-        for i in range(5):
-            prof.begin(f"s{i}", "kernel")
-            prof.end()
-        assert [s.name for s in prof.spans] == ["s0", "s1", "s2"]
-        assert prof.dropped == 2
-        assert prof.rank_profile().dropped == 2
+        assert fr.snapshot().spans[0].seconds == dt
 
     def test_open_span_reports_innermost(self):
-        prof = SpanProfiler(rank=1)
-        assert prof.open_span() is None
-        prof.begin("sweep 1", "sweep")
-        prof.begin("gram", "phase", "gram")
-        info = prof.open_span()
+        fr = FlightRecorder(rank=1)
+        assert fr.open_span() is None
+        fr.begin("sweep 1", "sweep")
+        fr.begin("gram", "phase", "gram")
+        info = fr.snapshot().open_span
         assert info is not None
         assert info["name"] == "gram"
         assert info["phase"] == "gram"
         assert info["open_for"] >= 0
         assert info["wall_start"] == pytest.approx(
-            prof.wall_origin + info["start"]
+            fr.wall_origin + info["start"]
         )
 
-    def test_rank_profile_is_picklable_snapshot(self):
+    def test_snapshot_is_picklable_and_carries_metrics(self):
         import pickle
 
-        prof = SpanProfiler(rank=2)
-        prof.begin("x", "kernel")
-        prof.end()
-        prof.metrics.inc("ttm_flops", 10.0)
-        prof.metrics.observe("checkpoint_write_seconds", 0.5)
-        snap = pickle.loads(pickle.dumps(prof.rank_profile()))
+        fr = FlightRecorder(rank=2)
+        fr.begin("x", "kernel")
+        fr.end()
+        fr.metrics.inc("ttm_flops", 10.0)
+        fr.metrics.observe("checkpoint_write_seconds", 0.5)
+        snap = pickle.loads(pickle.dumps(fr.snapshot()))
         assert snap.rank == 2
+        assert [s.name for s in snap.spans] == ["x"]
         assert snap.metrics["counters"]["ttm_flops"] == 10.0
         hist = snap.metrics["histograms"]["checkpoint_write_seconds"]
         assert hist["count"] == 1 and hist["total"] == 0.5
+
+    def test_wrapped_ring_keeps_latest_spans(self):
+        # The ring keeps the end of the run: a span whose begin fell
+        # off is skipped, every later span survives, and the drop count
+        # is visible.
+        fr = FlightRecorder(rank=0, capacity=8)
+        fr.begin("sweep 1", "sweep")
+        for i in range(6):
+            fr.begin(f"k{i}", "kernel")
+            fr.end()
+        fr.end()
+        ring = fr.snapshot()
+        assert ring.dropped == 6
+        assert [s.name for s in ring.spans] == ["k3", "k4", "k5"]
 
 
 class TestHistogramAndIntervals:
@@ -150,29 +167,30 @@ class TestHistogramAndIntervals:
         assert merged == [(0.0, 2.0), (3.0, 4.0)]
 
     def test_phase_seconds_is_union_not_sum(self):
-        # A nested same-phase span (the mp_subspace_llsv-inside-mp_ttm
-        # shape) must not double-count.
-        spans = (
-            Span("ttm", "phase", "ttm", 0.0, 2.0, 0),
-            Span("ttm", "phase", "ttm", 0.5, 1.0, 1),
-        )
-        p = RankProfile(
-            rank=0,
-            wall_origin=0.0,
-            spans=spans,
-            dropped=0,
-            metrics={},
+        # A nested same-phase span (a helper opening the phase its
+        # caller is already in) must not double-count.
+        tag = ("ttm", "phase")
+        p = _ring(
+            [
+                (0.0, "span_begin", "ttm", tag),
+                (0.5, "span_begin", "ttm", tag),
+                (1.5, "span_end", "ttm", tag),
+                (2.0, "span_end", "ttm", tag),
+            ]
         )
         assert p.phase_seconds() == {"ttm": 2.0}
         assert p.phase_intervals() == {"ttm": [(0.0, 2.0)]}
 
 
-def _profiled_pair(driver):
-    """Run ``driver(profile_cfg, sink)`` and ``driver(None, None)``."""
+def _recorder_pair(driver):
+    """Run ``driver(CommConfig(flight=False), sink)`` and
+    ``driver(None, sink)``: the recorder off, then the default."""
+    off_sink: dict[int, object] = {}
+    off = driver(CommConfig(flight=False), off_sink)
+    assert off_sink == {}
     sink: dict[int, object] = {}
-    plain = driver(None, None)
-    profiled = driver(CommConfig(profile=True), sink)
-    return plain, profiled, sink
+    on = driver(None, sink)
+    return off, on, sink
 
 
 class TestBitIdentity:
@@ -181,11 +199,13 @@ class TestBitIdentity:
         opts = HOOIOptions(use_dimension_tree=True, max_iters=2, seed=0)
 
         def drive(cfg, sink):
-            return mp_hooi_dt(
+            tucker, stats = mp_hooi_dt(
                 x, RANKS, GRID, opts, comm_config=cfg, profile_out=sink
-            )[0]
+            )
+            assert (stats.profile is None) == (cfg is not None)
+            return tucker
 
-        plain, profiled, sink = _profiled_pair(drive)
+        plain, profiled, sink = _recorder_pair(drive)
         assert np.array_equal(plain.core, profiled.core)
         assert all(
             np.array_equal(a, b)
@@ -200,7 +220,7 @@ class TestBitIdentity:
         )
 
         def drive(cfg, sink):
-            return mp_rahosi_dt(
+            tucker, stats = mp_rahosi_dt(
                 x,
                 0.3,
                 (2, 2, 2),
@@ -208,9 +228,11 @@ class TestBitIdentity:
                 opts,
                 comm_config=cfg,
                 profile_out=sink,
-            )[0]
+            )
+            assert (stats.profile is None) == (cfg is not None)
+            return tucker
 
-        plain, profiled, sink = _profiled_pair(drive)
+        plain, profiled, sink = _recorder_pair(drive)
         assert np.array_equal(plain.core, profiled.core)
         assert all(
             np.array_equal(a, b)
@@ -226,7 +248,7 @@ class TestBitIdentity:
                 x, GRID, ranks=RANKS, comm_config=cfg, profile_out=sink
             )
 
-        plain, profiled, sink = _profiled_pair(drive)
+        plain, profiled, sink = _recorder_pair(drive)
         assert np.array_equal(plain.core, profiled.core)
         assert all(
             np.array_equal(a, b)
@@ -238,18 +260,12 @@ class TestBitIdentity:
 class TestGatheredProfile:
     @pytest.fixture(scope="class")
     def run(self):
-        """One profiled mp_hooi_dt run shared by the render tests."""
+        """One default-config mp_hooi_dt run shared by the render
+        tests."""
         x = _tensor()
         sink: dict[int, object] = {}
         opts = HOOIOptions(use_dimension_tree=True, max_iters=2, seed=0)
-        _, stats = mp_hooi_dt(
-            x,
-            RANKS,
-            GRID,
-            opts,
-            comm_config=CommConfig(profile=True),
-            profile_out=sink,
-        )
+        _, stats = mp_hooi_dt(x, RANKS, GRID, opts, profile_out=sink)
         return RunProfile.from_ranks(sink), stats
 
     def test_stats_carries_the_profile(self, run):
@@ -332,47 +348,135 @@ class TestGatheredProfile:
             RANKS,
             GRID,
             opts,
-            comm_config=CommConfig(profile=True),
             checkpoint_path=str(tmp_path / "ck.npz"),
             profile_out=sink,
         )
         hists = sink[0].metrics["histograms"]
         assert hists["checkpoint_write_seconds"]["count"] >= 1
+        assert [s.name for s in sink[0].by_category("kernel")].count(
+            "checkpoint"
+        ) == hists["checkpoint_write_seconds"]["count"]
+
+
+def _run_hooi(sink):
+    opts = HOOIOptions(use_dimension_tree=True, max_iters=2, seed=0)
+    return mp_hooi_dt(_tensor(), RANKS, GRID, opts, profile_out=sink)
+
+
+def _run_rahosi(sink):
+    opts = RankAdaptiveOptions(max_iters=2, use_dimension_tree=True, seed=0)
+    return mp_rahosi_dt(
+        _tensor(), 0.3, (2, 2, 2), GRID, opts, profile_out=sink
+    )
+
+
+def _run_sthosvd(sink):
+    return mp_sthosvd(_tensor(), GRID, ranks=RANKS, profile_out=sink)
+
+
+class TestEveryDriverProfile:
+    """Every default-config run says where its time went."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            (_run_hooi, {"ttm", "llsv"}),
+            (_run_rahosi, {"ttm", "llsv"}),
+            (_run_sthosvd, {"ttm", "gram"}),
+        ],
+        ids=["mp_hooi_dt", "mp_rahosi_dt", "mp_sthosvd"],
+    )
+    def run(self, request):
+        driver, phases = request.param
+        sink: dict[int, object] = {}
+        driver(sink)
+        return RunProfile.from_ranks(sink), phases
+
+    def test_chrome_trace_one_lane_per_rank(self, run):
+        profile, _ = run
+        trace = profile.chrome_trace()
+        validate_chrome_trace(trace)
+        lanes = {e["tid"] for e in trace["traceEvents"] if e["ph"] == "X"}
+        assert lanes == {0, 1, 2, 3}
+
+    def test_span_categories_and_phases(self, run):
+        profile, _ = run
+        for p in profile.ranks:
+            assert p.dropped == 0
+            assert {s.category for s in p.spans} == {
+                "sweep", "phase", "kernel", "collective",
+            }
+            phases = {s.name for s in p.by_category("phase")}
+            assert phases <= PHASES
+
+    def test_metrics(self, run):
+        profile, _ = run
+        for p in profile.ranks:
+            assert p.metrics["counters"]["ttm_flops"] > 0
+            hists = p.metrics["histograms"]
+            assert hists["collective_wait_seconds"]["count"] > 0
+            assert hists["collective_transfer_seconds"]["count"] > 0
+
+    def test_attribution_report_parses(self, run):
+        profile, phases = run
+        rows = parse_attribution_report(format_attribution_report(profile))
+        assert {r["phase"] for r in rows} >= phases
+
+
+def test_rings_hold_a_whole_two_sweep_run():
+    """A 2-sweep rank-adaptive run on a 4-way input drops no event."""
+    x = tucker_plus_noise((8, 7, 6, 5), (3, 3, 2, 2), noise=1e-4, seed=1)
+    opts = RankAdaptiveOptions(max_iters=2, use_dimension_tree=True, seed=0)
+    sink: dict[int, object] = {}
+    _, stats = mp_rahosi_dt(
+        x, 1e-6, (2, 2, 2, 2), (2, 2, 1, 1), opts, profile_out=sink
+    )
+    assert len(stats.history) == 2
+    assert sorted(sink) == [0, 1, 2, 3]
+    for ring in sink.values():
+        assert ring.dropped == 0
+        assert len(ring.by_category("sweep")) == 2
 
 
 class TestFailurePath:
     def test_failed_rank_ships_partial_profile(self):
-        cfg = CommConfig(
-            profile=True,
-            fault_plan=FaultPlan.kill(1, op_index=2, hard=False),
-        )
+        cfg = CommConfig(fault_plan=FaultPlan.kill(1, op_index=2, hard=False))
         with pytest.raises(RankFailureError) as exc_info:
-            run_spmd(_prog_profiled_crash, 4, config=cfg, timeout=60.0)
+            run_spmd(_prog_stuck_step, 4, config=cfg, timeout=60.0)
         err = exc_info.value
-        assert 1 in err.profiles
-        partial = err.profiles[1]
+        partial = err.flight_records[1]
         assert partial.open_span is not None
         assert partial.open_span["name"] == "stuck step"
         assert partial.open_span["phase"] == "ttm"
         assert "last open span" in str(err)
         assert "'stuck step'" in str(err)
 
+    def test_driver_failure_names_the_open_sweep(self):
+        cfg = CommConfig(fault_plan=FaultPlan.kill(1, op_index=7, hard=False))
+        opts = HOOIOptions(use_dimension_tree=True, max_iters=2, seed=0)
+        with pytest.raises(RankFailureError) as exc_info:
+            mp_hooi_dt(_tensor(), RANKS, GRID, opts, comm_config=cfg)
+        assert "rank 1 last open span: 'sweep 1' (sweep)" in str(
+            exc_info.value
+        )
+
 
 class TestAttributionSynthetic:
     @staticmethod
     def _profile() -> RunProfile:
-        def rank(r: int, ttm: float, llsv: float) -> RankProfile:
-            return RankProfile(
+        def rank(r: int, ttm: float, llsv: float) -> FlightRing:
+            coll = ("allreduce", 2)
+            return _ring(
+                [
+                    (0.0, "span_begin", "ttm", ("ttm", "phase")),
+                    (0.1, "collective_begin", "ttm", coll),
+                    (0.1 + ttm / 2, "collective_end", "ttm", coll),
+                    (ttm, "span_end", "ttm", ("ttm", "phase")),
+                    (ttm, "span_begin", "llsv", ("llsv", "phase")),
+                    (ttm + llsv, "span_end", "llsv", ("llsv", "phase")),
+                ],
                 rank=r,
                 wall_origin=100.0 + r,
-                spans=(
-                    Span("ttm", "phase", "ttm", 0.0, ttm, 0),
-                    Span(
-                        "allreduce", "collective", "ttm", 0.1, ttm / 2, 1
-                    ),
-                    Span("llsv", "phase", "llsv", ttm, llsv, 0),
-                ),
-                dropped=0,
                 metrics={
                     "counters": {},
                     "gauges": {},

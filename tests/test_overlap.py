@@ -36,12 +36,11 @@ from repro.vmpi.mp_comm import (
 _N = 60_000
 
 
-def _cfg(overlap: bool, profile: bool = False) -> CommConfig:
+def _cfg(overlap: bool) -> CommConfig:
     return CommConfig(
         overlap=overlap,
         eager_max_words=1024,
         collective_timeout=60.0,
-        profile=profile,
     )
 
 
@@ -146,8 +145,7 @@ class TestOverlapAttribution:
     def test_wait_moves_to_hidden_histogram(self, overlap):
         prof: dict = {}
         run_spmd(
-            _prog_mixed, 3, config=_cfg(overlap, profile=True),
-            profile_out=prof,
+            _prog_mixed, 3, config=_cfg(overlap), profile_out=prof,
         )
         hists = prof[0].metrics["histograms"]
         hidden = hists.get("collective_wait_hidden_seconds")
@@ -162,8 +160,7 @@ class TestOverlapAttribution:
     def test_report_shows_hidden_wait(self):
         prof: dict = {}
         run_spmd(
-            _prog_mixed, 3, config=_cfg(True, profile=True),
-            profile_out=prof,
+            _prog_mixed, 3, config=_cfg(True), profile_out=prof,
         )
         profile = RunProfile.from_ranks(prof)
         report = format_attribution_report(profile)

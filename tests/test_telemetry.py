@@ -509,6 +509,30 @@ class TestLiveTelemetryChannel:
         text = mon.render()
         assert "done(ok)" in text and "backend=" in text
 
+    def test_last_heartbeat_shows_where_each_rank_ended(self, backend):
+        # The interval outlasts the run, so every rank's only beats are
+        # the one at start and the one its pusher sends when stopped,
+        # ahead of the rank's terminal status.
+        mon = TelemetryMonitor()
+        run_spmd(
+            _prog_crash_site, 3, timeout=60.0, transport=backend,
+            config=CommConfig(telemetry_interval=30.0), monitor=mon,
+        )
+        events = list(mon.events)
+        for rank in range(3):
+            beats = [
+                i for i, e in enumerate(events)
+                if e["kind"] == "heartbeat" and e["rank"] == rank
+            ]
+            (final,) = [
+                i for i, e in enumerate(events)
+                if e["kind"] == "final" and e["rank"] == rank
+            ]
+            assert beats and beats[-1] < final
+            last = events[beats[-1]]
+            assert last["op_id"] == 3  # barrier + two allreduces
+            assert last["metrics"]["histograms"]
+
     def test_monitor_sees_postmortem_on_failure(self):
         mon = TelemetryMonitor(stall_after=5.0)
         with pytest.raises(RankFailureError):

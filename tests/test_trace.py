@@ -107,11 +107,11 @@ class TestCommTracePhases:
     @staticmethod
     def dummy_comm():
         """The minimum _comm_phase needs: a mutable ``phase`` slot and
-        the (disabled) profiler hook it probes on entry/exit."""
+        the (disabled) flight recorder it probes on entry/exit."""
 
         class _Dummy:
             phase = ""
-            profiler = None
+            flight = None
 
         return _Dummy()
 
