@@ -29,9 +29,9 @@ import numpy as np
 from _util import save_result
 from repro.analysis.costs import hooi_ttm_count
 from repro.analysis.reporting import format_table
-from repro.core.dimension_tree import hooi_iteration_dt
+from repro.core.dimension_tree import direct_iteration, hooi_iteration_dt
 from repro.distributed.layout import BlockLayout
-from repro.distributed.mp_hooi import MPTreeEngine, _direct_sweep
+from repro.distributed.mp_hooi import MPTreeEngine
 from repro.tensor.random import random_orthonormal, tucker_plus_noise
 from repro.vmpi.grid import ProcessorGrid
 from repro.vmpi.mp_comm import ProcessComm, run_spmd
@@ -69,7 +69,6 @@ def _bench_program(
     grid = ProcessorGrid(grid_dims)
     coords = grid.coords(comm.rank)
     layout = BlockLayout(shape, grid)
-    d = len(shape)
     rng = np.random.default_rng(0)
     init = [
         random_orthonormal(n, r, seed=rng) for n, r in zip(shape, ranks)
@@ -87,7 +86,7 @@ def _bench_program(
             if variant == "tree":
                 hooi_iteration_dt(state, engine)
             else:
-                _direct_sweep(engine, state, d)
+                direct_iteration(state, engine)
 
         iteration()  # warm-up: fault in buffers, build segment pools
         comm.barrier()

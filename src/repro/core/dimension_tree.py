@@ -49,6 +49,7 @@ __all__ = [
     "TreeEngine",
     "SequentialTreeEngine",
     "hooi_iteration_dt",
+    "direct_iteration",
     "hooi_iteration_direct",
 ]
 
@@ -240,6 +241,25 @@ def hooi_iteration_dt(
 ) -> None:
     """Run one full HOOI iteration via the dimension tree (Alg. 4)."""
     _recurse(engine, x, tuple(range(engine.last_mode + 1)), rule)
+
+
+def direct_iteration(x: object, engine: TreeEngine) -> None:
+    """One direct (unmemoized) HOOI iteration through ``engine`` (Alg. 2).
+
+    For each mode ``j`` the input is contracted in every other mode, in
+    increasing order, and factor ``j`` is updated from the result; the
+    core is formed from the last of these all-but-one tensors
+    (:func:`direct_ttm_count` TTMs).  The simulated, SPMD and
+    process-parallel drivers run it through the engines they build for
+    :func:`hooi_iteration_dt`; the dense :func:`hooi_iteration_direct`
+    keeps TuckerMPI's greedy contraction order instead.
+    """
+    d = engine.last_mode + 1
+    y = x
+    for j in range(d):
+        y = engine.contract(x, [m for m in range(d) if m != j])
+        engine.update_factor(y, j)
+    engine.form_core(y, d - 1)
 
 
 class SequentialTreeEngine:

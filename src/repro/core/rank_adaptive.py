@@ -37,6 +37,7 @@ __all__ = [
     "RankAdaptiveOptions",
     "RankAdaptiveStats",
     "IterationRecord",
+    "assess_iterate",
     "expand_factor",
     "rank_adaptive_hooi",
 ]
@@ -147,6 +148,64 @@ def _grow_ranks(
     )
 
 
+def assess_iterate(
+    core: np.ndarray,
+    factors: list[np.ndarray],
+    ranks: tuple[int, ...],
+    iteration: int,
+    x_norm: float,
+    eps: float,
+    options: RankAdaptiveOptions,
+    seconds: float = 0.0,
+) -> tuple[IterationRecord, tuple[int, ...], TuckerTensor | None]:
+    """Alg. 3's decision after one sweep, shared by every execution layer.
+
+    The error comes free from the norm identity
+    ``||X - X^||^2 = ||X||^2 - ||G||^2``.  A satisfied iterate is cut
+    to the ranks of the eq. (3) core analysis (or the greedy ablation)
+    and returned truncated, its record filled with the kept energy's
+    error.  A missed one returns no truncation and the ranks grown by
+    ``alpha`` while another iteration will run (the same ranks on the
+    last one, so the returned factors match the returned core).
+    Callers may therefore expand unconditionally: :func:`expand_factor`
+    draws nothing for a rank that did not change.
+    """
+    shape = tuple(u.shape[0] for u in factors)
+    x_norm_sq = x_norm**2
+    target_sq = (1.0 - eps * eps) * x_norm_sq
+    core_sq = tensor_norm(core) ** 2
+    satisfied = core_sq >= target_sq - 1e-12 * max(x_norm_sq, 1.0)
+    record = IterationRecord(
+        iteration=iteration,
+        ranks_used=ranks,
+        error=math.sqrt(max(x_norm_sq - core_sq, 0.0)) / max(x_norm, 1e-300),
+        satisfied=satisfied,
+        storage_size=TuckerTensor(core=core, factors=factors).storage_size(),
+        seconds=seconds,
+    )
+    if not satisfied:
+        if iteration < options.max_iters:
+            ranks = _grow_ranks(ranks, options.alpha, shape)
+        return record, ranks, None
+
+    solver = (
+        solve_rank_truncation
+        if options.truncation == "exhaustive"
+        else greedy_rank_truncation
+    )
+    new_ranks = solver(core, target_sq, shape)
+    assert new_ranks is not None  # satisfied implies feasible
+    energies = leading_subtensor_energies(core)
+    kept_sq = float(energies[tuple(r - 1 for r in new_ranks)])
+    trunc = TuckerTensor(core=core, factors=factors).truncate(new_ranks)
+    record.truncated_ranks = new_ranks
+    record.truncated_error = math.sqrt(max(x_norm_sq - kept_sq, 0.0)) / max(
+        x_norm, 1e-300
+    )
+    record.truncated_storage = trunc.storage_size()
+    return record, new_ranks, trunc
+
+
 def rank_adaptive_hooi(
     x: np.ndarray,
     eps: float,
@@ -179,9 +238,6 @@ def rank_adaptive_hooi(
     rng = np.random.default_rng(options.seed)
 
     stats = RankAdaptiveStats(x_norm=tensor_norm(x))
-    x_norm_sq = stats.x_norm**2
-    target_sq = (1.0 - eps * eps) * x_norm_sq
-
     factors = [
         random_orthonormal(n, r, seed=rng, dtype=x.dtype)
         for n, r in zip(x.shape, ranks)
@@ -212,48 +268,17 @@ def rank_adaptive_hooi(
             )
         assert core is not None
 
-        core_sq = tensor_norm(core) ** 2
-        err = math.sqrt(max(x_norm_sq - core_sq, 0.0)) / max(
-            stats.x_norm, 1e-300
+        t1 = time.perf_counter()
+        record, new_ranks, trunc = assess_iterate(
+            core, factors, ranks, it, stats.x_norm, eps, options, t1 - t0
         )
-        satisfied = core_sq >= target_sq - 1e-12 * max(x_norm_sq, 1.0)
-        record = IterationRecord(
-            iteration=it,
-            ranks_used=ranks,
-            error=err,
-            satisfied=satisfied,
-            storage_size=TuckerTensor(
-                core=core, factors=factors
-            ).storage_size(),
-            seconds=time.perf_counter() - t0,
+        stats.phase_seconds["core_analysis"] = (
+            stats.phase_seconds.get("core_analysis", 0.0)
+            + time.perf_counter()
+            - t1
         )
-
-        if satisfied:
-            t0 = time.perf_counter()
-            solver = (
-                solve_rank_truncation
-                if options.truncation == "exhaustive"
-                else greedy_rank_truncation
-            )
-            new_ranks = solver(core, target_sq, x.shape)
-            stats.phase_seconds["core_analysis"] = (
-                stats.phase_seconds.get("core_analysis", 0.0)
-                + time.perf_counter()
-                - t0
-            )
-            assert new_ranks is not None  # satisfied implies feasible
-            energies = leading_subtensor_energies(core)
-            kept_sq = float(energies[tuple(r - 1 for r in new_ranks)])
-            trunc = TuckerTensor(core=core, factors=factors).truncate(
-                new_ranks
-            )
-            record.truncated_ranks = new_ranks
-            record.truncated_error = math.sqrt(
-                max(x_norm_sq - kept_sq, 0.0)
-            ) / max(stats.x_norm, 1e-300)
-            record.truncated_storage = trunc.storage_size()
-            stats.history.append(record)
-
+        stats.history.append(record)
+        if trunc is not None:
             stats.converged = True
             if stats.first_satisfied is None:
                 stats.first_satisfied = it
@@ -262,16 +287,10 @@ def rank_adaptive_hooi(
             if options.stop_at_threshold:
                 break
         else:
-            stats.history.append(record)
-            if it < options.max_iters:
-                # Grow only when another iteration will actually run, so
-                # the returned factors always match the returned core.
-                new_ranks = _grow_ranks(ranks, options.alpha, x.shape)
-                factors = [
-                    expand_factor(u, r, rng)
-                    for u, r in zip(factors, new_ranks)
-                ]
-                ranks = new_ranks
+            factors = [
+                expand_factor(u, r, rng) for u, r in zip(factors, new_ranks)
+            ]
+            ranks = new_ranks
 
     if result is None:
         # Budget never met within max_iters; return the last iterate.

@@ -44,7 +44,6 @@ from repro.distributed.spmd import (
     gather_tensor,
     scatter_tensor,
     spmd_gram,
-    spmd_multi_ttm,
     spmd_sthosvd,
     spmd_ttm,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "mp_sthosvd",
     "scatter_tensor",
     "spmd_gram",
-    "spmd_multi_ttm",
     "spmd_sthosvd",
     "spmd_ttm",
     "BlockLayout",

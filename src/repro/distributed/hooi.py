@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.dimension_tree import hooi_iteration_dt
+from repro.core.dimension_tree import direct_iteration, hooi_iteration_dt
 from repro.core.errors import ConfigError
 from repro.core.hooi import HOOIOptions
 from repro.core.tucker import TuckerTensor
@@ -22,7 +22,6 @@ from repro.distributed.arrays import SymbolicArray, is_concrete
 from repro.distributed.dist_tensor import DistTensor
 from repro.distributed.kernels import (
     dist_gram_evd_llsv,
-    dist_multi_ttm,
     dist_subspace_llsv,
     dist_ttm,
 )
@@ -99,28 +98,6 @@ class DistributedTreeEngine:
         )
 
 
-def _direct_iteration(
-    x: DistTensor,
-    factors: list[np.ndarray | SymbolicArray],
-    ranks: tuple[int, ...],
-    *,
-    llsv_method: LLSVMethod,
-    n_subspace_iters: int,
-) -> DistTensor:
-    """Unmemoized HOOI iteration (Alg. 2 body) on the simulator."""
-    d = x.ndim
-    y = x
-    for j in range(d):
-        y = dist_multi_ttm(x, factors, skip=j, transpose=True)
-        if llsv_method is LLSVMethod.SUBSPACE:
-            factors[j] = dist_subspace_llsv(
-                y, j, factors[j], ranks[j], n_iters=n_subspace_iters
-            )
-        else:
-            factors[j], _ = dist_gram_evd_llsv(y, j, rank=ranks[j])
-    return dist_ttm(y, factors[d - 1], d - 1, transpose=True)
-
-
 def initial_dist_factors(
     x: np.ndarray | SymbolicArray,
     ranks: tuple[int, ...],
@@ -178,23 +155,17 @@ def dist_hooi(
     prev_err = float("inf")
 
     for _ in range(options.max_iters):
+        engine = DistributedTreeEngine(
+            factors,
+            ranks,
+            llsv_method=options.llsv_method,
+            n_subspace_iters=options.n_subspace_iters,
+        )
         if options.use_dimension_tree:
-            engine = DistributedTreeEngine(
-                factors,
-                ranks,
-                llsv_method=options.llsv_method,
-                n_subspace_iters=options.n_subspace_iters,
-            )
             hooi_iteration_dt(dt, engine)
-            factors, core = engine.factors, engine.core
         else:
-            core = _direct_iteration(
-                dt,
-                factors,
-                ranks,
-                llsv_method=options.llsv_method,
-                n_subspace_iters=options.n_subspace_iters,
-            )
+            direct_iteration(dt, engine)
+        factors, core = engine.factors, engine.core
         stats.iterations += 1
         assert core is not None
         if x_norm is not None:

@@ -58,7 +58,6 @@ from repro.vmpi.mp_comm import ProcessComm
 __all__ = [
     "check_factor_orthogonality",
     "dist_ttm",
-    "dist_multi_ttm",
     "dist_gram",
     "dist_gram_evd_llsv",
     "dist_subspace_llsv",
@@ -137,28 +136,6 @@ def dist_ttm(
     dt.ledger.comm(f"{phase}_comm", words, msgs)
 
     return dt.like(any_ttm(dt.data, u, mode, transpose=transpose))
-
-
-def dist_multi_ttm(
-    dt: DistTensor,
-    factors: list[np.ndarray | SymbolicArray],
-    *,
-    skip: int | None = None,
-    transpose: bool = True,
-    phase: str = "ttm",
-) -> DistTensor:
-    """All-but-``skip`` multi-TTM, contracted in increasing mode order.
-
-    Matches the direct (unmemoized) HOOI subiteration the paper analyzes
-    — the first TTM dominates, so one subiteration costs
-    ``~2 r n^d / P``.
-    """
-    out = dt
-    for mode, u in enumerate(factors):
-        if u is None or mode == skip:
-            continue
-        out = dist_ttm(out, u, mode, transpose=transpose, phase=phase)
-    return out
 
 
 def dist_gram(
@@ -321,7 +298,9 @@ class _comm_phase:
     With the flight recorder on (the default) the block is also
     bracketed by a phase-category span, the one record of the phase, so
     the recorder's timeline mirrors the trace's phase attribution with
-    zero extra plumbing at the call sites."""
+    zero extra plumbing at the call sites.  An exception leaves the
+    span open, like every other span it passes through, so a failed
+    rank's report names the phase it failed in."""
 
     def __init__(self, comm: ProcessComm, phase: str) -> None:
         self._comm = comm
@@ -334,8 +313,8 @@ class _comm_phase:
         if self._comm.flight is not None:
             self._comm.flight.begin(self._phase, "phase", self._phase)
 
-    def __exit__(self, *exc: object) -> None:
-        if self._comm.flight is not None:
+    def __exit__(self, exc_type: object, *exc: object) -> None:
+        if self._comm.flight is not None and exc_type is None:
             self._comm.flight.end()
         self._comm.phase = self._prev
 

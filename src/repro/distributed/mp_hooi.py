@@ -13,14 +13,16 @@ collectives of :mod:`repro.vmpi.mp_comm`.  Two drivers live here:
   versions, so truncation correctly discards stale tree nodes).  For
   1-D/2-D inputs — where the tree memoizes nothing
   (:func:`~repro.core.dimension_tree.tree_applicable`) — and for
-  ``use_dimension_tree=False`` it falls back to the direct
-  subiteration.  Either way the core-forming TTM runs once, after the
+  ``use_dimension_tree=False`` it falls back to the shared direct
+  sweep (:func:`~repro.core.dimension_tree.direct_iteration`) on the
+  same engine.  Either way the core-forming TTM runs once, after the
   final sweep, not once per outer iteration.
 * :func:`mp_rahosi_dt` — the error-specified Alg. 3 on processes: the
   core is formed (and gathered) every iteration for the norm-identity
-  error check, rank 0 runs the eq. (3) core analysis and broadcasts
-  the truncation/growth decision, and every rank truncates or expands
-  its replicated factors identically.
+  error check, rank 0 runs Alg. 3's shared decision
+  (:func:`~repro.core.rank_adaptive.assess_iterate`) and broadcasts
+  the truncation/growth ranks, and every rank truncates or expands its
+  replicated factors identically.
 
 Subspace iteration moves data exactly as §3.4 describes
 (mode-subcommunicator redistributions + a global reduction + a
@@ -35,25 +37,23 @@ reduces in rank order, so the results are bit-identical to the in-process
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.core_analysis import (
-    greedy_rank_truncation,
-    leading_subtensor_energies,
-    solve_rank_truncation,
+from repro.core.dimension_tree import (
+    direct_iteration,
+    hooi_iteration_dt,
+    tree_applicable,
 )
-from repro.core.dimension_tree import hooi_iteration_dt, tree_applicable
 from repro.core.errors import CheckpointError, ConfigError
 from repro.core.hooi import HOOIOptions
 from repro.core.rank_adaptive import (
     IterationRecord,
     RankAdaptiveOptions,
-    _grow_ranks,
+    assess_iterate,
     expand_factor,
 )
 from repro.core.tucker import TuckerTensor
@@ -282,16 +282,6 @@ def _stamp_engine_metrics(comm: ProcessComm, engine: MPTreeEngine) -> None:
     metrics.gauge("cache_evictions", float(engine.cache_evictions))
 
 
-def _direct_sweep(engine: MPTreeEngine, state: MPState, d: int) -> None:
-    """One direct (unmemoized) HOOI iteration: ``d`` all-but-one
-    sweeps, then the single core-forming TTM (if enabled)."""
-    y = state
-    for j in range(d):
-        y = engine.contract(state, [m for m in range(d) if m != j])
-        engine.update_factor(y, j)
-    engine.form_core(y, d - 1)
-
-
 @dataclass
 class MPHooiStats:
     """Run-level diagnostics of :func:`mp_hooi_dt` (from rank 0).
@@ -351,13 +341,12 @@ def _hooi_rank_program(
     checkpoint_path: str | None,
     resume: SweepCheckpoint | None,
     orthogonality_tol: float | None,
-) -> tuple[np.ndarray | None, list[np.ndarray] | None, dict]:
+) -> tuple[np.ndarray | None, list[np.ndarray] | None, MPHooiStats]:
     grid = ProcessorGrid(grid_dims)
     coords = grid.coords(comm.rank)
     x_block = blocks[comm.rank]
     x_layout = BlockLayout(shape, grid)
-    d = len(shape)
-    use_tree = use_tree and tree_applicable(d)
+    use_tree = use_tree and tree_applicable(len(shape))
 
     if resume is not None:
         # Factors are replicated, so the checkpoint *is* the complete
@@ -434,7 +423,7 @@ def _hooi_rank_program(
         if use_tree:
             hooi_iteration_dt(state, engine, rule=rule)
         else:
-            _direct_sweep(engine, state, d)
+            direct_iteration(state, engine)
         per_iter.append(engine.ttm_count - before)
         if mgr is not None and it + 1 < max_iters:
             mgr.replicate(_boundary_ck(it + 1))
@@ -450,21 +439,17 @@ def _hooi_rank_program(
     assert engine.core_state is not None
     core = mp_gather_core(comm, *engine.core_state)
     _stamp_engine_metrics(comm, engine)
-    stats = {
-        "per_iteration_ttms": per_iter,
-        "cache_hits": engine.cache_hits,
-        "cache_misses": engine.cache_misses,
-        "used_tree": use_tree,
-        "rule": rule,
-        "trace": comm.trace,
-    }
+    stats = MPHooiStats(
+        per_iteration_ttms=per_iter,
+        cache_hits=engine.cache_hits,
+        cache_misses=engine.cache_misses,
+        used_tree=use_tree,
+        rule=rule,
+        trace=comm.trace,
+    )
     if comm.rank != 0:
         return None, None, stats
     return core, engine.factors, stats
-
-
-def _hooi_dispatch(comm: ProcessComm, *args: object):
-    return _hooi_rank_program(comm, *args)  # type: ignore[arg-type]
 
 
 def _llsv_is_subspace(method: LLSVMethod) -> bool:
@@ -538,7 +523,7 @@ def mp_hooi_dt(
     rings: dict[int, object] = {}
     events: list = []
     outs = run_elastic(
-        _hooi_dispatch,
+        _hooi_rank_program,
         grid.size,
         scatter_blocks(x, grid),
         tuple(grid.dims),
@@ -565,21 +550,13 @@ def mp_hooi_dt(
     )
     if profile_out is not None:
         profile_out.update(rings)
-    core, factors, st = outs[0]
+    core, factors, stats = outs[0]
     assert core is not None and factors is not None
     # Imported here: the renderers stay out of `import repro`.
     from repro.observability.profile import RunProfile
 
-    stats = MPHooiStats(
-        per_iteration_ttms=st["per_iteration_ttms"],
-        cache_hits=st["cache_hits"],
-        cache_misses=st["cache_misses"],
-        used_tree=st["used_tree"],
-        rule=st["rule"],
-        trace=st["trace"],
-        profile=RunProfile.from_ranks(rings) if rings else None,
-        recovery_events=events,
-    )
+    stats.profile = RunProfile.from_ranks(rings) if rings else None
+    stats.recovery_events = events
     return TuckerTensor(core=core, factors=factors), stats
 
 
@@ -597,13 +574,14 @@ def _rahosi_rank_program(
     checkpoint_path: str | None,
     resume: SweepCheckpoint | None,
     orthogonality_tol: float | None,
-) -> tuple[np.ndarray | None, list[np.ndarray] | None, dict]:
+) -> tuple[
+    np.ndarray | None, list[np.ndarray] | None, MPRankAdaptiveStats
+]:
     grid = ProcessorGrid(grid_dims)
     coords = grid.coords(comm.rank)
     x_block = blocks[comm.rank]
     x_layout = BlockLayout(shape, grid)
-    d = len(shape)
-    use_tree = opts.use_dimension_tree and tree_applicable(d)
+    use_tree = opts.use_dimension_tree and tree_applicable(len(shape))
     subspace = opts.llsv_method is LLSVMethod.SUBSPACE
 
     rng = np.random.default_rng(opts.seed)
@@ -623,9 +601,6 @@ def _rahosi_rank_program(
             random_orthonormal(n, r, seed=rng, dtype=x_block.dtype)
             for n, r in zip(shape, ranks)
         ]
-
-    x_norm_sq = x_norm**2
-    target_sq = (1.0 - eps * eps) * x_norm_sq
 
     engine = MPTreeEngine(
         comm,
@@ -702,48 +677,34 @@ def _rahosi_rank_program(
         if use_tree:
             hooi_iteration_dt(state, engine, rule=rule)
         else:
-            _direct_sweep(engine, state, d)
+            direct_iteration(state, engine)
         per_iter.append(engine.ttm_count - before)
         factors = engine.factors
 
         assert engine.core_state is not None
         core = mp_gather_core(comm, *engine.core_state)
 
-        # Rank 0 analyzes the gathered core and broadcasts the decision
-        # so every rank truncates/expands its replicated factors
-        # identically.
+        # Rank 0 runs Alg. 3's decision on the gathered core and
+        # broadcasts it so every rank truncates/expands its replicated
+        # factors identically.
         record: IterationRecord | None = None
         if comm.rank == 0:
             assert core is not None
-            core_sq = tensor_norm(core) ** 2
-            err = math.sqrt(max(x_norm_sq - core_sq, 0.0)) / max(
-                x_norm, 1e-300
+            record, new_ranks, trunc = assess_iterate(
+                core,
+                factors,
+                ranks,
+                it,
+                x_norm,
+                eps,
+                opts,
+                time.perf_counter() - t0,
             )
-            satisfied = core_sq >= target_sq - 1e-12 * max(x_norm_sq, 1.0)
-            record = IterationRecord(
-                iteration=it,
-                ranks_used=ranks,
-                error=err,
-                satisfied=satisfied,
-                storage_size=TuckerTensor(
-                    core=core, factors=factors
-                ).storage_size(),
-                seconds=time.perf_counter() - t0,
-            )
-            if satisfied:
-                solver = (
-                    solve_rank_truncation
-                    if opts.truncation == "exhaustive"
-                    else greedy_rank_truncation
-                )
-                new_ranks = solver(core, target_sq, shape)
-                assert new_ranks is not None  # satisfied implies feasible
-            elif it < opts.max_iters:
-                new_ranks = _grow_ranks(ranks, opts.alpha, shape)
-            else:
-                new_ranks = ranks
+            history.append(record)
+            if trunc is not None:
+                result_core, result_factors = trunc.core, trunc.factors
             payload = np.array(
-                [1 if satisfied else 0, *new_ranks], dtype=np.int64
+                [1 if record.satisfied else 0, *new_ranks], dtype=np.int64
             )
         else:
             payload = None
@@ -762,23 +723,6 @@ def _rahosi_rank_program(
             comm.note_progress(ranks=new_ranks, satisfied=satisfied)
 
         if satisfied:
-            if comm.rank == 0:
-                assert record is not None and core is not None
-                energies = leading_subtensor_energies(core)
-                kept_sq = float(
-                    energies[tuple(r - 1 for r in new_ranks)]
-                )
-                trunc = TuckerTensor(core=core, factors=factors).truncate(
-                    new_ranks
-                )
-                record.truncated_ranks = new_ranks
-                record.truncated_error = math.sqrt(
-                    max(x_norm_sq - kept_sq, 0.0)
-                ) / max(x_norm, 1e-300)
-                record.truncated_storage = trunc.storage_size()
-                history.append(record)
-                result_core = trunc.core
-                result_factors = trunc.factors
             converged = True
             if first_satisfied is None:
                 first_satisfied = it
@@ -794,28 +738,23 @@ def _rahosi_rank_program(
                 if fr is not None:
                     fr.end()
                 break
-        else:
-            if comm.rank == 0:
-                assert record is not None
-                history.append(record)
-            if it < opts.max_iters:
-                # Grow only when another iteration will actually run,
-                # so the returned factors match the returned core.
-                # expand_factor consumes the shared rng identically on
-                # every rank (replicated determinism).
-                factors = [
-                    expand_factor(u, r, rng)
-                    for u, r in zip(factors, new_ranks)
-                ]
-                ranks = new_ranks
-                engine.reset_factors(factors, ranks)
-                if mgr is not None:
-                    # Post-growth boundary: expanded factors, grown
-                    # ranks, bumped versions, generator state *after*
-                    # the expand_factor draws.
-                    mgr.replicate(_boundary_ck(it))
-                if checkpoint_path is not None and comm.rank == 0:
-                    save_checkpoint(comm, _boundary_ck(it), checkpoint_path)
+        elif it < opts.max_iters:
+            # Grow only when another iteration will actually run, so
+            # the returned factors match the returned core.
+            # expand_factor consumes the shared rng identically on
+            # every rank (replicated determinism).
+            factors = [
+                expand_factor(u, r, rng) for u, r in zip(factors, new_ranks)
+            ]
+            ranks = new_ranks
+            engine.reset_factors(factors, ranks)
+            if mgr is not None:
+                # Post-growth boundary: expanded factors, grown ranks,
+                # bumped versions, generator state *after* the
+                # expand_factor draws.
+                mgr.replicate(_boundary_ck(it))
+            if checkpoint_path is not None and comm.rank == 0:
+                save_checkpoint(comm, _boundary_ck(it), checkpoint_path)
         if fr is not None:
             fr.end()
 
@@ -826,25 +765,21 @@ def _rahosi_rank_program(
         result_factors = list(factors)
 
     _stamp_engine_metrics(comm, engine)
-    stats = {
-        "x_norm": x_norm,
-        "history": history,
-        "converged": converged,
-        "first_satisfied": first_satisfied,
-        "per_iteration_ttms": per_iter,
-        "cache_hits": engine.cache_hits,
-        "cache_misses": engine.cache_misses,
-        "used_tree": use_tree,
-        "rule": rule,
-        "trace": comm.trace,
-    }
+    stats = MPRankAdaptiveStats(
+        x_norm=x_norm,
+        history=history,
+        converged=converged,
+        first_satisfied=first_satisfied,
+        per_iteration_ttms=per_iter,
+        cache_hits=engine.cache_hits,
+        cache_misses=engine.cache_misses,
+        used_tree=use_tree,
+        rule=rule,
+        trace=comm.trace,
+    )
     if comm.rank != 0:
         return None, None, stats
     return result_core, result_factors, stats
-
-
-def _rahosi_dispatch(comm: ProcessComm, *args: object):
-    return _rahosi_rank_program(comm, *args)  # type: ignore[arg-type]
 
 
 def mp_rahosi_dt(
@@ -903,7 +838,7 @@ def mp_rahosi_dt(
     rings: dict[int, object] = {}
     events: list = []
     outs = run_elastic(
-        _rahosi_dispatch,
+        _rahosi_rank_program,
         grid.size,
         scatter_blocks(x, grid),
         tuple(grid.dims),
@@ -928,23 +863,11 @@ def mp_rahosi_dt(
     )
     if profile_out is not None:
         profile_out.update(rings)
-    core, factors, st = outs[0]
+    core, factors, stats = outs[0]
     assert core is not None and factors is not None
     # Imported here: the renderers stay out of `import repro`.
     from repro.observability.profile import RunProfile
 
-    stats = MPRankAdaptiveStats(
-        x_norm=st["x_norm"],
-        history=st["history"],
-        converged=st["converged"],
-        first_satisfied=st["first_satisfied"],
-        per_iteration_ttms=st["per_iteration_ttms"],
-        cache_hits=st["cache_hits"],
-        cache_misses=st["cache_misses"],
-        used_tree=st["used_tree"],
-        rule=st["rule"],
-        trace=st["trace"],
-        profile=RunProfile.from_ranks(rings) if rings else None,
-        recovery_events=events,
-    )
+    stats.profile = RunProfile.from_ranks(rings) if rings else None
+    stats.recovery_events = events
     return TuckerTensor(core=core, factors=factors), stats

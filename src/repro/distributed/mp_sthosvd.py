@@ -26,6 +26,7 @@ from repro.distributed.kernels import (
 )
 from repro.distributed.layout import BlockLayout
 from repro.linalg.evd import gram_evd, rank_from_spectrum
+from repro.tensor.dense import tensor_norm
 from repro.tensor.validation import check_ranks
 from repro.distributed.recovery import (
     prepare_resume,
@@ -41,7 +42,7 @@ __all__ = ["mp_sthosvd"]
 
 def _rank_program(
     comm: ProcessComm,
-    block: np.ndarray,
+    blocks: list[np.ndarray],
     grid_dims: tuple[int, ...],
     shape: tuple[int, ...],
     ranks: tuple[int, ...] | None,
@@ -54,6 +55,7 @@ def _rank_program(
     """The per-rank SPMD program (runs inside a worker process)."""
     grid = ProcessorGrid(grid_dims)
     coords = grid.coords(comm.rank)
+    block = blocks[comm.rank]
     layout = BlockLayout(shape, grid)
     factors: list[np.ndarray] = []
     start_mode = 0
@@ -195,19 +197,17 @@ def mp_sthosvd(
     if grid.ndim != x.ndim:
         raise ValueError(f"{x.ndim}-way tensor needs a {x.ndim}-way grid")
     threshold_sq = (
-        None
-        if eps is None
-        else (eps * float(np.linalg.norm(x.ravel()))) ** 2 / x.ndim
+        None if eps is None else (eps * tensor_norm(x)) ** 2 / x.ndim
     )
 
     resume, x_dig = prepare_resume(
         "mp_sthosvd", x, grid, resume_from, checkpoint_path, max_iters=x.ndim
     )
 
-    # run_spmd passes identical *args to every rank; blocks differ per
-    # rank, so wrap the program to index by comm.rank.
+    # run_spmd passes identical *args to every rank; the program picks
+    # its own block by comm.rank.
     outs = run_elastic(
-        _dispatch,
+        _rank_program,
         grid.size,
         scatter_blocks(x, grid),
         tuple(grid.dims),
@@ -229,29 +229,3 @@ def mp_sthosvd(
     core, factors = outs[0]
     assert core is not None and factors is not None
     return TuckerTensor(core=core, factors=factors)
-
-
-def _dispatch(
-    comm: ProcessComm,
-    blocks: list[np.ndarray],
-    grid_dims: tuple[int, ...],
-    shape: tuple[int, ...],
-    ranks: tuple[int, ...] | None,
-    threshold_sq: float | None,
-    x_digest: str,
-    checkpoint_path: str | None,
-    resume: SweepCheckpoint | None,
-    orthogonality_tol: float | None,
-) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
-    return _rank_program(
-        comm,
-        blocks[comm.rank],
-        grid_dims,
-        shape,
-        ranks,
-        threshold_sq,
-        x_digest,
-        checkpoint_path,
-        resume,
-        orthogonality_tol,
-    )

@@ -1,7 +1,7 @@
 """Distributed RA-HOSI-DT (paper Alg. 3 on the simulated machine).
 
-The rank-adaptation logic matches the sequential
-:func:`repro.core.rank_adaptive.rank_adaptive_hooi`; iterations run
+The rank-adaptation decision is the sequential one
+(:func:`repro.core.rank_adaptive.assess_iterate`); iterations run
 through the distributed engine so every phase is cost-charged, the core
 gather and analysis included.  Per-iteration simulated seconds are
 recorded via ledger snapshots — these drive the Fig. 4/6/8 progression
@@ -10,27 +10,22 @@ plots and the Fig. 5/7/9 breakdowns.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.core_analysis import (
-    greedy_rank_truncation,
-    leading_subtensor_energies,
-    solve_rank_truncation,
-)
-from repro.core.dimension_tree import hooi_iteration_dt
+from repro.core.dimension_tree import direct_iteration, hooi_iteration_dt
 from repro.core.errors import ConfigError
 from repro.core.rank_adaptive import (
     IterationRecord,
     RankAdaptiveOptions,
+    assess_iterate,
     expand_factor,
 )
 from repro.core.tucker import TuckerTensor
 from repro.distributed.dist_tensor import DistTensor
-from repro.distributed.hooi import DistributedTreeEngine, _direct_iteration
+from repro.distributed.hooi import DistributedTreeEngine
 from repro.distributed.kernels import dist_core_analysis_cost
 from repro.tensor.dense import tensor_norm
 from repro.tensor.random import random_orthonormal
@@ -59,12 +54,6 @@ class DistRankAdaptiveStats:
     iteration_breakdowns: list[dict[str, float]] = field(default_factory=list)
     breakdown: dict[str, float] = field(default_factory=dict)
     ledger: CostLedger | None = None
-
-
-def _grow(ranks: tuple[int, ...], alpha: float, shape: tuple[int, ...]):
-    return tuple(
-        min(max(math.ceil(alpha * r), r + 1), n) for r, n in zip(ranks, shape)
-    )
 
 
 def dist_rank_adaptive_hooi(
@@ -105,93 +94,51 @@ def dist_rank_adaptive_hooi(
     stats = DistRankAdaptiveStats(
         x_norm=tensor_norm(x), grid_dims=grid.dims, ledger=ledger
     )
-    x_norm_sq = stats.x_norm**2
-    target_sq = (1.0 - eps * eps) * x_norm_sq
-
     factors: list[np.ndarray] = [
         random_orthonormal(n, r, seed=rng, dtype=x.dtype)
         for n, r in zip(x.shape, ranks)
     ]
-    core_dt: DistTensor | None = None
+    core: np.ndarray | None = None
     result: TuckerTensor | None = None
 
     for it in range(1, options.max_iters + 1):
         snap = ledger.snapshot()
-        if options.use_dimension_tree:
-            engine = DistributedTreeEngine(
-                factors,  # type: ignore[arg-type]
-                ranks,
-                llsv_method=options.llsv_method,
-                n_subspace_iters=options.n_subspace_iters,
-            )
-            hooi_iteration_dt(dt, engine)
-            factors, core_dt = engine.factors, engine.core  # type: ignore[assignment]
-        else:
-            core_dt = _direct_iteration(
-                dt,
-                factors,  # type: ignore[arg-type]
-                ranks,
-                llsv_method=options.llsv_method,
-                n_subspace_iters=options.n_subspace_iters,
-            )
-        assert core_dt is not None
-        core = core_dt.data
-        assert isinstance(core, np.ndarray)
-
-        core_sq = tensor_norm(core) ** 2
-        err = math.sqrt(max(x_norm_sq - core_sq, 0.0)) / max(
-            stats.x_norm, 1e-300
+        engine = DistributedTreeEngine(
+            factors,  # type: ignore[arg-type]
+            ranks,
+            llsv_method=options.llsv_method,
+            n_subspace_iters=options.n_subspace_iters,
         )
-        satisfied = core_sq >= target_sq - 1e-12 * max(x_norm_sq, 1.0)
+        if options.use_dimension_tree:
+            hooi_iteration_dt(dt, engine)
+        else:
+            direct_iteration(dt, engine)
+        factors = engine.factors  # type: ignore[assignment]
+        assert engine.core is not None
+        core = engine.core.data
+        assert isinstance(core, np.ndarray)
 
         # Core analysis runs every iteration (the error check itself is
         # performed on the gathered core); its truncation search only
         # matters when satisfied.
-        dist_core_analysis_cost(core_dt)
-
-        record = IterationRecord(
-            iteration=it,
-            ranks_used=ranks,
-            error=err,
-            satisfied=satisfied,
-            storage_size=TuckerTensor(core=core, factors=factors).storage_size(),
-            seconds=0.0,
+        dist_core_analysis_cost(engine.core)
+        record, new_ranks, trunc = assess_iterate(
+            core, factors, ranks, it, stats.x_norm, eps, options
         )
-
-        if satisfied:
-            solver = (
-                solve_rank_truncation
-                if options.truncation == "exhaustive"
-                else greedy_rank_truncation
-            )
-            new_ranks = solver(core, target_sq, x.shape)
-            assert new_ranks is not None
-            energies = leading_subtensor_energies(core)
-            kept_sq = float(energies[tuple(r - 1 for r in new_ranks)])
-            trunc = TuckerTensor(core=core, factors=factors).truncate(new_ranks)
-            record.truncated_ranks = new_ranks
-            record.truncated_error = math.sqrt(
-                max(x_norm_sq - kept_sq, 0.0)
-            ) / max(stats.x_norm, 1e-300)
-            record.truncated_storage = trunc.storage_size()
-            stats.converged = True
-            if stats.first_satisfied is None:
-                stats.first_satisfied = it
-            result = trunc
-            core, factors, ranks = trunc.core, trunc.factors, trunc.ranks
-            core_dt = dt.like(core)
-
         record.seconds = ledger.seconds_since(snap)
         stats.iteration_seconds.append(record.seconds)
         stats.iteration_breakdowns.append(ledger.breakdown_since(snap))
         stats.history.append(record)
 
-        if satisfied and options.stop_at_threshold:
-            break
-        if not satisfied and it < options.max_iters:
-            # Grow only when another iteration will actually run, so the
-            # returned factors always match the returned core.
-            new_ranks = _grow(ranks, options.alpha, x.shape)
+        if trunc is not None:
+            stats.converged = True
+            if stats.first_satisfied is None:
+                stats.first_satisfied = it
+            result = trunc
+            factors, ranks = trunc.factors, trunc.ranks
+            if options.stop_at_threshold:
+                break
+        else:
             factors = [
                 expand_factor(u, r, rng) for u, r in zip(factors, new_ranks)
             ]
@@ -200,6 +147,7 @@ def dist_rank_adaptive_hooi(
     stats.simulated_seconds = ledger.seconds()
     stats.breakdown = ledger.breakdown()
     if result is None:
-        assert core_dt is not None and isinstance(core_dt.data, np.ndarray)
-        result = TuckerTensor(core=core_dt.data, factors=list(factors))
+        # Budget never met within max_iters; return the last iterate.
+        assert core is not None
+        result = TuckerTensor(core=core, factors=list(factors))
     return result, stats

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.tucker import TuckerTensor
 from repro.distributed.layout import BlockLayout
 from repro.linalg.evd import gram_evd, rank_from_spectrum
+from repro.tensor.dense import tensor_norm
 from repro.tensor.ops import gram, ttm
 from repro.tensor.validation import check_ranks
 from repro.vmpi.collectives import (
@@ -35,7 +36,6 @@ __all__ = [
     "subcomm_apply",
     "spmd_ttm",
     "spmd_gram",
-    "spmd_multi_ttm",
     "spmd_sthosvd",
 ]
 
@@ -123,25 +123,6 @@ def spmd_ttm(
     return reduced, BlockLayout(new_shape, grid)
 
 
-def spmd_multi_ttm(
-    blocks: Sequence[np.ndarray],
-    layout: BlockLayout,
-    factors: Sequence[np.ndarray | None],
-    *,
-    skip: int | None = None,
-    transpose: bool = True,
-) -> tuple[list[np.ndarray], BlockLayout]:
-    """All-but-``skip`` multi-TTM on real blocks (increasing mode order)."""
-    out_blocks, out_layout = list(blocks), layout
-    for mode, u in enumerate(factors):
-        if u is None or mode == skip:
-            continue
-        out_blocks, out_layout = spmd_ttm(
-            out_blocks, out_layout, u, mode, transpose=transpose
-        )
-    return out_blocks, out_layout
-
-
 def spmd_gram(
     blocks: Sequence[np.ndarray],
     layout: BlockLayout,
@@ -207,9 +188,7 @@ def spmd_sthosvd(
     if grid.ndim != x.ndim:
         raise ValueError(f"{x.ndim}-way tensor needs a {x.ndim}-way grid")
     threshold_sq = (
-        None
-        if eps is None
-        else (eps * float(np.linalg.norm(x.ravel()))) ** 2 / x.ndim
+        None if eps is None else (eps * tensor_norm(x)) ** 2 / x.ndim
     )
 
     blocks, layout = scatter_tensor(x, grid)

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.dimension_tree import hooi_iteration_dt
+from repro.core.dimension_tree import direct_iteration, hooi_iteration_dt
 from repro.core.hooi import HOOIOptions
 from repro.core.tucker import TuckerTensor
 from repro.distributed.layout import BlockLayout
@@ -24,7 +24,6 @@ from repro.distributed.spmd import (
     gather_tensor,
     scatter_tensor,
     spmd_gram,
-    spmd_multi_ttm,
     spmd_ttm,
     subcomm_apply,
 )
@@ -183,41 +182,20 @@ def spmd_hooi(
     core: np.ndarray | None = None
 
     for _ in range(options.max_iters):
+        engine = SPMDTreeEngine(
+            grid,
+            factors,
+            ranks,
+            subspace=subspace,
+            n_subspace_iters=options.n_subspace_iters,
+        )
         if options.use_dimension_tree:
-            engine = SPMDTreeEngine(
-                grid,
-                factors,
-                ranks,
-                subspace=subspace,
-                n_subspace_iters=options.n_subspace_iters,
-            )
             hooi_iteration_dt((blocks, layout), engine)
-            factors = engine.factors
-            assert engine.core_state is not None
-            core = gather_tensor(*engine.core_state)
         else:
-            d = x.ndim
-            for j in range(d):
-                y_blocks, y_layout = spmd_multi_ttm(
-                    blocks, layout, factors, skip=j
-                )
-                if subspace:
-                    factors[j] = spmd_subspace_llsv(
-                        y_blocks,
-                        y_layout,
-                        j,
-                        factors[j],
-                        ranks[j],
-                        n_iters=options.n_subspace_iters,
-                    )
-                else:
-                    factors[j] = spmd_gram_evd_llsv(
-                        y_blocks, y_layout, j, ranks[j]
-                    )
-            c_blocks, c_layout = spmd_ttm(
-                y_blocks, y_layout, factors[d - 1], d - 1
-            )
-            core = gather_tensor(c_blocks, c_layout)
+            direct_iteration((blocks, layout), engine)
+        factors = engine.factors
+        assert engine.core_state is not None
+        core = gather_tensor(*engine.core_state)
 
     assert core is not None
     return TuckerTensor(core=core, factors=factors)

@@ -10,11 +10,10 @@ from repro.distributed.kernels import (
     dist_core_analysis_cost,
     dist_gram,
     dist_gram_evd_llsv,
-    dist_multi_ttm,
     dist_subspace_llsv,
     dist_ttm,
 )
-from repro.tensor.ops import gram, multi_ttm, ttm
+from repro.tensor.ops import gram, ttm
 from repro.tensor.random import random_orthonormal
 from repro.vmpi.cost import CostLedger
 from repro.vmpi.grid import ProcessorGrid
@@ -67,17 +66,6 @@ class TestDistTTM:
         assert out.shape == (16, 3, 16)
         assert not out.concrete
         assert dt.ledger.seconds() > 0
-
-    def test_multi_ttm(self, small4, rng):
-        mats = [
-            rng.standard_normal((n, 2)) for n in small4.shape
-        ]
-        dt = _dt(small4, (1, 2, 1, 2))
-        out = dist_multi_ttm(dt, mats, skip=1, transpose=True)
-        ref = multi_ttm(small4, mats, transpose=True, skip=1)
-        # dist_multi_ttm contracts in increasing mode order; result is
-        # order-independent.
-        np.testing.assert_allclose(out.data, ref, atol=1e-11)
 
 
 class TestDistGram:

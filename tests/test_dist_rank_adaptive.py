@@ -1,5 +1,7 @@
 """Distributed rank-adaptive HOOI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,13 @@ from repro.core.errors import ConfigError
 from repro.core.rank_adaptive import RankAdaptiveOptions, rank_adaptive_hooi
 from repro.distributed.arrays import SymbolicArray
 from repro.distributed.rank_adaptive import dist_rank_adaptive_hooi
+from repro.linalg.llsv import LLSVMethod
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
 
 
 class TestDistRankAdaptive:
@@ -28,6 +37,41 @@ class TestDistRankAdaptive:
         assert [r.ranks_used for r in dist_s.history] == [
             r.ranks_used for r in seq_s.history
         ]
+
+    @pytest.mark.parametrize("start", [(4, 5, 3, 4), (2, 2, 2, 2)])
+    @pytest.mark.parametrize(
+        "llsv", [LLSVMethod.SUBSPACE, LLSVMethod.GRAM_EVD]
+    )
+    @pytest.mark.parametrize("truncation", ["exhaustive", "greedy"])
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_tree_path_bit_identical_to_sequential(
+        self, lowrank4, start, llsv, truncation, stop
+    ):
+        """Both layers run the same Alg. 3 decision on the same
+        tree-path bits, so everything but wall-clock seconds agrees
+        exactly."""
+        opts = RankAdaptiveOptions(
+            max_iters=3,
+            seed=0,
+            stop_at_threshold=stop,
+            llsv_method=llsv,
+            truncation=truncation,
+        )
+        seq_t, seq_s = rank_adaptive_hooi(lowrank4, 0.01, start, opts)
+        dist_t, dist_s = dist_rank_adaptive_hooi(
+            lowrank4, 0.01, start, (1, 2, 1, 2), options=opts
+        )
+        assert _same_bits(dist_t.core, seq_t.core)
+        assert len(dist_t.factors) == len(seq_t.factors)
+        for u, v in zip(dist_t.factors, seq_t.factors):
+            assert _same_bits(u, v)
+        assert dist_s.converged == seq_s.converged
+        assert dist_s.first_satisfied == seq_s.first_satisfied
+
+        def no_seconds(history):
+            return [dataclasses.replace(r, seconds=0.0) for r in history]
+
+        assert no_seconds(dist_s.history) == no_seconds(seq_s.history)
 
     def test_iteration_seconds_recorded(self, lowrank4):
         opts = RankAdaptiveOptions(max_iters=3, stop_at_threshold=False)

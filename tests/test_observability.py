@@ -451,12 +451,14 @@ class TestFailurePath:
         assert "last open span" in str(err)
         assert "'stuck step'" in str(err)
 
-    def test_driver_failure_names_the_open_sweep(self):
+    def test_driver_failure_names_the_open_phase(self):
+        # The kill lands inside a TTM's reduce-scatter: the innermost
+        # open span is that phase, not the enclosing sweep.
         cfg = CommConfig(fault_plan=FaultPlan.kill(1, op_index=7, hard=False))
         opts = HOOIOptions(use_dimension_tree=True, max_iters=2, seed=0)
         with pytest.raises(RankFailureError) as exc_info:
             mp_hooi_dt(_tensor(), RANKS, GRID, opts, comm_config=cfg)
-        assert "rank 1 last open span: 'sweep 1' (sweep)" in str(
+        assert "rank 1 last open span: 'ttm' (phase, phase ttm)" in str(
             exc_info.value
         )
 

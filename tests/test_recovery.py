@@ -150,16 +150,19 @@ class TestElasticOtherDrivers:
         )
         _assert_tucker_equal(out, base)
 
-    def test_rahosi_respawn(self, small3):
+    def test_rahosi_respawn(self, small3, backend):
         opts = RankAdaptiveOptions(seed=3, max_iters=4)
-        base, _ = mp_rahosi_dt(small3, 0.4, (2, 2, 2), (2, 2, 1), opts)
+        base, _ = mp_rahosi_dt(
+            small3, 0.4, (2, 2, 2), (2, 2, 1), opts, transport=backend
+        )
         cfg = CommConfig(
             fault_plan=FaultPlan.kill(3, op_index=25),
             recovery="respawn",
             collective_timeout=15.0,
         )
         out, stats = mp_rahosi_dt(
-            small3, 0.4, (2, 2, 2), (2, 2, 1), opts, comm_config=cfg
+            small3, 0.4, (2, 2, 2), (2, 2, 1), opts,
+            comm_config=cfg, transport=backend,
         )
         _assert_tucker_equal(out, base)
         # RNG state rode the replica: the resumed expand_factor draws

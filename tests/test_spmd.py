@@ -10,12 +10,11 @@ from repro.distributed.spmd import (
     gather_tensor,
     scatter_tensor,
     spmd_gram,
-    spmd_multi_ttm,
     spmd_sthosvd,
     spmd_ttm,
     subcomm_apply,
 )
-from repro.tensor.ops import gram, multi_ttm, ttm
+from repro.tensor.ops import gram, ttm
 from repro.vmpi.collectives import allreduce_blocks
 from repro.vmpi.grid import ProcessorGrid
 
@@ -97,18 +96,6 @@ class TestSPMDTTM:
             gather_tensor(out_blocks, out_layout),
             ttm(small3, u, 1),
             atol=1e-11,
-        )
-
-    def test_multi_ttm(self, small4, rng):
-        mats = [rng.standard_normal((n, 2)) for n in small4.shape]
-        grid = ProcessorGrid((2, 1, 3, 1))
-        blocks, layout = scatter_tensor(small4, grid)
-        out_blocks, out_layout = spmd_multi_ttm(
-            blocks, layout, mats, skip=2
-        )
-        ref = multi_ttm(small4, mats, transpose=True, skip=2)
-        np.testing.assert_allclose(
-            gather_tensor(out_blocks, out_layout), ref, atol=1e-11
         )
 
 
