@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
 from repro.observability.profile import RunProfile
-from repro.observability.spans import merge_intervals
 
 __all__ = [
     "CollectiveRow",
@@ -285,10 +284,10 @@ def _recovery_line(profile: RunProfile) -> str | None:
     histograms (``repro.distributed.recovery``).
 
     ``buddy_replicate_seconds`` is the steady-state premium every
-    elastic sweep pays; ``recovery_seconds`` (detect + revoke + agree)
-    appears only on runs that actually absorbed a failure.
+    elastic sweep pays; ``recovery_seconds`` (building a survivor's
+    report) appears only on runs that actually absorbed a failure.
     """
-    replicate = recover = agree = 0.0
+    replicate = recover = 0.0
     episodes = 0
     for p in profile.ranks:
         hists = p.metrics.get("histograms", {})
@@ -298,9 +297,6 @@ def _recovery_line(profile: RunProfile) -> str | None:
         rec = hists.get("recovery_seconds", {})
         recover += rec.get("total", 0.0)
         episodes += int(rec.get("count", 0))
-        agree += hists.get("recovery_agree_seconds", {}).get(
-            "total", 0.0
-        )
     if replicate + recover <= 0:
         return None
     line = (
@@ -309,8 +305,7 @@ def _recovery_line(profile: RunProfile) -> str | None:
     )
     if recover > 0:
         line += (
-            f"; {recover:.4g}s failure handling "
-            f"({agree:.4g}s agreement) across {episodes} "
+            f"; {recover:.4g}s failure handling across {episodes} "
             "survivor reports"
         )
     return line

@@ -45,8 +45,8 @@ Rules (see :mod:`~repro.analysis.verify.rules`):
     across the group even though the schedule itself matches.
 ``SPMD124``
     A raw transport post/receive uses a tag in the reserved
-    control-plane namespace (recovery buddy/agree posts, shm free
-    credits, revoke notices, verifier rounds) — user traffic on those
+    control-plane namespace (recovery buddy posts, shm free credits,
+    finish notices, verifier rounds) — user traffic on those
     tags is consumed by the wrong state machine.
 ``SPMD125``
     A ``comm.send`` whose ``(dest, tag)`` no projected rank ever
@@ -95,15 +95,13 @@ __all__ = [
 DEFAULT_WORLD = 4
 
 #: Tag kinds owned by the runtime's control planes.  User traffic on a
-#: raw transport channel must stay out of this namespace: ``buddy`` /
-#: ``agree`` are the elastic-recovery rounds
+#: raw transport channel must stay out of this namespace: ``buddy`` is
+#: the elastic-recovery snapshot ring
 #: (:mod:`repro.distributed.recovery`), ``shmfree`` the segment-pool
-#: credits, ``revoke`` the failure notices, ``fin`` the finished-rank
-#: notices, ``ctl``/``vfy``/``vok`` the tier-2 verifier rounds, and
-#: ``p2p`` the user send/recv wrapper.
+#: credits, ``fin`` the finished-rank notices, ``ctl``/``vfy``/``vok``
+#: the tier-2 verifier rounds, and ``p2p`` the user send/recv wrapper.
 RESERVED_TAG_KINDS = frozenset(
-    {"buddy", "agree", "shmfree", "revoke", "fin", "ctl", "vfy", "vok",
-     "p2p"}
+    {"buddy", "shmfree", "fin", "ctl", "vfy", "vok", "p2p"}
 )
 
 #: Raw transport entry points whose tag argument shares the wire's tag
@@ -655,7 +653,7 @@ class _Projector:
             f"raw transport {attr}() at "
             f"{self.site(call).render()} uses tag kind {hit!r}, which "
             "is reserved for the runtime control plane (recovery "
-            "buddy/agree posts, shm free credits, revoke notices, "
+            "buddy posts, shm free credits, finish notices, "
             "verifier rounds) — user traffic on this tag is consumed "
             "by the wrong state machine; pick a tag outside "
             f"{sorted(RESERVED_TAG_KINDS)}",
@@ -1177,7 +1175,7 @@ def _check_shutdown(
 def _scan_raw_tags(checker: _Checker, mod: _Module) -> None:
     """SPMD124 sweep over *every* function (not just SPMD entry
     points): raw transport posts live in helper classes too — the
-    recovery manager's buddy/agree rounds are the sanctioned escapes
+    recovery manager's buddy ring is the sanctioned escape
     a committed baseline records."""
     for func in mod.funcs.values():
         proj = _Projector(checker, func, 0, {"@rank": 0, "@size": 1})

@@ -36,7 +36,6 @@ import numpy as np
 from repro.core.errors import NumericalFaultError
 from repro.distributed.arrays import (
     SymbolicArray,
-    any_contract,
     any_gram,
     any_ttm,
     is_concrete,

@@ -77,6 +77,7 @@ from repro.distributed.recovery import (
     scatter_blocks,
 )
 from repro.linalg.llsv import LLSVMethod
+from repro.observability.profile import RunProfile
 from repro.tensor.dense import tensor_norm
 from repro.tensor.random import random_orthonormal
 from repro.tensor.validation import check_ranks
@@ -339,8 +340,8 @@ def _hooi_rank_program(
     seed: int | None,
     x_digest: str,
     checkpoint_path: str | None,
-    resume: SweepCheckpoint | None,
     orthogonality_tol: float | None,
+    resume: SweepCheckpoint | None,
 ) -> tuple[np.ndarray | None, list[np.ndarray] | None, MPHooiStats]:
     grid = ProcessorGrid(grid_dims)
     coords = grid.coords(comm.rank)
@@ -400,16 +401,12 @@ def _hooi_rank_program(
                 "ttm_count": engine.ttm_count,
                 "cache_hits": engine.cache_hits,
                 "cache_misses": engine.cache_misses,
-                "world_size": comm.size,
-                "backend": comm._t.kind,
             },
         )
 
-    mgr = comm.recovery_mgr
-    if mgr is not None:
-        # Starting-point snapshot (iteration 0 or the resume point): a
-        # crash inside the very first sweep must also be recoverable.
-        mgr.replicate(_boundary_ck(start_it))
+    # Starting-point snapshot (iteration 0 or the resume point): a
+    # crash inside the very first sweep must also be recoverable.
+    save_checkpoint(comm, _boundary_ck, start_it, None)
     state: MPState = (x_block, x_layout, ())
     fr = comm.flight
     for it in range(start_it, max_iters):
@@ -425,14 +422,8 @@ def _hooi_rank_program(
         else:
             direct_iteration(state, engine)
         per_iter.append(engine.ttm_count - before)
-        if mgr is not None and it + 1 < max_iters:
-            mgr.replicate(_boundary_ck(it + 1))
-        if (
-            checkpoint_path is not None
-            and comm.rank == 0
-            and it + 1 < max_iters
-        ):
-            save_checkpoint(comm, _boundary_ck(it + 1), checkpoint_path)
+        if it + 1 < max_iters:
+            save_checkpoint(comm, _boundary_ck, it + 1, checkpoint_path)
         if fr is not None:
             fr.end()
 
@@ -537,9 +528,8 @@ def mp_hooi_dt(
         options.seed,
         x_dig,
         checkpoint_path,
-        resume,
         orthogonality_tol,
-        resume_slot=12,
+        resume,
         timeout=timeout,
         transport=transport,
         config=comm_config,
@@ -552,9 +542,6 @@ def mp_hooi_dt(
         profile_out.update(rings)
     core, factors, stats = outs[0]
     assert core is not None and factors is not None
-    # Imported here: the renderers stay out of `import repro`.
-    from repro.observability.profile import RunProfile
-
     stats.profile = RunProfile.from_ranks(rings) if rings else None
     stats.recovery_events = events
     return TuckerTensor(core=core, factors=factors), stats
@@ -572,8 +559,8 @@ def _rahosi_rank_program(
     rule: str,
     x_digest: str,
     checkpoint_path: str | None,
-    resume: SweepCheckpoint | None,
     orthogonality_tol: float | None,
+    resume: SweepCheckpoint | None,
 ) -> tuple[
     np.ndarray | None, list[np.ndarray] | None, MPRankAdaptiveStats
 ]:
@@ -654,16 +641,12 @@ def _rahosi_rank_program(
                 "ttm_count": engine.ttm_count,
                 "cache_hits": engine.cache_hits,
                 "cache_misses": engine.cache_misses,
-                "world_size": comm.size,
-                "backend": comm._t.kind,
             },
         )
 
-    mgr = comm.recovery_mgr
-    if mgr is not None:
-        # Starting-point snapshot (iteration 0 or the resume point): a
-        # crash inside the very first sweep must also be recoverable.
-        mgr.replicate(_boundary_ck(start_it))
+    # Starting-point snapshot (iteration 0 or the resume point): a
+    # crash inside the very first sweep must also be recoverable.
+    save_checkpoint(comm, _boundary_ck, start_it, None)
     state: MPState = (x_block, x_layout, ())
     fr = comm.flight
     for it in range(start_it + 1, opts.max_iters + 1):
@@ -748,13 +731,10 @@ def _rahosi_rank_program(
             ]
             ranks = new_ranks
             engine.reset_factors(factors, ranks)
-            if mgr is not None:
-                # Post-growth boundary: expanded factors, grown ranks,
-                # bumped versions, generator state *after* the
-                # expand_factor draws.
-                mgr.replicate(_boundary_ck(it))
-            if checkpoint_path is not None and comm.rank == 0:
-                save_checkpoint(comm, _boundary_ck(it), checkpoint_path)
+            # Post-growth boundary: expanded factors, grown ranks,
+            # bumped versions, generator state *after* the
+            # expand_factor draws.
+            save_checkpoint(comm, _boundary_ck, it, checkpoint_path)
         if fr is not None:
             fr.end()
 
@@ -850,9 +830,8 @@ def mp_rahosi_dt(
         rule,
         x_dig,
         checkpoint_path,
-        resume,
         orthogonality_tol,
-        resume_slot=10,
+        resume,
         timeout=timeout,
         transport=transport,
         config=comm_config,
@@ -865,9 +844,6 @@ def mp_rahosi_dt(
         profile_out.update(rings)
     core, factors, stats = outs[0]
     assert core is not None and factors is not None
-    # Imported here: the renderers stay out of `import repro`.
-    from repro.observability.profile import RunProfile
-
     stats.profile = RunProfile.from_ranks(rings) if rings else None
     stats.recovery_events = events
     return TuckerTensor(core=core, factors=factors), stats

@@ -49,8 +49,8 @@ def _rank_program(
     threshold_sq: float | None,
     x_digest: str,
     checkpoint_path: str | None,
-    resume: SweepCheckpoint | None,
     orthogonality_tol: float | None,
+    resume: SweepCheckpoint | None,
 ) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
     """The per-rank SPMD program (runs inside a worker process)."""
     grid = ProcessorGrid(grid_dims)
@@ -82,17 +82,11 @@ def _rank_program(
             ranks=tuple(f.shape[1] for f in factors),
             factors=factors,
             x_digest=x_digest,
-            extra={
-                "world_size": comm.size,
-                "backend": comm._t.kind,
-            },
         )
 
-    mgr = comm.recovery_mgr
-    if mgr is not None:
-        # Starting-point snapshot (mode 0 or the resume point): a
-        # crash inside the very first mode must also be recoverable.
-        mgr.replicate(_boundary_ck(start_mode))
+    # Starting-point snapshot (mode 0 or the resume point): a crash
+    # inside the very first mode must also be recoverable.
+    save_checkpoint(comm, _boundary_ck, start_mode, None)
     fr = comm.flight
     for mode in range(start_mode, len(shape)):
         comm.note_progress(
@@ -132,14 +126,8 @@ def _rank_program(
             comm, block, layout, coords, u, mode, phase="ttm"
         )
 
-        if mgr is not None and mode + 1 < len(shape):
-            mgr.replicate(_boundary_ck(mode + 1))
-        if (
-            checkpoint_path is not None
-            and comm.rank == 0
-            and mode + 1 < len(shape)
-        ):
-            save_checkpoint(comm, _boundary_ck(mode + 1), checkpoint_path)
+        if mode + 1 < len(shape):
+            save_checkpoint(comm, _boundary_ck, mode + 1, checkpoint_path)
         if fr is not None:
             fr.end()
 
@@ -216,9 +204,8 @@ def mp_sthosvd(
         threshold_sq,
         x_dig,
         checkpoint_path,
-        resume,
         orthogonality_tol,
-        resume_slot=7,
+        resume,
         timeout=timeout,
         transport=transport,
         config=comm_config,

@@ -16,29 +16,27 @@ control rounds), so the CollectiveRecord traces of an elastic run stay
 bit-identical to a plain run's — replication is invisible to the
 certified cost accounting.
 
-**Failure agreement** (:meth:`RecoveryManager.on_failure`).  On a peer
-death — :class:`~repro.vmpi.transport.TransportClosedError` in-band on
-either wire, or another survivor's revoke notice
-(:class:`~repro.vmpi.transport.WorldRevokedError`) — the survivor
-revokes the world (ULFM-style: a revoke notice wakes every peer still
-blocked on a *live* rank) and runs a bounded two-round
-suspect-set exchange so survivors converge on the same failed set.
-The round is best-effort by construction (a survivor that never
-enters a collective cannot answer and is over-suspected); the
-launcher's liveness view is the authoritative arbiter — a rank is
-failed iff it posted neither a result nor a recovery report.
+**Survivor reports** (:meth:`RecoveryManager.on_failure`).  A dead
+rank is EOF to every peer on both wires, so a survivor waiting on it
+raises :class:`~repro.vmpi.transport.TransportClosedError` at once.
+Under ``respawn`` the survivor then posts a ``"recovery"`` report —
+its own boundary snapshot and the buddy replica it holds — and exits
+like a ``restart`` survivor, so its own EOF wakes every peer still
+waiting on it.  Nothing is agreed in-run: the launcher's failed set
+(:attr:`~repro.vmpi.mp_comm.RankFailureError.failed_ranks`, the ranks
+that raised, crashed or died without a report) is the one answer.
 Transient stalls never reach this path: a stall shorter than
 ``CommConfig.collective_timeout`` is simply waited out, and a longer
 one surfaces as :class:`~repro.vmpi.transport.CollectiveTimeoutError`;
-only a closed transport or an explicit revoke — the permanent
-classification — triggers recovery.
+only a closed transport — the permanent classification — triggers
+recovery.
 
 **Recovery policies** (:func:`run_elastic`), selected by
 ``CommConfig.recovery``:
 
 * ``"restart"`` (default) — the PR-3 behavior: tear down, raise.
 * ``"respawn"`` — relaunch the full-size world, every rank rehydrated
-  from the buddy replica of the newest sweep boundary (injected as the
+  from the newest snapshot of the last sweep boundary (injected as the
   drivers' ``resume`` argument).  The world size — and with it the
   processor grid, the block layout, every collective group, schedule,
   and reduction order — is exactly that of the original run, which is
@@ -57,7 +55,8 @@ Since every mp driver launches through :func:`run_elastic`, this module
 also holds the launch helpers the three drivers share:
 :func:`prepare_resume` (load and check a resume checkpoint),
 :func:`scatter_blocks` (the per-rank input blocks) and
-:func:`save_checkpoint` (rank 0's timed disk checkpoint write).
+:func:`save_checkpoint` (one sweep boundary: the buddy exchange and
+rank 0's disk checkpoint).
 """
 
 from __future__ import annotations
@@ -79,10 +78,6 @@ from repro.vmpi.mp_comm import (
     _flight_snapshot,
     run_spmd,
 )
-from repro.vmpi.transport import (
-    CollectiveTimeoutError,
-    TransportClosedError,
-)
 
 __all__ = [
     "RecoveryEvent",
@@ -93,25 +88,24 @@ __all__ = [
     "scatter_blocks",
 ]
 
-#: Tag kinds of the recovery control plane.  They ride the raw
-#: counter-neutral transport channel (``_post`` / ``_recv_body``), a
-#: namespace disjoint from collective tags ``(op_id, phase)``, control
-#: tags ``("ctl", ...)``, and the shm free credits.
+#: Tag kind of the buddy exchange.  It rides the raw counter-neutral
+#: transport channel (``_post`` / ``_recv_body``), a namespace disjoint
+#: from collective tags ``(op_id, phase)``, control tags
+#: ``("ctl", ...)``, and the shm free credits.
 _BUDDY_TAG = "buddy"
-_AGREE_TAG = "agree"
 
 
 @dataclass
 class RecoveryEvent:
-    """One recovery episode, as observed by the orchestrator."""
+    """One respawn episode, as observed by the orchestrator: the
+    launcher's failed set, the survivors that reported, and the
+    snapshot the continuation resumed from."""
 
-    policy: str
     attempt: int
     failed: tuple[int, ...]
     reporters: tuple[int, ...]
     resumed_iteration: int
     source: str
-    agree_seconds: float
     #: wall seconds of the continuation run (relaunch + remaining
     #: sweeps); filled in once that attempt returns.
     relaunch_seconds: float = -1.0
@@ -128,8 +122,7 @@ class RecoveryManager:
     when ``CommConfig.recovery`` is ``respawn``.
 
     Holds the rank's own latest snapshot and the buddy replica it
-    protects; on failure runs the revoke-and-agree round and builds
-    the report the worker posts home.
+    protects; on a peer's EOF builds the report the worker posts home.
     """
 
     def __init__(self, comm) -> None:
@@ -177,93 +170,25 @@ class RecoveryManager:
             if fr is not None:
                 fr.metrics.observe("buddy_replicate_seconds", fr.end())
 
-    # -- revoke and agree ---------------------------------------------------
-
     def on_failure(self, exc: BaseException) -> dict:
-        """Revoke the world, agree on the failed set, build the report.
-
-        Bounded: two fixed agreement rounds, each waiting at most
-        ``CommConfig.agree_timeout`` per unreachable peer.  Every wire
-        interaction is best-effort — a peer that cannot be reached is
-        a suspect, never a hang.
-        """
+        """The report a survivor posts home after a peer's EOF: the
+        iteration of its last boundary, its own snapshot, the replica
+        it holds, and its flight ring."""
         comm = self.comm
-        t = comm._t
-        t0 = time.perf_counter()
         comm.note_event("recovery", repr(exc)[:120])
         fr = comm.flight
         if fr is not None:
             fr.begin("recovery", "phase", phase="recovery")
-        suspects: set[int] = set(getattr(exc, "failed_hint", ()) or ())
-        suspects |= set(getattr(t, "_gone", ()))
-        suspects |= set(t.revoked_hint)
-        suspects.discard(comm.rank)
-        # Survivors keep receiving during the agreement; the revoked
-        # flag must not abort their own recovery waits.
-        t._in_recovery = True
-        # Wake peers still blocked on live ranks: without this, a
-        # survivor two hops from the dead rank would wait out its full
-        # collective timeout before noticing anything happened.
-        t.post_revoke(frozenset(suspects))
-        suspects |= set(t.revoked_hint)
-        suspects.discard(comm.rank)
-        t_agree = time.perf_counter()
-        if fr is not None:
-            fr.begin("agree", "phase", phase="agree")
-        try:
-            agreed = self._agree(suspects)
-        finally:
-            if fr is not None:
-                fr.end()
-        agree_seconds = time.perf_counter() - t_agree
         report = {
-            "rank": comm.rank,
-            "failed": sorted(agreed),
             "iteration": self.iteration,
+            "own": self.own_bytes,
             "replica": self.replica_bytes,
             "replica_from": self.protects,
-            "own": self.own_bytes,
-            "error": repr(exc),
-            "agree_seconds": agree_seconds,
         }
         if fr is not None:
-            fr.metrics.observe("recovery_agree_seconds", agree_seconds)
             fr.metrics.observe("recovery_seconds", fr.end())
         report["flight"] = _flight_snapshot(comm)
-        report["recovery_seconds"] = time.perf_counter() - t0
         return report
-
-    def _agree(self, suspects: set[int]) -> set[int]:
-        """Two-round suspect-set exchange (exchange, then re-exchange
-        the unions).  With every survivor seeded the same hint — the
-        common case on both wires, since the detector broadcasts its
-        suspects in the revoke notice — both rounds complete at
-        message latency; timeouts only arm for peers that really
-        cannot answer, and those become suspects themselves."""
-        comm = self.comm
-        t = comm._t
-        agreed = set(suspects)
-        wait = max(0.05, float(comm.config.agree_timeout))
-        for rnd in (1, 2):
-            tag = (_AGREE_TAG, rnd)
-            notice = sorted(agreed)
-            for peer in range(comm.size):
-                if peer == comm.rank or peer in agreed:
-                    continue
-                try:
-                    t._post(peer, tag, notice)
-                except (OSError, CollectiveTimeoutError):
-                    agreed.add(peer)
-            for peer in range(comm.size):
-                if peer == comm.rank or peer in agreed:
-                    continue
-                try:
-                    got = t._recv_body(peer, tag, wait)
-                    agreed.update(int(r) for r in got)
-                except (OSError, CollectiveTimeoutError):
-                    agreed.add(peer)
-            agreed.discard(comm.rank)
-        return agreed
 
 
 # ---------------------------------------------------------------------------
@@ -323,61 +248,64 @@ def scatter_blocks(x: np.ndarray, grid: ProcessorGrid) -> list[np.ndarray]:
 
 
 def save_checkpoint(
-    comm: ProcessComm, ck: SweepCheckpoint, path: str
+    comm: ProcessComm,
+    build: Callable[[int], SweepCheckpoint],
+    completed: int,
+    path: str | None,
 ) -> None:
-    """Write ``ck`` to ``path`` as a ``checkpoint`` kernel span, timed
-    into the ``checkpoint_write_seconds`` histogram."""
-    fr = comm.flight
-    if fr is not None:
-        fr.begin("checkpoint", "kernel")
-    ck.save(path)
-    if fr is not None:
-        fr.metrics.observe("checkpoint_write_seconds", fr.end())
+    """One sweep boundary.  ``build(completed)`` is replicated to the
+    buddy when recovery is armed and, on rank 0, written to ``path``
+    when one is given (a ``checkpoint`` kernel span, timed into the
+    ``checkpoint_write_seconds`` histogram).  When neither wants it,
+    nothing is built."""
+    mgr = comm.recovery_mgr
+    write = path is not None and comm.rank == 0
+    if mgr is None and not write:
+        return
+    ck = build(completed)
+    ck.extra.update(world_size=comm.size, backend=comm._t.kind)
+    if mgr is not None:
+        mgr.replicate(ck)
+    if write:
+        fr = comm.flight
+        if fr is not None:
+            fr.begin("checkpoint", "kernel")
+        ck.save(path)
+        if fr is not None:
+            fr.metrics.observe("checkpoint_write_seconds", fr.end())
 
 
-def _pick_snapshot(
-    reports: dict[int, dict], failed: set[int]
-) -> tuple[bytes | None, int, str]:
-    """The newest replicated snapshot among the survivor reports.
+def _pick_snapshot(reports: dict[int, dict]) -> tuple[bytes | None, int, str]:
+    """The snapshot to resume from, its iteration, and where it came from.
 
-    Prefers a buddy replica held *for* a failed rank (the protocol's
-    reason to exist); falls back to any survivor's own snapshot of the
-    same boundary (identical content — factors are replicated).
+    Factors are replicated, but only rank 0 appends the Alg. 3
+    history, so the newest snapshot of rank 0's state wins: its own,
+    or the buddy replica rank 1 holds for it.  The newest snapshot of
+    any survivor is the fallback when neither reached the launcher.
     """
-    best_it = max(
-        (int(rep.get("iteration", -1)) for rep in reports.values()),
-        default=-1,
-    )
-    if best_it < 0:
+    # (holds rank 0's state, iteration, blob, source); max keeps the
+    # first of equals, so ties go to the lower rank's own snapshot.
+    found = []
+    for r, rep in sorted(reports.items()):
+        it = rep["iteration"]
+        if rep["own"] is not None:
+            found.append((r == 0, it, rep["own"], f"own snapshot of rank {r}"))
+        if rep["replica"] is not None:
+            p = rep["replica_from"]
+            found.append((
+                p == 0, it, rep["replica"],
+                f"buddy replica of rank {p} held by rank {r}",
+            ))
+    if not found:
         return None, -1, ""
-    for r in sorted(reports):
-        rep = reports[r]
-        if (
-            int(rep.get("iteration", -1)) == best_it
-            and rep.get("replica") is not None
-            and rep.get("replica_from") in failed
-        ):
-            return (
-                rep["replica"],
-                best_it,
-                f"buddy replica of rank {rep['replica_from']} "
-                f"held by rank {r}",
-            )
-    for r in sorted(reports):
-        rep = reports[r]
-        if (
-            int(rep.get("iteration", -1)) == best_it
-            and rep.get("own") is not None
-        ):
-            return rep["own"], best_it, f"own snapshot of rank {r}"
-    return None, -1, ""
+    _, it, blob, source = max(found, key=lambda f: f[:2])
+    return blob, it, source
 
 
 def run_elastic(
     fn: Callable[..., object],
     size: int,
     *args: object,
-    resume_slot: int,
     timeout: float = 120.0,
     transport: str = "shm",
     config: CommConfig | None = None,
@@ -389,14 +317,14 @@ def run_elastic(
 ) -> list[object]:
     """:func:`~repro.vmpi.mp_comm.run_spmd` with in-run recovery.
 
-    Runs ``fn`` like ``run_spmd``; when the world fails under an
-    elastic policy, picks the newest buddy replica from the survivor
-    reports, injects it at ``args[resume_slot]`` (the driver's
-    ``resume`` parameter), strips the ``fault_plan`` (a seeded crash
-    must not re-fire in the continuation), and relaunches the
-    full-size world.  Repeats until the run completes or ``max_attempts``
-    (default: the world size) is exhausted; non-elastic configs and
-    failures without recovery reports re-raise unchanged.
+    Runs ``fn`` like ``run_spmd``; when the world fails under
+    ``respawn``, picks a snapshot from the survivor reports
+    (:func:`_pick_snapshot`), passes it as the last argument (every
+    rank program's ``resume`` parameter), strips the ``fault_plan`` (a
+    seeded crash must not re-fire in the continuation), and relaunches
+    the full-size world.  Repeats until the run completes or
+    ``max_attempts`` (default: the world size) is exhausted; non-elastic
+    configs and failures without recovery reports re-raise unchanged.
 
     ``events_out`` collects one :class:`RecoveryEvent` per episode
     (the benchmark and stats surfaces read these).
@@ -428,28 +356,19 @@ def run_elastic(
             reports = exc.recovery_reports
             if not reports or attempt == attempts - 1:
                 raise
-            failed = set(exc.failed_ranks)
-            blob, resumed_it, source = _pick_snapshot(reports, failed)
+            blob, resumed_it, source = _pick_snapshot(reports)
             if blob is None:
                 raise
-            run_args[resume_slot] = SweepCheckpoint.from_bytes(blob)
+            run_args[-1] = SweepCheckpoint.from_bytes(blob)
             # The seeded fault already fired; re-arming it would crash
             # the continuation at the same op index forever.
             cfg = replace(cfg, fault_plan=None)
             event = RecoveryEvent(
-                policy=cfg.recovery,
                 attempt=attempt,
-                failed=tuple(sorted(failed)),
+                failed=exc.failed_ranks,
                 reporters=tuple(sorted(reports)),
                 resumed_iteration=resumed_it,
                 source=source,
-                agree_seconds=max(
-                    (
-                        float(rep.get("agree_seconds", 0.0))
-                        for rep in reports.values()
-                    ),
-                    default=0.0,
-                ),
                 flight_records=dict(exc.flight_records),
                 postmortem=exc.postmortem,
             )

@@ -29,7 +29,7 @@ from repro.distributed.spmd import (
 )
 from repro.linalg.evd import gram_evd
 from repro.linalg.qrcp import qrcp
-from repro.tensor.ops import contract_all_but_mode, ttm
+from repro.tensor.ops import contract_all_but_mode
 from repro.tensor.random import random_orthonormal
 from repro.tensor.validation import check_ranks
 from repro.vmpi.collectives import allgather_blocks, allreduce_blocks

@@ -20,7 +20,7 @@ counts against the paper's closed forms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.vmpi.machine import MachineModel
 

@@ -11,7 +11,6 @@ the fastest, mirroring the paper's methodology.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 

@@ -70,6 +70,11 @@ import multiprocessing as mp
 import numpy as np
 
 from repro.core.errors import NumericalFaultError
+from repro.observability.telemetry import (
+    FlightRecorder,
+    TelemetryPusher,
+    build_postmortem,
+)
 from repro.vmpi.collectives import select_allreduce_algorithm
 from repro.vmpi.faults import (
     EXIT_INJECTED_CRASH,
@@ -84,7 +89,6 @@ from repro.vmpi.transport import (  # noqa: F401  (re-exported)
     TcpSocketTransport,
     Transport,
     TransportClosedError,
-    WorldRevokedError,
     _FREE_TAG,
     _SHM_DIR,
     _contig,
@@ -101,7 +105,6 @@ __all__ = [
     "TcpSocketTransport",
     "Transport",
     "TransportClosedError",
-    "WorldRevokedError",
     "run_spmd",
 ]
 
@@ -138,10 +141,9 @@ class RankFailureError(RuntimeError):
         and kills; absent for ordinary raised exceptions).
     ``recovery_reports``
         Elastic runs (``CommConfig.recovery="respawn"``) only:
-        ``rank -> report`` from every survivor that
-        ran the revoke-and-agree round and self-extracted, each
-        carrying its agreed failed set, last replicated iteration, and
-        the serialized buddy replica — everything
+        ``rank -> report`` from every survivor that saw a peer's EOF,
+        each carrying its last replicated iteration, its own serialized
+        boundary snapshot and the buddy replica it holds — everything
         :func:`repro.distributed.recovery.run_elastic` needs to
         continue the run.
     ``flight_records``
@@ -223,17 +225,14 @@ class CommConfig:
         :class:`RankFailureError` is raised.  ``"respawn"`` arms
         elastic recovery (:mod:`repro.distributed.recovery`): every
         rank replicates its sweep state to its buddy
-        ``(rank + 1) % size`` over the transport, survivors of a
-        failure run a revoke-and-agree round and self-extract with
-        their replicas, and the orchestrator relaunches a full-size
-        world from the newest replica (the world size and hence every
-        collective schedule is preserved, which is what makes the
-        continuation bit-identical).
-    agree_timeout:
-        Elastic recovery: per-peer wait of each agreement round.
-        Bounded best-effort — the launcher's liveness view is the
-        authoritative arbiter; the in-run round exists so survivors
-        converge without it in the common case.
+        ``(rank + 1) % size`` over the transport; a survivor that sees
+        a peer's EOF posts its own snapshot and the replica it holds
+        and exits like a ``"restart"`` survivor (its EOF wakes the
+        peers still waiting on it); and the orchestrator relaunches a
+        full-size world from the launcher's failed set and the newest
+        snapshot (the world size and hence every collective schedule
+        is preserved, which is what makes the continuation
+        bit-identical).
     verify:
         Run the tier-2 SPMD correctness verifier
         (:mod:`repro.analysis.verify.runtime`): every collective is
@@ -314,7 +313,6 @@ class CommConfig:
     fault_plan: FaultPlan | None = None
     check_numerics: bool = False
     recovery: str = "restart"
-    agree_timeout: float = 2.0
     verify: bool = False
     race_detect: bool = False
     flight: bool = True
@@ -386,8 +384,6 @@ class ProcessComm:
         #: `is None` test.
         self.flight = None
         if self.config.flight:
-            from repro.observability.telemetry import FlightRecorder
-
             self.flight = FlightRecorder(rank)
             channel.flight = self.flight
         #: lazily created single-thread executor for CommConfig.overlap
@@ -1198,13 +1194,10 @@ def _failure_report(exc: BaseException, comm) -> dict:
         "error": repr(exc),
         "traceback": traceback_mod.format_exc(),
         "trace_tail": comm.trace.tail(),
-        # A closed-peer abort (or a survivor-revoked world) is a
-        # casualty of some other rank's death, not a primary failure:
-        # the launcher demotes it to the aborted set when a primary
-        # failure explains it.
-        "secondary": isinstance(
-            exc, (TransportClosedError, WorldRevokedError)
-        ),
+        # A closed-peer abort is a casualty of some other rank's
+        # death, not a primary failure: the launcher demotes it to the
+        # aborted set when a primary failure explains it.
+        "secondary": isinstance(exc, TransportClosedError),
     }
     fr = comm.flight
     if fr is not None:
@@ -1246,8 +1239,6 @@ def _rank_worker(
     comm = ProcessComm(rank, size, channel, config, board=board)
     pusher = None
     if config.telemetry_interval > 0:
-        from repro.observability.telemetry import TelemetryPusher
-
         pusher = TelemetryPusher(
             comm.telemetry_sample,
             lambda sample, _r=rank: result_queue.put(
@@ -1288,21 +1279,17 @@ def _rank_worker(
             # reclaim them.
             time.sleep(0.2)
             os._exit(EXIT_INJECTED_CRASH)
-    except (WorldRevokedError, TransportClosedError) as exc:
+    except TransportClosedError as exc:
         # A peer died.  With elastic recovery armed, this survivor
-        # revokes the world, runs the agreement round, and
-        # self-extracts with its buddy replica instead of erroring —
-        # the orchestrator (recovery.run_elastic) continues the run
-        # from these reports.
+        # posts its snapshot and the replica it holds instead of an
+        # error, for the orchestrator (recovery.run_elastic) to
+        # continue the run from.  Either way it exits, and its EOF
+        # wakes any peer still waiting on it.
         mgr = comm.recovery_mgr
         if mgr is None:
             post("error", _failure_report(exc, comm))
         else:
-            try:
-                report = mgr.on_failure(exc)
-                post("recovery", report)
-            except Exception as exc2:  # pragma: no cover - agree broke
-                post("error", _failure_report(exc2, comm))
+            post("recovery", mgr.on_failure(exc))
     except Exception as exc:
         post("error", _failure_report(exc, comm))
     finally:
@@ -1468,14 +1455,6 @@ def run_spmd(
     dead: dict[int, int] = {}  # rank -> exitcode, no result posted
     timed_out = False
     abort_deadline: float | None = None
-    elastic = cfg.recovery == "respawn"
-    # Elastic survivors must finish the revoke-and-agree round and
-    # serialize their replica reports before the abort: extend the
-    # drain window by the worst-case agreement cost (two rounds, up to
-    # agree_timeout per unreachable peer).
-    abort_grace = _ABORT_GRACE + (
-        2.0 * cfg.agree_timeout * size if elastic else 0.0
-    )
 
     def exited() -> dict[int, int]:
         """``rank -> exitcode`` of unreported ranks whose process has
@@ -1501,9 +1480,8 @@ def run_spmd(
         if status == "ok":
             results[rank] = payload
         elif status == "recovery":
-            # A survivor finished its agreement round and
-            # self-extracted with its replica: terminal for the rank,
-            # but the run as a whole has failed.
+            # A survivor posted its snapshot and replica: terminal for
+            # the rank, but the run as a whole has failed.
             recoveries[rank] = payload
         else:  # "error" or "crashed"
             errors[rank] = payload
@@ -1512,7 +1490,7 @@ def run_spmd(
                 # has): a hard crash for the postmortem.
                 hard_crashed.add(rank)
         if status != "ok" and abort_deadline is None:
-            abort_deadline = time.monotonic() + abort_grace
+            abort_deadline = time.monotonic() + _ABORT_GRACE
         if monitor is not None:
             monitor.on_done(rank, status)
 
@@ -1550,7 +1528,7 @@ def run_spmd(
                     # results (peers failing in-band on the dead rank)
                     # are still collected.
                     if abort_deadline is None:
-                        abort_deadline = time.monotonic() + abort_grace
+                        abort_deadline = time.monotonic() + _ABORT_GRACE
                 else:  # the "death" was a clean exit racing its result
                     abort_deadline = None
         dead = exited()
@@ -1604,8 +1582,6 @@ def run_spmd(
             profile_out.update(flights)
         postmortem = None
         if flights:
-            from repro.observability.telemetry import build_postmortem
-
             postmortem = build_postmortem(
                 flights,
                 completed=set(results),
@@ -1658,12 +1634,10 @@ def run_spmd(
                     f"rank {r} died without posting a result "
                     f"(exitcode {dead[r]})"
                 )
-        for r in sorted(recoveries):
-            rep = recoveries[r]
+        for r, rep in sorted(recoveries.items()):
             lines.append(
-                f"rank {r} survived and entered recovery "
-                f"(agreed failed set {sorted(rep.get('failed', ()))}, "
-                f"replica at iteration {rep.get('iteration')})"
+                f"rank {r} survived with its snapshot of iteration "
+                f"{rep['iteration']}"
             )
         if postmortem is not None:
             lines.extend(postmortem.lines())

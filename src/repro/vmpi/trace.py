@@ -48,10 +48,10 @@ PHASES = frozenset({
     "ttm_comm", "gram_comm", "subspace_comm",
     "redistribute_comm", "core_comm",
     # elastic-recovery phases (repro.distributed.recovery): the buddy
-    # replication of sweep state, the revoke-and-agree rounds, and the
-    # recovery continuation itself — one namespace shared by flight
-    # recorder spans, trace records, and the lint rules (SPMD106/SPMD123).
-    "buddy_replicate", "agree", "recovery",
+    # replication of sweep state and a survivor's report — one
+    # namespace shared by flight recorder spans, trace records, and the
+    # lint rules (SPMD106/SPMD123).
+    "buddy_replicate", "recovery",
 })
 
 

@@ -41,9 +41,11 @@ The contract that makes backends interchangeable:
   subclass, also raised for a frame torn mid-write) at once — or a
   plain :class:`CollectiveTimeoutError` if the peer's program had
   returned, since then the call sequences diverged.  Purge-on-timeout
-  and the launcher's failure reports work unchanged.
+  and the launcher's failure reports work unchanged, and elastic
+  recovery needs nothing more: a survivor reports and exits, so its
+  own EOF wakes every peer still waiting on it.
 * **Control traffic** (:meth:`Transport.ctrl_send` /
-  :meth:`Transport.ctrl_recv`, used by the tier-2 verifier), revoke
+  :meth:`Transport.ctrl_recv`, used by the tier-2 verifier), finish
   notices, and the shm free credits ride the same stream but are
   counter-neutral, so verified runs stay trace-identical to plain runs
   on every backend.
@@ -68,7 +70,6 @@ __all__ = [
     "TcpSocketTransport",
     "Transport",
     "TransportClosedError",
-    "WorldRevokedError",
     "connect_mesh",
 ]
 
@@ -90,25 +91,6 @@ class TransportClosedError(CollectiveTimeoutError):
     vanished peer exactly like a diverged one — just without waiting
     out the full collective timeout.
     """
-
-
-class WorldRevokedError(RuntimeError):
-    """The communicator was revoked after a peer failure.
-
-    ULFM-style: once a surviving rank that saw a
-    :class:`TransportClosedError` decides a rank is dead, it posts a
-    revoke notice on :data:`_REVOKE_TAG`; every blocked ``recv`` on the
-    receiving transport then raises this instead of waiting out its
-    timeout.
-    Deliberately *not* a :class:`CollectiveTimeoutError` subclass: a
-    revoke is not a slow peer (the world is not coming back), and it
-    must surface to the recovery handler.
-    """
-
-    def __init__(self, message: str, failed: tuple[int, ...] = ()) -> None:
-        super().__init__(message)
-        #: best-effort hint of the dead ranks carried by the notice.
-        self.failed_hint = tuple(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +182,6 @@ def _segment_class(nbytes: int) -> int:
 # excluded from the message counters the cost formulas are checked
 # against (like the rendezvous control messages of a real MPI).
 _FREE_TAG = ("shmfree",)
-
-# Revoke notices (elastic recovery).  Counter-neutral like the free
-# credits: a revoked run must leave the CollectiveRecord traces of the
-# work done so far identical to an unfailed run's prefix.  The body is
-# a sequence of suspected-dead ranks, posted by a surviving rank that
-# saw a peer's stream close (recovery's revoke-and-agree round).
-_REVOKE_TAG = ("revoke",)
 
 # Sent to every peer when a rank's program returns: EOF after it is a
 # peer that finished, so a wait on it has diverged rather than lost a
@@ -306,13 +281,6 @@ class Transport:
         #: nothing on the payload path changes, and None keeps each
         #: boundary at one `is None` test like the other hooks.
         self.flight = None
-        #: elastic recovery: set when a revoke notice arrives on
-        #: :data:`_REVOKE_TAG`; every blocked wait then raises
-        #: :class:`WorldRevokedError` unless ``_in_recovery`` is set
-        #: (the agreement rounds themselves must keep receiving).
-        self.revoked = False
-        self.revoked_hint: set[int] = set()
-        self._in_recovery = False
         self._pending: dict[tuple, deque] = {}
         self.sent_messages = 0
         self.sent_words = 0
@@ -348,7 +316,7 @@ class Transport:
 
     def _post(self, dest: int, tag: tuple, body: object) -> None:
         """Raw wire write of an already-encoded body — no counters, no
-        fault hooks (control traffic, revoke notices and shm free
+        fault hooks (control traffic, finish notices and shm free
         credits ride this)."""
         if dest == self.rank:
             # Self-sends never touch the wire: the pending map plays
@@ -514,42 +482,7 @@ class Transport:
         if tag == _FIN_TAG:
             self._finished.add(src)
             return
-        if tag == _REVOKE_TAG:
-            self.revoked = True
-            try:
-                self.revoked_hint.update(int(r) for r in body)
-            except TypeError:  # pragma: no cover - malformed notice
-                pass
-            return
         self._pending.setdefault((src, tag), deque()).append(body)
-
-    def post_revoke(self, failed: set[int] | frozenset[int]) -> None:
-        """Broadcast a revoke notice to every peer believed alive.
-
-        Best effort: posts to ranks not in ``failed`` and swallows
-        wire errors (a peer that died between detection and broadcast
-        is exactly who the notice is about).  Also revokes *this*
-        transport so the local rank cannot re-enter a collective.
-        """
-        self.revoked = True
-        self.revoked_hint.update(failed)
-        notice = sorted(self.revoked_hint)
-        for peer in range(self.size):
-            if peer == self.rank or peer in failed:
-                continue
-            try:
-                self._post(peer, _REVOKE_TAG, notice)
-            except (OSError, CollectiveTimeoutError):
-                self.revoked_hint.add(peer)
-
-    def _check_revoked(self) -> None:
-        if self.revoked and not self._in_recovery:
-            raise WorldRevokedError(
-                f"rank {self.rank}: communicator revoked — peer "
-                f"failure reported (suspected dead: "
-                f"{sorted(self.revoked_hint) or 'unknown'})",
-                failed=tuple(sorted(self.revoked_hint)),
-            )
 
     def _decode(self, src: int, body: tuple) -> object:
         """Decode a received body and account the payload arrays."""
@@ -669,7 +602,6 @@ class Transport:
                 waiting = self._pending.get(key)
                 if waiting:
                     return waiting.popleft()
-                self._check_revoked()
                 self._check_peer(src)
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:

@@ -259,7 +259,7 @@ def prog(comm, x):
 
     def test_tag_via_module_constant(self):
         src = """
-_MY_TAG = "agree"
+_MY_TAG = "buddy"
 
 def prog(comm, x):
     tag = (_MY_TAG, 3)
@@ -269,8 +269,8 @@ def prog(comm, x):
         assert ids(check_source(src)) == ["SPMD124"]
 
     def test_reserved_kinds_cover_control_planes(self):
-        assert {"buddy", "agree", "shmfree", "revoke", "ctl", "vfy",
-                "vok", "p2p"} <= set(RESERVED_TAG_KINDS)
+        assert {"buddy", "shmfree", "fin", "ctl", "vfy", "vok",
+                "p2p"} <= set(RESERVED_TAG_KINDS)
 
     def test_user_namespace_is_fine(self):
         src = """
@@ -359,8 +359,8 @@ class TestRepoInvariant:
 
     def test_baseline_covers_only_sanctioned_owners(self):
         """Unbaselined findings exist and live exactly in the modules
-        that own the reserved namespaces (recovery's buddy/agree
-        rounds) — the baseline is not hiding real user-code escapes."""
+        that own the reserved namespaces (recovery's buddy ring) —
+        the baseline is not hiding real user-code escapes."""
         fs = check_paths([str(REPO / "src/repro")])
         assert fs, "expected sanctioned SPMD124 escapes without baseline"
         assert {f.rule_id for f in fs} == {"SPMD124"}

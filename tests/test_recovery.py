@@ -4,10 +4,13 @@ The contract under test: a seeded hard crash mid-sweep, under
 ``CommConfig(recovery="respawn")``, completes the run with factors
 *bit-identical* to the fault-free baseline, on both transport wires,
 leaving no shm residue — plus unit coverage for the pieces (buddy
-replication, revoke-and-agree, and ``repro resume`` validation).
+replication, survivor reports on EOF, and ``repro resume``
+validation).
 """
 
+import dataclasses
 import glob
+import os
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from repro.vmpi.mp_comm import (
     RankFailureError,
     run_spmd,
 )
-from repro.vmpi.transport import WorldRevokedError
+from repro.vmpi.transport import TransportClosedError
 
 
 def _shm_residue() -> list[str]:
@@ -74,10 +77,11 @@ class TestElasticBitIdentity:
         _assert_tucker_equal(tucker, baseline)
         (event,) = stats.recovery_events
         assert isinstance(event, RecoveryEvent)
-        assert event.policy == "respawn"
         assert event.failed == (1,)
         assert event.relaunch_seconds > 0
-        assert "rank 1" in event.source
+        # Rank 0 survived, so the continuation starts from its own
+        # snapshot, the only one that carries rank 0's history.
+        assert event.source == "own snapshot of rank 0"
         assert _shm_residue() == []
 
     def test_late_sweep_crash_resumes_mid_run(self, x, baseline):
@@ -150,13 +154,14 @@ class TestElasticOtherDrivers:
         )
         _assert_tucker_equal(out, base)
 
-    def test_rahosi_respawn(self, small3, backend):
+    @pytest.mark.parametrize("victim", [0, 3])
+    def test_rahosi_respawn(self, small3, backend, victim):
         opts = RankAdaptiveOptions(seed=3, max_iters=4)
-        base, _ = mp_rahosi_dt(
+        base, base_stats = mp_rahosi_dt(
             small3, 0.4, (2, 2, 2), (2, 2, 1), opts, transport=backend
         )
         cfg = CommConfig(
-            fault_plan=FaultPlan.kill(3, op_index=25),
+            fault_plan=FaultPlan.kill(victim, op_index=25),
             recovery="respawn",
             collective_timeout=15.0,
         )
@@ -165,14 +170,52 @@ class TestElasticOtherDrivers:
             comm_config=cfg, transport=backend,
         )
         _assert_tucker_equal(out, base)
-        # RNG state rode the replica: the resumed expand_factor draws
+        # RNG state rode the snapshot: the resumed expand_factor draws
         # matched the uninterrupted run's (asserted by bit-identity),
         # and the recovery resumed from a post-growth boundary.
         assert stats.recovery_events[0].resumed_iteration >= 1
+        # Only rank 0 keeps the history; the continuation must resume
+        # from rank 0's state whichever rank died.
+        assert _history_sans_seconds(stats) == _history_sans_seconds(
+            base_stats
+        )
+
+
+def _history_sans_seconds(stats) -> list[dict]:
+    rows = [dataclasses.asdict(rec) for rec in stats.history]
+    for row in rows:
+        del row["seconds"]
+    return rows
+
+
+class TestElasticEightRanks:
+    """A 2×2×2 world: rank 0's death leaves seven survivors, and each
+    one's EOF must wake the peers still waiting on it."""
+
+    def test_kill_rank_zero(self, backend):
+        x = np.random.default_rng(0).standard_normal((12, 10, 8))
+        opts = HOOIOptions(max_iters=4, seed=1)
+        base, _ = mp_hooi_dt(
+            x, (3, 3, 2), (2, 2, 2), opts, transport=backend
+        )
+        cfg = CommConfig(
+            fault_plan=FaultPlan.kill(0, op_index=20),
+            recovery="respawn",
+            collective_timeout=15.0,
+        )
+        tucker, stats = mp_hooi_dt(
+            x, (3, 3, 2), (2, 2, 2), opts,
+            comm_config=cfg, transport=backend,
+        )
+        _assert_tucker_equal(tucker, base)
+        (event,) = stats.recovery_events
+        assert event.failed == (0,)
+        assert event.reporters == (1, 2, 3, 4, 5, 6, 7)
+        assert _shm_residue() == []
 
 
 # ---------------------------------------------------------------------------
-# pieces: replication, agreement, run_elastic policies
+# pieces: replication, survivor reports, run_elastic policies
 # ---------------------------------------------------------------------------
 
 
@@ -193,18 +236,17 @@ def _prog_replicate(comm: ProcessComm) -> tuple:
     return mgr.buddy, mgr.protects, mgr.iteration, replica.factors[0][0, 0]
 
 
-def _prog_agree(comm: ProcessComm) -> object:
-    """Rank 2 dies hard; survivors revoke, agree, self-extract (the
-    raised revoke routes each one through its RecoveryManager)."""
+def _prog_exit_in_barrier(comm: ProcessComm) -> object:
+    """Rank 2 exits hard; the others wait in a barrier, so each one
+    reports after its own wait hits an EOF — the dead rank's, or that
+    of a survivor that reported first."""
     if comm.rank == 2:
-        import os
-
         os._exit(77)
-    raise WorldRevokedError("unit: peer death", failed=(2,))
+    comm.barrier()
 
 
-def _prog_revoke_all(comm: ProcessComm, _resume) -> None:
-    raise WorldRevokedError("unit: always fails", failed=())
+def _prog_peer_closed(comm: ProcessComm, _resume) -> None:
+    raise TransportClosedError("unit: always fails")
 
 
 class TestRecoveryPieces:
@@ -220,18 +262,11 @@ class TestRecoveryPieces:
             # the replica this rank holds is its predecessor's state
             assert val == float(protects)
 
-    def test_agreement_converges(self):
-        cfg = CommConfig(
-            recovery="respawn",
-            collective_timeout=10.0,
-            agree_timeout=1.0,
-        )
+    def test_survivors_report_on_eof(self):
+        cfg = CommConfig(recovery="respawn", collective_timeout=10.0)
         with pytest.raises(RankFailureError) as err:
-            run_spmd(_prog_agree, 4, config=cfg)
-        reports = err.value.recovery_reports
-        # every survivor self-extracted with the same failed set
-        assert sorted(reports) == [0, 1, 3]
-        assert all(rep["failed"] == [2] for rep in reports.values())
+            run_spmd(_prog_exit_in_barrier, 4, config=cfg)
+        assert sorted(err.value.recovery_reports) == [0, 1, 3]
         assert err.value.failed_ranks == (2,)
 
     def test_run_elastic_without_replicas_reraises(self):
@@ -240,12 +275,8 @@ class TestRecoveryPieces:
         # than resume from nothing.
         with pytest.raises(RankFailureError):
             run_elastic(
-                _prog_revoke_all, 2, None, resume_slot=1,
-                config=CommConfig(
-                    recovery="respawn",
-                    collective_timeout=5.0,
-                    agree_timeout=0.5,
-                ),
+                _prog_peer_closed, 2, None,
+                config=CommConfig(recovery="respawn", collective_timeout=5.0),
                 timeout=60.0,
             )
 
