@@ -76,6 +76,7 @@ class CollectiveSignature:
     op: str = ""
     root: int = -1
     axis: int = -1
+    split_axis: int = -1
     dtype: str = ""
     shape: tuple[int, ...] = ()
     call_site: str = ""
@@ -88,6 +89,8 @@ class CollectiveSignature:
             parts.append(f"root={self.root}")
         if self.axis >= 0:
             parts.append(f"axis={self.axis}")
+        if self.split_axis >= 0:
+            parts.append(f"split_axis={self.split_axis}")
         if self.dtype:
             parts.append(f"dtype={self.dtype}")
         if self.shape:
@@ -134,8 +137,9 @@ def match_signatures(
 
     - ``allreduce``/``reduce_scatter``: identical op, dtype, and shape
       on every rank (elementwise reduction).
-    - ``allgather``: identical axis and dtype; shapes must agree on
-      every dimension except the concatenation axis.
+    - ``allgather``/``alltoall``: identical axes (the concatenation
+      axis, and the split axis of an all-to-all) and dtype; shapes must
+      agree on every dimension except the concatenation axis.
     - ``bcast``/``gather``: identical root (payload shapes are
       legitimately rank-dependent).
     - ``barrier``: kind agreement only.
@@ -158,8 +162,12 @@ def match_signatures(
             pair = _disagree(sigs, attr)
             if pair is not None:
                 return "SPMD201", _fmt_pair(sigs, pair, label)
-    elif kind == "allgather":
-        for attr, label in (("axis", "concat axis"), ("dtype", "dtype")):
+    elif kind in ("allgather", "alltoall"):
+        for attr, label in (
+            ("axis", "concat axis"),
+            ("split_axis", "split axis"),
+            ("dtype", "dtype"),
+        ):
             pair = _disagree(sigs, attr)
             if pair is not None:
                 return "SPMD201", _fmt_pair(sigs, pair, label)
@@ -176,7 +184,7 @@ def match_signatures(
                 return "SPMD201", _fmt_pair(
                     sigs,
                     (ranks[0], r),
-                    "off-axis shape (allgather blocks must agree on "
+                    f"off-axis shape ({kind} blocks must agree on "
                     "every dimension except the concat axis)",
                 )
     elif kind in ("bcast", "gather"):

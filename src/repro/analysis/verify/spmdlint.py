@@ -66,7 +66,8 @@ __all__ = ["COLLECTIVES", "P2P_OPS", "lint_paths", "lint_source"]
 
 #: The collective subset of the mini-MPI communicator API.
 COLLECTIVES = frozenset(
-    {"allreduce", "reduce_scatter", "allgather", "bcast", "gather", "barrier"}
+    {"allreduce", "reduce_scatter", "allgather", "alltoall", "bcast",
+     "gather", "barrier"}
 )
 
 #: Point-to-point operations (matched per file by SPMD103).

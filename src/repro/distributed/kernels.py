@@ -41,7 +41,7 @@ from repro.distributed.arrays import (
     is_concrete,
 )
 from repro.distributed.dist_tensor import DistTensor
-from repro.distributed.layout import BlockLayout
+from repro.distributed.layout import BlockLayout, column_split
 from repro.linalg.evd import gram_evd, rank_from_spectrum
 from repro.linalg.qrcp import qrcp
 from repro.linalg.subspace import subspace_iteration_llsv
@@ -318,27 +318,6 @@ class _comm_phase:
         self._comm.phase = self._prev
 
 
-# Non-root members of a mode group contribute an all-zero block to the
-# reduction collectives.  Those blocks are pure protocol filler — the
-# collective only ever *reads* them (every reduce path copies before
-# accumulating, and send paths never mutate payloads) — so one
-# read-only instance per (shape, dtype) is shared instead of calloc'ing
-# a fresh n x n block per mode per sweep.
-_ZEROS_CACHE: dict[tuple[tuple[int, ...], np.dtype], np.ndarray] = {}
-
-
-def _zeros_contribution(
-    shape: tuple[int, ...], dtype: np.dtype | type
-) -> np.ndarray:
-    key = (tuple(int(s) for s in shape), np.dtype(dtype))
-    out = _ZEROS_CACHE.get(key)
-    if out is None:
-        out = np.zeros(key[0], dtype=key[1])
-        out.setflags(write=False)
-        _ZEROS_CACHE[key] = out
-    return out
-
-
 def mp_ttm(
     comm: ProcessComm,
     block: np.ndarray,
@@ -390,26 +369,24 @@ def mp_gram(
 ) -> np.ndarray:
     """Parallel Gram of the mode unfolding, replicated to every rank.
 
-    Allgather the mode slabs inside the mode sub-communicator, local
-    Gram at the coordinate-0 member (zeros elsewhere), global
-    allreduce, then symmetrize — exactly the schedule of
-    :func:`repro.distributed.spmd.spmd_gram`.
+    An all-to-all inside the mode sub-communicator lays the blocks out
+    in 1-D columns (:func:`~repro.distributed.layout.column_split`),
+    every rank grams its column share, a global allreduce sums the
+    partial Grams, and the result is symmetrized — the schedule
+    :func:`dist_gram` charges, run exactly as
+    :func:`repro.distributed.spmd.spmd_gram` runs it.
     """
-    grid = layout.grid
-    group = tuple(grid.mode_comm_ranks(mode, coords))
-    n = layout.shape[mode]
+    group = tuple(layout.grid.mode_comm_ranks(mode, coords))
+    cols, axis = column_split(block, mode)
     fr = comm.flight
     with _comm_phase(comm, phase):
-        full_mode = comm.allgather(block, axis=mode, group=group)
+        share = comm.alltoall(cols, axis, mode, group=group)
         if fr is not None:
             fr.begin("gram:local", "kernel", phase)
-        if coords[mode] == 0:
-            # Shared GEMM kernel (repro.kernels via ops.gram): the same
-            # local Gram every execution layer computes, so the layers
-            # stay mutually bit-identical.
-            local_gram = gram(full_mode, mode)
-        else:
-            local_gram = _zeros_contribution((n, n), block.dtype)
+        # Shared GEMM kernel (repro.kernels via ops.gram): the same
+        # local Gram every execution layer computes, so the layers
+        # stay mutually bit-identical.
+        local_gram = gram(share, mode)
         if fr is not None:
             fr.end()
         g = comm.allreduce(local_gram)
@@ -438,37 +415,36 @@ def mp_subspace_llsv(
     """Subspace-iteration LLSV on real blocks (Alg. 5, §3.4).
 
     Per sweep: ``G = U^T Y`` as a block-parallel TTM, both operands
-    redistributed to full-mode layout within the mode sub-communicator,
-    the nonsymmetric contraction ``Z = Y_(j) G_(j)^T`` at the
-    coordinate-0 member, a global allreduce, and a replicated QRCP.
+    laid out in 1-D columns by two all-to-alls inside the mode
+    sub-communicator (split along the same axis,
+    :func:`~repro.distributed.layout.column_split`), the nonsymmetric
+    contraction ``Z = Y_(j) G_(j)^T`` over every rank's column share, a
+    global allreduce of the partial ``Z``, and a replicated QRCP.
     Mirrors :func:`repro.distributed.spmd_hooi.spmd_subspace_llsv`
     operation for operation (bit-identical: the communicator reduces
     in rank order).  All collectives — including the ``G``-forming
     reduce-scatter — are tagged ``phase``, so TTM-phase traces count
     only the sweep/tree TTMs.
     """
-    grid = layout.grid
-    group = tuple(grid.mode_comm_ranks(mode, coords))
-    n = layout.shape[mode]
+    group = tuple(layout.grid.mode_comm_ranks(mode, coords))
     width = u_prev.shape[1]
     if rank > width:
         raise ValueError(f"rank {rank} exceeds subspace width {width}")
 
+    y_cols, axis = column_split(block, mode)
     q = u_prev
     fr = comm.flight
     for _ in range(n_iters):
         g_block, _ = mp_ttm(
             comm, block, layout, coords, q, mode, phase=phase
         )
+        g_cols, _ = column_split(g_block, mode)
         with _comm_phase(comm, phase):
-            y_full = comm.allgather(block, axis=mode, group=group)
-            g_full = comm.allgather(g_block, axis=mode, group=group)
+            y_share = comm.alltoall(y_cols, axis, mode, group=group)
+            g_share = comm.alltoall(g_cols, axis, mode, group=group)
             if fr is not None:
                 fr.begin("llsv:contract", "kernel", phase)
-            if coords[mode] == 0:
-                z_local = contract_all_but_mode(y_full, g_full, mode)
-            else:
-                z_local = _zeros_contribution((n, width), block.dtype)
+            z_local = contract_all_but_mode(y_share, g_share, mode)
             if fr is not None:
                 fr.end()
             z = comm.allreduce(z_local)

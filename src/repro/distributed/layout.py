@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.vmpi.grid import ProcessorGrid
 
-__all__ = ["BlockLayout"]
+__all__ = ["BlockLayout", "column_split"]
 
 
 def _split_bounds(n: int, parts: int) -> list[tuple[int, int]]:
@@ -80,3 +80,22 @@ class BlockLayout:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BlockLayout(shape={self.shape}, grid={self.grid.dims})"
+
+
+def column_split(block: np.ndarray, mode: int) -> tuple[np.ndarray, int]:
+    """The block and axis of the all-to-all into the 1-D column layout.
+
+    The Gram and Alg. 5's ``Z`` relayout the blocks of a mode
+    sub-communicator so that each member holds full mode-``mode``
+    fibers for its share of the columns: an all-to-all that splits
+    every block along the returned axis and concatenates along
+    ``mode``.  The axis is the block's largest non-mode axis, first
+    among equals; the members of a mode group share every non-mode
+    extent, so they all pick the same one.  A block with no non-mode
+    axis (``d = 1``) is a single column: it gains a trailing unit axis,
+    which the split hands whole to the first member.
+    """
+    if block.ndim == 1:
+        return block[:, None], 1
+    axes = [k for k in range(block.ndim) if k != mode]
+    return block, max(axes, key=lambda k: (block.shape[k], -k))

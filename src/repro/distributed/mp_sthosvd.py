@@ -97,8 +97,9 @@ def _rank_program(
         if fr is not None:
             # STHOSVD's outer loop is its "sweep": one pass per mode.
             fr.begin(f"mode {mode}", "sweep")
-        # --- parallel Gram (allgather + coord-0 local Gram + allreduce)
-        # and replicated EVD + rank choice (every rank identical).
+        # --- parallel Gram (all-to-all into 1-D columns + a local Gram
+        # on every rank + allreduce) and replicated EVD + rank choice
+        # (every rank identical).
         g = mp_gram(comm, block, layout, coords, mode, phase="gram")
         if fr is not None:
             fr.begin("gram:evd", "kernel", "gram")

@@ -18,14 +18,14 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.tucker import TuckerTensor
-from repro.distributed.layout import BlockLayout
+from repro.distributed.layout import BlockLayout, column_split
 from repro.linalg.evd import gram_evd, rank_from_spectrum
 from repro.tensor.dense import tensor_norm
 from repro.tensor.ops import gram, ttm
 from repro.tensor.validation import check_ranks
 from repro.vmpi.collectives import (
-    allgather_blocks,
     allreduce_blocks,
+    alltoall_blocks,
     reduce_scatter_blocks,
 )
 from repro.vmpi.grid import ProcessorGrid
@@ -34,6 +34,7 @@ __all__ = [
     "scatter_tensor",
     "gather_tensor",
     "subcomm_apply",
+    "column_shares",
     "spmd_ttm",
     "spmd_gram",
     "spmd_sthosvd",
@@ -123,6 +124,33 @@ def spmd_ttm(
     return reduced, BlockLayout(new_shape, grid)
 
 
+def column_shares(
+    blocks: Sequence[np.ndarray],
+    grid: ProcessorGrid,
+    mode: int,
+) -> list[np.ndarray]:
+    """Every rank's share of the 1-D column layout of ``mode``.
+
+    The all-to-all of :func:`repro.distributed.kernels.mp_gram` and
+    :func:`~repro.distributed.kernels.mp_subspace_llsv`, run in every
+    mode sub-communicator: each member splits its block along the
+    :func:`~repro.distributed.layout.column_split` axis, and member
+    ``j`` concatenates every member's ``j``-th slab along ``mode``, so
+    it holds full mode-``mode`` fibers for its share of the columns.
+    """
+
+    def relayout(bs: list[np.ndarray]) -> list[np.ndarray]:
+        send = []
+        for b in bs:
+            cols, axis = column_split(b, mode)
+            send.append(np.array_split(cols, len(bs), axis=axis))
+        return [
+            np.concatenate(row, axis=mode) for row in alltoall_blocks(send)
+        ]
+
+    return subcomm_apply(blocks, grid, mode, relayout)
+
+
 def spmd_gram(
     blocks: Sequence[np.ndarray],
     layout: BlockLayout,
@@ -130,36 +158,14 @@ def spmd_gram(
 ) -> np.ndarray:
     """Parallel Gram of the mode unfolding on real blocks.
 
-    Redistribute to a 1-D column layout by allgathering the mode slabs
-    inside each mode sub-communicator (every rank then holds full
-    mode-``mode`` fibers for its share of columns), compute local
-    Grams, and allreduce.  Returns the replicated ``n_j x n_j`` Gram.
+    Redistribute to the 1-D column layout (:func:`column_shares`),
+    compute every rank's local Gram over its column share, and
+    allreduce.  Returns the replicated ``n_j x n_j`` Gram.
     """
-    grid = layout.grid
-    full_mode = subcomm_apply(
-        blocks,
-        grid,
-        mode,
-        lambda bs: allgather_blocks(bs, axis=mode),
-    )
-    n = layout.shape[mode]
-    zeros = np.zeros((n, n), dtype=blocks[0].dtype)
-    zeros.setflags(write=False)
-    local_grams = []
-    for rank, coords in grid.iter_ranks():
-        # After the allgather every rank of a mode sub-communicator
-        # holds the same columns; only the coordinate-0 representative
-        # contributes them to the global reduction (the shared zero
-        # block is filler the reduction only reads — allreduce_blocks
-        # copies before accumulating).
-        if coords[mode] != 0:
-            local_grams.append(zeros)
-            continue
-        # Shared GEMM kernel (repro.kernels via ops.gram): the same
-        # local Gram mp_gram computes, keeping the layers bit-identical.
-        local_grams.append(gram(full_mode[rank], mode))
-    reduced = allreduce_blocks(local_grams)
-    g = reduced[0]
+    shares = column_shares(blocks, layout.grid, mode)
+    # Shared GEMM kernel (repro.kernels via ops.gram): the same local
+    # Gram mp_gram computes, keeping the layers bit-identical.
+    g = allreduce_blocks([gram(share, mode) for share in shares])[0]
     # In-place symmetrize, matching mp_gram operation for operation.
     g += g.T
     g *= 0.5

@@ -2,9 +2,9 @@
 
 Extends :mod:`repro.distributed.spmd` with the HOOI-side kernels —
 block-parallel subspace iteration (the nonsymmetric contraction of
-§3.4, implemented exactly as the paper describes: redistribute both
-operands to full-mode layout inside the mode sub-communicator, form
-local partial products, allreduce, replicated QRCP) — and drives the
+§3.4: an all-to-all lays both operands out in 1-D columns inside the
+mode sub-communicator, every rank forms its partial product over its
+column share, then an allreduce and a replicated QRCP) — and drives the
 shared dimension-tree traversal with an engine whose ``tensor`` state
 is a ``(blocks, layout)`` pair.  The test suite checks every variant
 against the sequential implementation.
@@ -21,18 +21,18 @@ from repro.core.hooi import HOOIOptions
 from repro.core.tucker import TuckerTensor
 from repro.distributed.layout import BlockLayout
 from repro.distributed.spmd import (
+    column_shares,
     gather_tensor,
     scatter_tensor,
     spmd_gram,
     spmd_ttm,
-    subcomm_apply,
 )
 from repro.linalg.evd import gram_evd
 from repro.linalg.qrcp import qrcp
 from repro.tensor.ops import contract_all_but_mode
 from repro.tensor.random import random_orthonormal
 from repro.tensor.validation import check_ranks
-from repro.vmpi.collectives import allgather_blocks, allreduce_blocks
+from repro.vmpi.collectives import allreduce_blocks
 from repro.vmpi.grid import ProcessorGrid
 
 __all__ = ["spmd_subspace_llsv", "SPMDTreeEngine", "spmd_hooi"]
@@ -52,40 +52,29 @@ def spmd_subspace_llsv(
     """One (or more) subspace-iteration sweeps on real blocks (Alg. 5).
 
     Line 2 (``G = U^T Y``) is a block-parallel TTM; line 3
-    (``Z = Y_(j) G_(j)^T``) redistributes both tensors to a full-mode
-    layout within the mode sub-communicator, forms local partial
-    ``n_j x width`` products, and allreduces; line 4 is a replicated
-    QRCP (every rank computes the same factor, like TuckerMPI's EVD).
+    (``Z = Y_(j) G_(j)^T``) redistributes both tensors to the 1-D
+    column layout within the mode sub-communicator
+    (:func:`~repro.distributed.spmd.column_shares`), forms every rank's
+    partial ``n_j x width`` product over its column share, and
+    allreduces; line 4 is a replicated QRCP (every rank computes the
+    same factor, like TuckerMPI's EVD).
     """
     grid = layout.grid
-    n = layout.shape[mode]
     width = u_prev.shape[1]
     if rank > width:
         raise ValueError(f"rank {rank} exceeds subspace width {width}")
 
     q = u_prev
     for _ in range(n_iters):
-        g_blocks, g_layout = spmd_ttm(blocks, layout, q, mode)
-
-        y_full = subcomm_apply(
-            blocks, grid, mode, lambda bs: allgather_blocks(bs, axis=mode)
-        )
-        g_full = subcomm_apply(
-            g_blocks, grid, mode,
-            lambda bs: allgather_blocks(bs, axis=mode),
-        )
-        partials = []
-        for r, coords in grid.iter_ranks():
-            if coords[mode] != 0:
-                partials.append(
-                    np.zeros((n, width), dtype=blocks[0].dtype)
-                )
-                continue
-            partials.append(
-                contract_all_but_mode(y_full[r], g_full[r], mode)
-            )
-        z = allreduce_blocks(partials)[0]
-
+        g_blocks, _ = spmd_ttm(blocks, layout, q, mode)
+        y_shares = column_shares(blocks, grid, mode)
+        g_shares = column_shares(g_blocks, grid, mode)
+        z = allreduce_blocks(
+            [
+                contract_all_but_mode(y, g, mode)
+                for y, g in zip(y_shares, g_shares)
+            ]
+        )[0]
         q, _, _ = qrcp(z)
     return np.ascontiguousarray(q[:, :rank])
 

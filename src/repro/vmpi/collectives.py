@@ -294,9 +294,10 @@ def hooi_collective_counts(
     iteration: every multi-TTM step (including the core-forming TTM) is
     one ``reduce_scatter`` over its mode sub-communicator, and each of
     the ``d`` factor updates runs either the subspace LLSV (per sweep:
-    one ``reduce_scatter`` for ``G = U^T Y``, two ``allgather``
-    redistributions, one global ``allreduce`` for ``Z``) or the
-    Gram-EVD LLSV (one ``allgather``, one ``allreduce``).  ``n_ttms``
+    one ``reduce_scatter`` for ``G = U^T Y``, two ``alltoall``
+    relayouts of ``Y`` and ``G`` into 1-D columns, one global
+    ``allreduce`` for ``Z``) or the Gram-EVD LLSV (one ``alltoall``
+    relayout, one ``allreduce``).  ``n_ttms``
     is the multi-TTM count of the variant — see
     :func:`repro.analysis.costs.hooi_ttm_count` — so this function
     stays free of a dependency on the tree layer.  The schedule-cost
@@ -309,11 +310,11 @@ def hooi_collective_counts(
             raise ValueError("n_subspace_iters must be at least 1")
         return {
             "reduce_scatter": n_ttms + d * n_subspace_iters,
-            "allgather": 2 * d * n_subspace_iters,
+            "alltoall": 2 * d * n_subspace_iters,
             "allreduce": d * n_subspace_iters,
         }
     return {
         "reduce_scatter": n_ttms,
-        "allgather": d,
+        "alltoall": d,
         "allreduce": d,
     }

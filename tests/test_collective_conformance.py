@@ -1,13 +1,14 @@
 """Cross-layer collective conformance suite.
 
 One parametrized harness runs every collective (allreduce,
-reduce-scatter, allgather, bcast, gather, barrier) across the
+reduce-scatter, allgather, all-to-all, bcast, gather, barrier) across the
 execution layers — the ``mp_comm`` communicator on both its wires
 (pooled shared memory and TCP sockets) and the in-process executable
 block collectives of :mod:`repro.vmpi.collectives` — over
 group sizes {1, 2, 3, 4, 7, 8} and payload corners (float32/float64,
 integer dtypes, empty arrays, non-contiguous views, 0-d scalars,
-ragged allgather extents, extents that do not divide the group size),
+ragged allgather extents, extents that do not divide the group size,
+all-to-all splits that leave some members empty slabs),
 asserting *bit-identical* results against a NumPy reference.  The tcp
 cases carry the ``transport_matrix`` marker so the CI matrix job can
 select them; a dedicated trace-identity test additionally certifies
@@ -37,6 +38,7 @@ import pytest
 from repro.vmpi.collectives import (
     allgather_blocks,
     allreduce_blocks,
+    alltoall_blocks,
     bcast_block,
     gather_blocks,
     reduce_scatter_blocks,
@@ -100,6 +102,15 @@ CASES = [
     ("allgather-axis1", "allgather", "f32", {"axis": 1}),
     ("allgather-ragged", "allgather", "ragged", {"axis": 0}),
     ("allgather-empty", "allgather", "empty", {"axis": 0}),
+    # split 8 columns: even for p in {2, 4, 8}, uneven for 3 and 7
+    ("alltoall-big", "alltoall", "big", {"split": 1, "concat": 0}),
+    # split 7 rows: uneven everywhere, an empty slab at p = 8
+    ("alltoall-uneven", "alltoall", "uneven", {"split": 0, "concat": 1}),
+    # split 2 columns: empty slabs for every p >= 3
+    ("alltoall-ragged", "alltoall", "ragged", {"split": 1, "concat": 0}),
+    ("alltoall-empty", "alltoall", "empty", {"split": 1, "concat": 0}),
+    ("alltoall-same-axis", "alltoall", "f32", {"split": 0, "concat": 0}),
+    ("alltoall-noncontig", "alltoall", "noncontig", {"split": 1, "concat": 0}),
     ("bcast-root0", "bcast", "f64", {"root": 0}),
     ("bcast-rootlast", "bcast", "noncontig", {"root": -1}),
     ("bcast-big", "bcast", "big", {"root": 0}),
@@ -125,6 +136,10 @@ def _conformance_program(comm) -> dict[str, object]:
             out[name] = comm.reduce_scatter(block, axis=kwargs["axis"])
         elif op == "allgather":
             out[name] = comm.allgather(block, axis=kwargs["axis"])
+        elif op == "alltoall":
+            out[name] = comm.alltoall(
+                block, kwargs["split"], kwargs["concat"]
+            )
         elif op == "bcast":
             root = _resolve_root(kwargs["root"], comm.size)
             payload = block if comm.rank == root else None
@@ -149,6 +164,14 @@ def _blocks_layer(size: int) -> list[dict[str, object]]:
             results = reduce_scatter_blocks(blocks, axis=kwargs["axis"])
         elif op == "allgather":
             results = allgather_blocks(blocks, axis=kwargs["axis"])
+        elif op == "alltoall":
+            send = [
+                np.array_split(b, size, axis=kwargs["split"]) for b in blocks
+            ]
+            results = [
+                np.concatenate(row, axis=kwargs["concat"])
+                for row in alltoall_blocks(send)
+            ]
         elif op == "bcast":
             root = _resolve_root(kwargs["root"], size)
             results = bcast_block(blocks[root], size)
@@ -202,6 +225,17 @@ def _reference(size: int) -> list[dict[str, object]]:
         elif op == "allgather":
             cat = np.concatenate(blocks, axis=kwargs["axis"])
             expected = [cat] * size
+        elif op == "alltoall":
+            expected = [
+                np.concatenate(
+                    [
+                        np.array_split(b, size, axis=kwargs["split"])[j]
+                        for b in blocks
+                    ],
+                    axis=kwargs["concat"],
+                )
+                for j in range(size)
+            ]
         elif op == "bcast":
             root = _resolve_root(kwargs["root"], size)
             expected = [np.asarray(blocks[root])] * size

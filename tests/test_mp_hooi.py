@@ -153,7 +153,8 @@ class TestMPHooiDT:
         )
         trace = stats.trace
         assert trace.count("reduce_scatter") == expected["reduce_scatter"]
-        assert trace.count("allgather") == expected["allgather"]
+        assert trace.count("alltoall") == expected["alltoall"]
+        assert trace.count("allgather") == 0
         assert trace.count("allreduce") == expected["allreduce"]
         # Phase split: tree TTMs + core vs LLSV-internal reduce-scatters.
         assert trace.count("reduce_scatter", "ttm", "core") == n_ttms
@@ -179,7 +180,8 @@ class TestMPHooiDT:
             stats.trace.count("reduce_scatter")
             == expected["reduce_scatter"]
         )
-        assert stats.trace.count("allgather") == expected["allgather"]
+        assert stats.trace.count("alltoall") == expected["alltoall"]
+        assert stats.trace.count("allgather") == 0
         assert stats.trace.count("allreduce") == expected["allreduce"]
 
     def test_unknown_llsv_rejected(self):

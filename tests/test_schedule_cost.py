@@ -24,6 +24,7 @@ from repro.vmpi.collectives import (
     allreduce_cost,
     allreduce_crossover_words,
     allreduce_short_cost,
+    alltoall_cost,
     bcast_cost,
     gather_cost,
     reduce_scatter_cost,
@@ -39,8 +40,9 @@ SIZES = (2, 3, 4, 8)
 N_SHORT = 48  # at or below eager_max_words -> latency-optimal family
 N_LONG = 4800  # above it -> bandwidth-optimal family
 M_BLOCK = 24  # per-rank block extent for allgather / gather
+A2A_BLOCK = (6, 24)  # per-rank all-to-all block, split along axis 1
 
-# The seven traced operations, in program order.
+# The eight traced operations, in program order.
 OPS = (
     "allreduce-short",
     "allreduce-long",
@@ -49,6 +51,7 @@ OPS = (
     "bcast",
     "gather",
     "barrier",
+    "alltoall",
 )
 
 
@@ -68,6 +71,7 @@ def _traced_program(comm):
     comm.bcast(payload if comm.rank == 0 else None, root=0)
     comm.gather(np.full((M_BLOCK,), float(comm.rank)), root=0)
     comm.barrier()
+    comm.alltoall(np.full(A2A_BLOCK, float(comm.rank)), 1, 0)
     return comm.trace.records
 
 
@@ -84,8 +88,9 @@ def _run(size: int) -> tuple:
 
 @pytest.mark.parametrize("size", SIZES)
 def test_symmetric_collectives_match_cost_formulas(size):
-    """Allreduce / reduce-scatter / allgather / barrier counters equal
-    the closed forms on every rank (these schedules are symmetric)."""
+    """Allreduce / reduce-scatter / allgather / all-to-all / barrier
+    counters equal the closed forms on every rank (these schedules are
+    symmetric)."""
     for records in _run(size):
         by_op = dict(zip(OPS, records))
         assert [r.op for r in records] == [
@@ -96,6 +101,7 @@ def test_symmetric_collectives_match_cost_formulas(size):
             "bcast",
             "gather",
             "barrier",
+            "alltoall",
         ]
 
         for op, n, algo, cost in (
@@ -121,6 +127,12 @@ def test_symmetric_collectives_match_cost_formulas(size):
         rec = by_op["allgather"]
         words, msgs = allgather_cost(M_BLOCK * size, size)
         assert rec.algorithm == "ring"
+        assert (rec.sent_words, rec.sent_messages) == (words, msgs)
+        assert (rec.recv_words, rec.recv_messages) == (words, msgs)
+
+        rec = by_op["alltoall"]
+        words, msgs = alltoall_cost(math.prod(A2A_BLOCK), size)
+        assert rec.algorithm == "pairwise"
         assert (rec.sent_words, rec.sent_messages) == (words, msgs)
         assert (rec.recv_words, rec.recv_messages) == (words, msgs)
 
@@ -200,3 +212,63 @@ def test_crossover_consistency():
             continue
         assert select_allreduce_algorithm(n_star * 0.5, p) == "short"
         assert select_allreduce_algorithm(n_star * 2.0, p) == "long"
+
+
+def _sthosvd_gram_records(comm, *args):
+    """mp_sthosvd's rank program; returns its gram-phase records."""
+    from repro.distributed.mp_sthosvd import _rank_program
+
+    _rank_program(comm, *args)
+    return comm.trace.for_phase("gram")
+
+
+def test_sthosvd_gram_relayout_matches_dist_gram():
+    """Every mode's Gram relayout moves exactly the words the simulator
+    charges for it: on a 2x2x1 grid with divisible extents, the
+    executed all-to-all's trace equals ``dist_gram``'s
+    ``redistribute_comm`` charge, ``alltoall_cost(local, P_j)``."""
+    from repro.distributed.arrays import SymbolicArray
+    from repro.distributed.dist_tensor import DistTensor
+    from repro.distributed.kernels import dist_gram
+    from repro.distributed.recovery import scatter_blocks
+    from repro.vmpi.cost import CostLedger, PhaseCost
+    from repro.vmpi.grid import ProcessorGrid
+    from repro.vmpi.machine import perlmutter_like
+
+    shape, ranks, dims = (8, 8, 6), (4, 4, 3), (2, 2, 1)
+    x = np.random.default_rng(5).standard_normal(shape)
+    grid = ProcessorGrid(dims)
+    per_rank = run_spmd(
+        _sthosvd_gram_records,
+        grid.size,
+        scatter_blocks(x, grid),
+        dims,
+        shape,
+        ranks,
+        None,  # threshold_sq: rank-specified
+        "",  # x_digest: no checkpoint is written
+        None,  # checkpoint_path
+        None,  # orthogonality_tol
+        None,  # resume
+    )
+    current = list(shape)
+    for mode in range(len(shape)):
+        ledger = CostLedger(perlmutter_like(), grid.size)
+        dt = DistTensor(SymbolicArray(tuple(current), x.dtype), grid, ledger)
+        dist_gram(dt, mode)
+        # P_j = 1 charges nothing, so the phase may be absent.
+        charge = ledger.phases.get("redistribute_comm", PhaseCost())
+        p_j = grid.mode_size(mode)
+        assert (charge.words, charge.messages) == alltoall_cost(
+            dt.layout.max_local_size(), p_j
+        )
+        for records in per_rank:
+            # Per mode: the relayout, then the Gram's allreduce.
+            relayout = records[2 * mode]
+            assert relayout.sent_words == charge.words
+            assert relayout.recv_words == charge.words
+            assert relayout.sent_messages == charge.messages
+            assert relayout.op == "alltoall"
+            assert records[2 * mode + 1].op == "allreduce"
+        current[mode] = ranks[mode]
+    assert all(len(records) == 2 * len(shape) for records in per_rank)

@@ -60,6 +60,18 @@ def prog(comm, grid):
 """
         assert ids(lint_source(src)) == ["SPMD101"]
 
+    def test_alltoall_in_coords_branch(self):
+        # The relayout the Gram used to skip on non-root members: an
+        # all-to-all only the coordinate-0 member of a mode group calls.
+        src = """
+def prog(comm, grid, block, mode):
+    coords = grid.coords(comm.rank)
+    if coords[mode] == 0:
+        block = comm.alltoall(block, 1, mode)
+    return block
+"""
+        assert ids(lint_source(src)) == ["SPMD101"]
+
     def test_rank_dependent_early_return_before_collective(self):
         src = """
 import numpy as np

@@ -66,6 +66,30 @@ class TestMatchSignatures:
         rule, _ = match_signatures({0: mk((2, 5)), 1: mk((2, 6))})
         assert rule == "SPMD201"
 
+    def test_alltoall_contract(self):
+        def mk(shape, axis=0, split_axis=1, dtype="float64"):
+            return sig(
+                kind="alltoall",
+                axis=axis,
+                split_axis=split_axis,
+                dtype=dtype,
+                shape=shape,
+            )
+
+        # Differing along the concat axis is legal ...
+        assert match_signatures({0: mk((2, 6)), 1: mk((3, 6))}) is None
+        # ... differing along the split axis (or any other) is not,
+        rule, msg = match_signatures({0: mk((2, 6)), 1: mk((2, 4))})
+        assert rule == "SPMD201" and "off-axis shape" in msg
+        # nor are diverging axes or dtypes.
+        for other, label in (
+            (mk((2, 6), split_axis=0), "split axis"),
+            (mk((2, 6), axis=1), "concat axis"),
+            (mk((2, 6), dtype="float32"), "dtype"),
+        ):
+            rule, msg = match_signatures({0: mk((2, 6)), 1: other})
+            assert rule == "SPMD201" and label in msg
+
     def test_root_disagreement(self):
         rule, msg = match_signatures(
             {0: sig(kind="bcast", root=0), 1: sig(kind="bcast", root=1)}
@@ -225,6 +249,13 @@ def _prog_shape_mismatch(comm: ProcessComm):
     return comm.allreduce(np.ones(n))
 
 
+def _prog_alltoall_axes(comm: ProcessComm):
+    # Injected: rank 1 concatenates along the other axis.  Both ranks
+    # would finish with differently shaped answers and no error.
+    concat_axis = 1 if comm.rank == 1 else 0
+    return comm.alltoall(np.ones((4, 4)), 1, concat_axis)
+
+
 def _prog_deadlock(comm: ProcessComm):
     # Injected: classic cross-recv. 0 waits on 1, 1 waits on 0.
     return comm.recv(1 - comm.rank, tag=5)
@@ -324,6 +355,13 @@ class TestInjectedMismatches:
             _prog_shape_mismatch, 2, "SPMD201", collective_timeout=15
         )
         assert "shape" in msg
+
+    def test_alltoall_axis_mismatch_raises(self):
+        msg = self._expect(
+            _prog_alltoall_axes, 2, "SPMD201", collective_timeout=15
+        )
+        assert "concat axis" in msg
+        assert "alltoall#1" in msg
 
     def test_deadlock_cycle_reported_fast(self):
         start = time.monotonic()
