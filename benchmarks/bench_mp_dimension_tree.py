@@ -73,14 +73,12 @@ def _bench_program(
     init = [
         random_orthonormal(n, r, seed=rng) for n, r in zip(shape, ranks)
     ]
-    state = (blocks[comm.rank], layout, ())
+    state = (blocks[comm.rank], layout)
 
     out: dict[str, tuple[float, int]] = {}
     for variant in ("tree", "direct"):
         factors = [u.copy() for u in init]
-        engine = MPTreeEngine(
-            comm, coords, factors, ranks, memoize=variant == "tree"
-        )
+        engine = MPTreeEngine(comm, coords, factors, ranks)
 
         def iteration() -> None:
             if variant == "tree":

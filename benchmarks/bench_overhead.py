@@ -106,7 +106,7 @@ def _sweep_program(
     ranks: tuple[int, ...],
     reps: int,
 ) -> tuple[float, np.ndarray]:
-    """Per-iteration seconds for the memoized HOOI sweep, plus the
+    """Per-iteration seconds for the dimension-tree HOOI sweep, plus the
     first factor after the timed reps (for the bit-identity check)."""
     grid = ProcessorGrid(grid_dims)
     coords = grid.coords(comm.rank)
@@ -115,8 +115,8 @@ def _sweep_program(
     factors = [
         random_orthonormal(n, r, seed=rng) for n, r in zip(shape, ranks)
     ]
-    engine = MPTreeEngine(comm, coords, factors, ranks, memoize=True)
-    state = (blocks[comm.rank], layout, ())
+    engine = MPTreeEngine(comm, coords, factors, ranks)
+    state = (blocks[comm.rank], layout)
 
     hooi_iteration_dt(state, engine)  # warm-up
     comm.barrier()

@@ -5,10 +5,9 @@ Runs a fixed matrix of small, seeded problems through the sequential,
 simulated, in-process SPMD and process-parallel drivers and prints one
 JSON object: sha256 prefixes of every core and factor, history floats
 as exact hex, the simulated ledger's seconds and breakdowns, and for
-the process-parallel runs rank 0's ``CommTrace`` records, the executed
-per-iteration TTM counts and the memo-cache counters.  Wall-clock
-fields are left out, so two runs of the same code print the same
-bytes.
+the process-parallel runs rank 0's ``CommTrace`` records and the
+executed per-iteration TTM counts.  Wall-clock fields are left out, so
+two runs of the same code print the same bytes.
 
 Only public driver functions are imported, so the script also runs
 against older checkouts.  To check that a refactor kept every layer
@@ -124,8 +123,6 @@ def _mp_common(stats) -> dict:
     return {
         "trace": [dataclasses.asdict(r) for r in stats.trace.records],
         "per_iteration_ttms": list(stats.per_iteration_ttms),
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
         "used_tree": stats.used_tree,
     }
 

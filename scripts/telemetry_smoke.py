@@ -33,7 +33,7 @@ from repro.observability.telemetry import (
     validate_telemetry_jsonl,
 )
 from repro.tensor.random import tucker_plus_noise
-from repro.vmpi.mp_comm import CommConfig, RankFailureError, run_spmd
+from repro.vmpi.mp_comm import RankFailureError, run_spmd
 
 SIZE = 4
 GRID = (2, 2, 1)
@@ -56,15 +56,13 @@ def _check(ok: bool, what: str) -> None:
 
 
 def monitored_sweep(backend: str, out_dir: Path) -> None:
-    mon = TelemetryMonitor(stall_after=30.0)
+    mon = TelemetryMonitor(interval=0.1, stall_after=30.0)
     x = tucker_plus_noise(SHAPE, RANKS, noise=1e-4, seed=0)
-    cfg = CommConfig(telemetry_interval=0.1)
     mp_hooi_dt(
         x,
         RANKS,
         GRID,
         HOOIOptions(max_iters=2, seed=0),
-        comm_config=cfg,
         transport=backend,
         monitor=mon,
     )
@@ -88,7 +86,7 @@ def monitored_sweep(backend: str, out_dir: Path) -> None:
 
 
 def forced_deadlock(backend: str, out_dir: Path) -> None:
-    mon = TelemetryMonitor(stall_after=30.0)
+    mon = TelemetryMonitor(interval=0.1, stall_after=30.0)
     try:
         run_spmd(
             _deadlock_program,
@@ -96,7 +94,6 @@ def forced_deadlock(backend: str, out_dir: Path) -> None:
             timeout=60.0,
             transport=backend,
             collective_timeout=3.0,
-            config=CommConfig(telemetry_interval=0.1),
             monitor=mon,
         )
     except RankFailureError as exc:

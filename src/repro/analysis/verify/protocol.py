@@ -71,7 +71,6 @@ from typing import Iterable, Sequence, Union
 
 from repro.analysis.verify.rules import Baseline, Finding, filter_findings
 from repro.analysis.verify.spmdlint import (
-    COLLECTIVES,
     _PRAGMA,
     _attr_chain,
     _collective_kind,

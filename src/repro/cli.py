@@ -754,7 +754,7 @@ def top_main(argv: Sequence[str] | None = None) -> int:
         "--interval",
         type=float,
         default=0.5,
-        help="telemetry heartbeat / redraw cadence in seconds",
+        help="telemetry heartbeat / redraw cadence in seconds (positive)",
     )
     parser.add_argument(
         "--jsonl",
@@ -767,25 +767,23 @@ def top_main(argv: Sequence[str] | None = None) -> int:
         help="no live redraw (CI): run, then print the final table once",
     )
     args = parser.parse_args(argv)
+    if not args.interval > 0:
+        raise ConfigError(
+            f"--interval must be positive, got {args.interval:g}"
+        )
 
     from repro.observability.telemetry import TelemetryMonitor
-    from repro.vmpi.mp_comm import CommConfig, RankFailureError
+    from repro.vmpi.mp_comm import RankFailureError
 
     request = _read_request(
         ParameterFile.from_path(args.parameter_file), args.driver
     )
-    monitor = TelemetryMonitor()
-    cfg = CommConfig(telemetry_interval=args.interval)
+    monitor = TelemetryMonitor(interval=args.interval)
     outcome: dict[str, BaseException] = {}
 
     def _drive() -> None:
         try:
-            _run_mp(
-                request,
-                transport=args.backend,
-                comm_config=cfg,
-                monitor=monitor,
-            )
+            _run_mp(request, transport=args.backend, monitor=monitor)
         except BaseException as exc:  # surfaced after the UI loop
             outcome["exc"] = exc
 

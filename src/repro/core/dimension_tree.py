@@ -190,12 +190,12 @@ class TreeEngine(Protocol):
     """Operations the tree traversal needs; see module docstring.
 
     The ``tensor`` argument is opaque to the traversal: engines choose
-    their own state representation (a dense array, a
-    ``(blocks, layout)`` pair, a ``(block, layout, signature)`` triple
-    for engines that memoize partial contractions across calls).  The
-    traversal only threads states from ``contract`` into the
-    recursion, so whatever ``contract`` returns is what the leaf
-    operations receive.
+    their own state representation (a dense array, or a
+    ``(blocks, layout)`` / ``(block, layout)`` pair for the distributed
+    engines).  The traversal only threads states from ``contract`` into
+    the recursion, so whatever ``contract`` returns is what the leaf
+    operations receive; each partial contraction feeds both children
+    and lives no longer than the traversal.
     """
 
     last_mode: int

@@ -8,20 +8,22 @@ mode of :func:`~repro.distributed.mp_sthosvd.mp_sthosvd` — serializes
 the replicated algorithm state into a single ``.npz`` file:
 
 * a JSON *header* (format tag, version, algorithm, shape, grid,
-  iteration counter, current ranks, engine factor versions, the
-  rng bit-generator state, the input-tensor digest, and an ``extra``
-  dict of driver-specific scalars) stored as a 0-d unicode array;
+  iteration counter, current ranks, the rng bit-generator state, the
+  input-tensor digest, and an ``extra`` dict of driver-specific
+  scalars) stored as a 0-d unicode array;
 * the replicated factor matrices as ``factor0 .. factor{d-1}``;
 * a SHA-256 *integrity digest* over the header (sans the digest field)
   and the raw factor bytes, verified on load.
 
-Because the drivers keep factors replicated and the dimension-tree
-cache is provably empty at iteration boundaries (every factor updates
-every iteration, and each update evicts that mode's cached nodes),
-this header is the *complete* inter-sweep state: a resumed run
-re-roots the traversal at the input block and replays the remaining
-iterations bit-identically to an uninterrupted one (asserted by
-``tests/test_checkpoint.py`` with exact array equality).
+Because the drivers keep factors replicated and every dimension-tree
+traversal starts from the input block, this header is the *complete*
+inter-sweep state: a resumed run re-roots the traversal at the input
+block and replays the remaining iterations bit-identically to an
+uninterrupted one (asserted by ``tests/test_checkpoint.py`` with exact
+array equality).  Files written while the dimension-tree engine kept
+a contraction cache also carry its factor-version counters and
+``extra.cache_*``; the digest covers the header as stored, so they
+still verify, and those keys are ignored.
 
 Writes are atomic (temp file + ``os.replace``) so a crash mid-write
 never corrupts the previous checkpoint.  All validation failures raise
@@ -170,9 +172,7 @@ class SweepCheckpoint:
 
     ``iteration`` counts *completed* outer iterations (HOOI/RA-HOSI)
     or completed modes (STHOSVD); a resumed run continues at
-    ``iteration + 1``.  ``versions`` restores the dimension-tree
-    engine's factor-version counters so contraction signatures line up
-    with an uninterrupted run; ``rng_state`` restores the replicated
+    ``iteration + 1``.  ``rng_state`` restores the replicated
     generator RA-HOSI's ``expand_factor`` consumes.  ``extra`` holds
     driver-specific JSON-able state (history, convergence flags,
     per-iteration TTM counts, the truncation threshold, ...).
@@ -184,7 +184,6 @@ class SweepCheckpoint:
     grid_dims: tuple[int, ...]
     ranks: tuple[int, ...]
     factors: list[np.ndarray]
-    versions: list[int] = field(default_factory=list)
     rng_state: dict | None = None
     x_digest: str = ""
     extra: dict = field(default_factory=dict)
@@ -199,7 +198,6 @@ class SweepCheckpoint:
             "grid_dims": list(self.grid_dims),
             "ranks": list(self.ranks),
             "n_factors": len(self.factors),
-            "versions": [int(v) for v in self.versions],
             "rng_state": _jsonable(self.rng_state),
             "x_digest": self.x_digest,
             "extra": _jsonable(self.extra),
@@ -312,7 +310,6 @@ class SweepCheckpoint:
             grid_dims=tuple(int(g) for g in header["grid_dims"]),
             ranks=tuple(int(r) for r in header["ranks"]),
             factors=factors,
-            versions=[int(v) for v in header["versions"]],
             rng_state=header["rng_state"],
             x_digest=header["x_digest"],
             extra=header["extra"],

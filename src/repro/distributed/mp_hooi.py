@@ -7,11 +7,10 @@ collectives of :mod:`repro.vmpi.mp_comm`.  Two drivers live here:
 * :func:`mp_hooi_dt` — rank-specified HOOI.  By default it drives the
   shared dimension-tree traversal
   (:func:`repro.core.dimension_tree.hooi_iteration_dt`) with
-  :class:`MPTreeEngine`, whose state is a per-rank
-  ``(block, layout, signature)`` triple and which memoizes partial
-  contractions keyed by factor versions (rank adaptation bumps the
-  versions, so truncation correctly discards stale tree nodes).  For
-  1-D/2-D inputs — where the tree memoizes nothing
+  :class:`MPTreeEngine`, whose state is this rank's
+  ``(block, layout)`` pair: the traversal passes each partial
+  contraction into both children, and nothing is kept between
+  traversals.  For 1-D/2-D inputs — where the tree memoizes nothing
   (:func:`~repro.core.dimension_tree.tree_applicable`) — and for
   ``use_dimension_tree=False`` it falls back to the shared direct
   sweep (:func:`~repro.core.dimension_tree.direct_iteration`) on the
@@ -77,7 +76,6 @@ from repro.distributed.recovery import (
     scatter_blocks,
 )
 from repro.linalg.llsv import LLSVMethod
-from repro.observability.profile import RunProfile
 from repro.tensor.dense import tensor_norm
 from repro.tensor.random import random_orthonormal
 from repro.tensor.validation import check_ranks
@@ -93,33 +91,19 @@ __all__ = [
     "mp_rahosi_dt",
 ]
 
-#: Engine state: this rank's block, its layout, and the contraction
-#: signature — the ordered ``(mode, factor_version)`` pairs applied so
-#: far, rooted at ``()`` for the unreduced input.
-MPState = tuple[np.ndarray, BlockLayout, tuple[tuple[int, int], ...]]
+#: Engine state: this rank's block and its layout.
+MPState = tuple[np.ndarray, BlockLayout]
 
 
 class MPTreeEngine:
-    """Dimension-tree engine over the mini-MPI with memoized nodes.
+    """Dimension-tree engine over the mini-MPI.
 
     State threading follows :class:`~repro.distributed.spmd_hooi.\
-SPMDTreeEngine`, but each state carries a *signature* identifying the
-    partial contraction: the sequence of ``(mode, version)`` pairs
-    applied to the input, where ``version`` counts updates of that
-    mode's factor.  ``contract`` consults a signature-keyed cache
-    before issuing a TTM, so a node computed with the current factors
-    is never recomputed; ``update_factor`` bumps the mode's version and
-    evicts every cached node that involved the stale factor, and
-    :meth:`reset_factors` (called after rank-adaptive truncation or
-    growth) bumps all versions — stale tree nodes can then never be
-    hit, and the cache is dropped wholesale.
-
-    Within one vanilla traversal every node is visited once and every
-    factor changes every iteration, so organic hits are zero — the
-    memoization that makes the tree fast is the traversal itself
-    threading parent states into both children.  The cache is the
-    bookkeeping that keeps *cross*-traversal reuse correct when ranks
-    change mid-run, and it is what the eviction tests exercise.
+SPMDTreeEngine`: the traversal passes each partial contraction into
+    both children, which is the whole of the tree's TTM saving, so no
+    node outlives the traversal that made it.  The rank-adaptive driver
+    swaps in truncated or grown factors by assigning ``factors`` and
+    ``ranks`` between traversals.
     """
 
     def __init__(
@@ -131,7 +115,6 @@ SPMDTreeEngine`, but each state carries a *signature* identifying the
         *,
         subspace: bool = True,
         n_subspace_iters: int = 1,
-        memoize: bool = True,
         orthogonality_tol: float | None = None,
     ) -> None:
         self.comm = comm
@@ -140,22 +123,14 @@ SPMDTreeEngine`, but each state carries a *signature* identifying the
         self.ranks = tuple(int(r) for r in ranks)
         self.subspace = subspace
         self.n_subspace_iters = n_subspace_iters
-        self.memoize = memoize
         #: optional guard rail: after every factor update, verify the
         #: replicated factor is still orthonormal to this tolerance
         #: (raises NumericalFaultError on drift — e.g. a wire bit-flip
         #: that survived the reduction).
         self.orthogonality_tol = orthogonality_tol
         self.last_mode = len(factors) - 1
-        self.versions = [0] * len(factors)
-        self._cache: dict[
-            tuple[tuple[int, int], ...], tuple[np.ndarray, BlockLayout]
-        ] = {}
         self.ttm_count = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self.core_state: tuple[np.ndarray, BlockLayout] | None = None
+        self.core_state: MPState | None = None
         #: Drivers disable this on non-final fixed-rank iterations: the
         #: core is only needed once, after the last sweep (the
         #: rank-adaptive driver keeps it on — it consumes the core
@@ -163,19 +138,9 @@ SPMDTreeEngine`, but each state carries a *signature* identifying the
         self.form_core_enabled = True
 
     def contract(self, state: MPState, modes: Sequence[int]) -> MPState:
-        """Block-parallel multi-TTM over ``modes`` with memoization.
-
-        Cache decisions depend only on replicated data (signatures and
-        versions), so every rank hits or misses identically and the
-        collective schedules stay aligned.
-        """
-        block, layout, sig = state
+        """Block-parallel multi-TTM over the listed modes, in order."""
+        block, layout = state
         for m in modes:
-            sig = sig + ((m, self.versions[m]),)
-            if self.memoize and sig in self._cache:
-                block, layout = self._cache[sig]
-                self.cache_hits += 1
-                continue
             block, layout = mp_ttm(
                 self.comm,
                 block,
@@ -186,14 +151,11 @@ SPMDTreeEngine`, but each state carries a *signature* identifying the
                 phase="ttm",
             )
             self.ttm_count += 1
-            if self.memoize:
-                self.cache_misses += 1
-                self._cache[sig] = (block, layout)
-        return block, layout, sig
+        return block, layout
 
     def update_factor(self, state: MPState, mode: int) -> None:
         """Block-parallel LLSV update of ``factors[mode]``."""
-        block, layout, _ = state
+        block, layout = state
         if self.subspace:
             self.factors[mode] = mp_subspace_llsv(
                 self.comm,
@@ -224,25 +186,12 @@ SPMDTreeEngine`, but each state carries a *signature* identifying the
                 tol=self.orthogonality_tol,
                 phase="llsv",
             )
-        self.versions[mode] += 1
-        self._evict(mode)
-
-    def _evict(self, mode: int) -> None:
-        """Drop cached nodes contracted with a stale factor of ``mode``."""
-        stale = [
-            key
-            for key in self._cache
-            if any(m == mode for m, _ in key)
-        ]
-        self.cache_evictions += len(stale)
-        for key in stale:
-            del self._cache[key]
 
     def form_core(self, state: MPState, mode: int) -> None:
         """Final block-parallel TTM producing the core blocks."""
         if not self.form_core_enabled:
             return
-        block, layout, _ = state
+        block, layout = state
         c_block, c_layout = mp_ttm(
             self.comm,
             block,
@@ -255,32 +204,11 @@ SPMDTreeEngine`, but each state carries a *signature* identifying the
         self.ttm_count += 1
         self.core_state = (c_block, c_layout)
 
-    def reset_factors(
-        self, factors: list[np.ndarray], ranks: Sequence[int]
-    ) -> None:
-        """Swap in externally modified factors (truncation / growth).
-
-        Every version is bumped so signatures built from the old
-        factors can never match again, and the cache is cleared — the
-        rank-adaptive invalidation step.
-        """
-        self.factors = factors
-        self.ranks = tuple(int(r) for r in ranks)
-        for m in range(len(self.versions)):
-            self.versions[m] += 1
-        self.cache_evictions += len(self._cache)
-        self._cache.clear()
-
 
 def _stamp_engine_metrics(comm: ProcessComm, engine: MPTreeEngine) -> None:
-    """End-of-program gauges: the engine's lifetime TTM/cache counters."""
-    if comm.flight is None:
-        return
-    metrics = comm.flight.metrics
-    metrics.gauge("ttm_count", float(engine.ttm_count))
-    metrics.gauge("cache_hits", float(engine.cache_hits))
-    metrics.gauge("cache_misses", float(engine.cache_misses))
-    metrics.gauge("cache_evictions", float(engine.cache_evictions))
+    """End-of-program gauge: the engine's lifetime TTM count."""
+    if comm.flight is not None:
+        comm.flight.metrics.gauge("ttm_count", float(engine.ttm_count))
 
 
 @dataclass
@@ -291,25 +219,24 @@ class MPHooiStats:
     outer iteration — certified in the tests against
     :func:`repro.analysis.costs.hooi_ttm_count` (the core-forming TTM
     appears only in the final entry).  ``trace`` is rank 0's
-    phase-tagged collective trace.  ``profile`` is the
-    :class:`~repro.observability.profile.RunProfile` of the gathered
-    flight rings, or ``None`` with ``CommConfig(flight=False)``.
+    phase-tagged collective trace.
     """
 
     per_iteration_ttms: list[int] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     used_tree: bool = True
-    rule: str = "half"
     trace: CommTrace = field(default_factory=CommTrace)
-    profile: object | None = None
     #: one entry per in-run recovery episode (elastic policies only).
     recovery_events: list = field(default_factory=list)
 
 
 @dataclass
 class MPRankAdaptiveStats:
-    """Run-level diagnostics of :func:`mp_rahosi_dt` (from rank 0)."""
+    """Run-level diagnostics of :func:`mp_rahosi_dt` (from rank 0).
+
+    ``cache_hits`` and ``cache_misses`` always read 0: the engine keeps
+    no cache, and the fields stay only for callers that still read
+    them.
+    """
 
     x_norm: float = 0.0
     history: list[IterationRecord] = field(default_factory=list)
@@ -319,9 +246,7 @@ class MPRankAdaptiveStats:
     cache_hits: int = 0
     cache_misses: int = 0
     used_tree: bool = True
-    rule: str = "half"
     trace: CommTrace = field(default_factory=CommTrace)
-    profile: object | None = None
     #: one entry per in-run recovery episode (elastic policies only).
     recovery_events: list = field(default_factory=list)
 
@@ -333,7 +258,6 @@ def _hooi_rank_program(
     shape: tuple[int, ...],
     ranks: tuple[int, ...],
     use_tree: bool,
-    rule: str,
     subspace: bool,
     n_subspace_iters: int,
     max_iters: int,
@@ -368,23 +292,14 @@ def _hooi_rank_program(
         ranks,
         subspace=subspace,
         n_subspace_iters=n_subspace_iters,
-        memoize=use_tree,
         orthogonality_tol=orthogonality_tol,
     )
     per_iter: list[int] = []
     start_it = 0
     if resume is not None:
-        # Restore the factor-version counters so contraction
-        # signatures continue exactly where the interrupted run's
-        # would be (the memo cache itself is provably empty at every
-        # iteration boundary — each factor updates each iteration and
-        # every update evicts that mode's nodes).
-        engine.versions = list(resume.versions)
         start_it = resume.iteration
         per_iter = list(resume.extra.get("per_iteration_ttms", []))
         engine.ttm_count = int(resume.extra.get("ttm_count", 0))
-        engine.cache_hits = int(resume.extra.get("cache_hits", 0))
-        engine.cache_misses = int(resume.extra.get("cache_misses", 0))
 
     def _boundary_ck(completed: int) -> SweepCheckpoint:
         return SweepCheckpoint(
@@ -394,20 +309,17 @@ def _hooi_rank_program(
             grid_dims=grid_dims,
             ranks=engine.ranks,
             factors=engine.factors,
-            versions=list(engine.versions),
             x_digest=x_digest,
             extra={
                 "per_iteration_ttms": per_iter,
                 "ttm_count": engine.ttm_count,
-                "cache_hits": engine.cache_hits,
-                "cache_misses": engine.cache_misses,
             },
         )
 
     # Starting-point snapshot (iteration 0 or the resume point): a
     # crash inside the very first sweep must also be recoverable.
     save_checkpoint(comm, _boundary_ck, start_it, None)
-    state: MPState = (x_block, x_layout, ())
+    state: MPState = (x_block, x_layout)
     fr = comm.flight
     for it in range(start_it, max_iters):
         comm.note_progress(iteration=it + 1, total=max_iters)
@@ -418,7 +330,7 @@ def _hooi_rank_program(
         engine.form_core_enabled = it == max_iters - 1
         before = engine.ttm_count
         if use_tree:
-            hooi_iteration_dt(state, engine, rule=rule)
+            hooi_iteration_dt(state, engine)
         else:
             direct_iteration(state, engine)
         per_iter.append(engine.ttm_count - before)
@@ -431,12 +343,7 @@ def _hooi_rank_program(
     core = mp_gather_core(comm, *engine.core_state)
     _stamp_engine_metrics(comm, engine)
     stats = MPHooiStats(
-        per_iteration_ttms=per_iter,
-        cache_hits=engine.cache_hits,
-        cache_misses=engine.cache_misses,
-        used_tree=use_tree,
-        rule=rule,
-        trace=comm.trace,
+        per_iteration_ttms=per_iter, used_tree=use_tree, trace=comm.trace
     )
     if comm.rank != 0:
         return None, None, stats
@@ -457,7 +364,6 @@ def mp_hooi_dt(
     grid_dims: Sequence[int],
     options: HOOIOptions | None = None,
     *,
-    rule: str = "half",
     timeout: float = 240.0,
     transport: str = "shm",
     comm_config: CommConfig | None = None,
@@ -470,11 +376,10 @@ def mp_hooi_dt(
 ) -> tuple[TuckerTensor, MPHooiStats]:
     """Rank-specified HOOI on real processes (one per grid cell).
 
-    Uses the dimension-tree memoized traversal by default
+    Uses the paper's balanced dimension tree by default
     (``options.use_dimension_tree``), falling back to the direct sweep
-    for 1-D/2-D inputs where the tree memoizes nothing.  ``rule``
-    selects the tree shape (``"half"`` or the ``"single"`` caterpillar
-    ablation).  ``transport``/``comm_config``/``collective_timeout``
+    for 1-D/2-D inputs where the tree memoizes nothing.
+    ``transport``/``comm_config``/``collective_timeout``
     select and tune the communication layer exactly as in
     :func:`repro.distributed.mp_sthosvd.mp_sthosvd`.  The result is
     bit-identical to the in-process :func:`repro.distributed.spmd_hooi.spmd_hooi` with the
@@ -485,10 +390,10 @@ def mp_hooi_dt(
     non-final iteration; ``resume_from`` (a path or loaded checkpoint)
     restarts from one, bit-identically to an uninterrupted run.
     ``orthogonality_tol`` enables the per-update factor drift guard.
-    With the flight recorder on (the default), ``stats.profile`` views
-    the gathered rings as a
-    :class:`~repro.observability.profile.RunProfile` (and
-    ``profile_out``, when given, receives the rings themselves).
+    With the flight recorder on (the default), ``profile_out``, when
+    given, receives every rank's flight ring;
+    :meth:`~repro.observability.profile.RunProfile.from_ranks` views
+    them.
     """
     options = options or HOOIOptions()
     ranks = check_ranks(x.shape, ranks)
@@ -511,7 +416,6 @@ def mp_hooi_dt(
             f"ranks {tuple(ranks)}"
         )
 
-    rings: dict[int, object] = {}
     events: list = []
     outs = run_elastic(
         _hooi_rank_program,
@@ -521,7 +425,6 @@ def mp_hooi_dt(
         tuple(x.shape),
         tuple(ranks),
         options.use_dimension_tree,
-        rule,
         subspace,
         options.n_subspace_iters,
         options.max_iters,
@@ -534,15 +437,12 @@ def mp_hooi_dt(
         transport=transport,
         config=comm_config,
         collective_timeout=collective_timeout,
-        profile_out=rings,
+        profile_out=profile_out,
         events_out=events,
         monitor=monitor,
     )
-    if profile_out is not None:
-        profile_out.update(rings)
     core, factors, stats = outs[0]
     assert core is not None and factors is not None
-    stats.profile = RunProfile.from_ranks(rings) if rings else None
     stats.recovery_events = events
     return TuckerTensor(core=core, factors=factors), stats
 
@@ -556,7 +456,6 @@ def _rahosi_rank_program(
     eps: float,
     x_norm: float,
     opts: RankAdaptiveOptions,
-    rule: str,
     x_digest: str,
     checkpoint_path: str | None,
     orthogonality_tol: float | None,
@@ -574,10 +473,9 @@ def _rahosi_rank_program(
     rng = np.random.default_rng(opts.seed)
     if resume is not None:
         # Replicated factors + generator state are the complete
-        # inter-sweep state: restoring them (and the factor versions,
-        # below) makes the remaining iterations — including the next
-        # ``expand_factor`` draws — bit-identical to an uninterrupted
-        # run.
+        # inter-sweep state: restoring them makes the remaining
+        # iterations — including the next ``expand_factor`` draws —
+        # bit-identical to an uninterrupted run.
         ranks = resume.ranks
         factors = [np.ascontiguousarray(u) for u in resume.factors]
         assert resume.rng_state is not None
@@ -596,7 +494,6 @@ def _rahosi_rank_program(
         ranks,
         subspace=subspace,
         n_subspace_iters=opts.n_subspace_iters,
-        memoize=use_tree,
         orthogonality_tol=orthogonality_tol,
     )
     per_iter: list[int] = []
@@ -609,15 +506,12 @@ def _rahosi_rank_program(
 
     start_it = 0
     if resume is not None:
-        engine.versions = list(resume.versions)
         start_it = resume.iteration
         per_iter = list(resume.extra.get("per_iteration_ttms", []))
         history = decode_history(resume.extra.get("history", []))
         converged = bool(resume.extra.get("converged", False))
         first_satisfied = resume.extra.get("first_satisfied")
         engine.ttm_count = int(resume.extra.get("ttm_count", 0))
-        engine.cache_hits = int(resume.extra.get("cache_hits", 0))
-        engine.cache_misses = int(resume.extra.get("cache_misses", 0))
 
     def _boundary_ck(completed: int) -> SweepCheckpoint:
         # Late-binding closure: reads the *current* factors, ranks,
@@ -630,7 +524,6 @@ def _rahosi_rank_program(
             grid_dims=grid_dims,
             ranks=ranks,
             factors=factors,
-            versions=list(engine.versions),
             rng_state=rng.bit_generator.state,
             x_digest=x_digest,
             extra={
@@ -639,15 +532,13 @@ def _rahosi_rank_program(
                 "converged": converged,
                 "first_satisfied": first_satisfied,
                 "ttm_count": engine.ttm_count,
-                "cache_hits": engine.cache_hits,
-                "cache_misses": engine.cache_misses,
             },
         )
 
     # Starting-point snapshot (iteration 0 or the resume point): a
     # crash inside the very first sweep must also be recoverable.
     save_checkpoint(comm, _boundary_ck, start_it, None)
-    state: MPState = (x_block, x_layout, ())
+    state: MPState = (x_block, x_layout)
     fr = comm.flight
     for it in range(start_it + 1, opts.max_iters + 1):
         comm.note_progress(iteration=it, total=opts.max_iters, ranks=ranks)
@@ -658,7 +549,7 @@ def _rahosi_rank_program(
         # Alg. 3 consumes the core every iteration (norm-identity error
         # check + eq. (3) analysis), so form_core stays enabled.
         if use_tree:
-            hooi_iteration_dt(state, engine, rule=rule)
+            hooi_iteration_dt(state, engine)
         else:
             direct_iteration(state, engine)
         per_iter.append(engine.ttm_count - before)
@@ -716,7 +607,7 @@ def _rahosi_rank_program(
                 for u, r in zip(factors, new_ranks)
             ]
             ranks = new_ranks
-            engine.reset_factors(factors, ranks)
+            engine.factors, engine.ranks = factors, ranks
             if opts.stop_at_threshold:
                 if fr is not None:
                     fr.end()
@@ -730,10 +621,9 @@ def _rahosi_rank_program(
                 expand_factor(u, r, rng) for u, r in zip(factors, new_ranks)
             ]
             ranks = new_ranks
-            engine.reset_factors(factors, ranks)
+            engine.factors, engine.ranks = factors, ranks
             # Post-growth boundary: expanded factors, grown ranks,
-            # bumped versions, generator state *after* the
-            # expand_factor draws.
+            # generator state *after* the expand_factor draws.
             save_checkpoint(comm, _boundary_ck, it, checkpoint_path)
         if fr is not None:
             fr.end()
@@ -751,10 +641,7 @@ def _rahosi_rank_program(
         converged=converged,
         first_satisfied=first_satisfied,
         per_iteration_ttms=per_iter,
-        cache_hits=engine.cache_hits,
-        cache_misses=engine.cache_misses,
         used_tree=use_tree,
-        rule=rule,
         trace=comm.trace,
     )
     if comm.rank != 0:
@@ -769,7 +656,6 @@ def mp_rahosi_dt(
     grid_dims: Sequence[int],
     options: RankAdaptiveOptions | None = None,
     *,
-    rule: str = "half",
     timeout: float = 240.0,
     transport: str = "shm",
     comm_config: CommConfig | None = None,
@@ -786,16 +672,16 @@ def mp_rahosi_dt(
     :func:`repro.core.rank_adaptive.rank_adaptive_hooi`: the same
     grow-until-satisfied / truncate-via-core-analysis control flow,
     with the iteration itself running on the mini-MPI through
-    :class:`MPTreeEngine`.  Rank adaptation invalidates the engine's
-    memoized tree nodes through factor-version bumps
-    (:meth:`MPTreeEngine.reset_factors`).
+    :class:`MPTreeEngine`.  Every traversal starts again from the input
+    block, so truncated or grown factors need no invalidation step.
 
     ``checkpoint_path`` makes rank 0 overwrite a
     :class:`~repro.distributed.checkpoint.SweepCheckpoint` after every
     growth iteration (factors, ranks, rng state, history);
     ``resume_from`` restarts from one, bit-identically to an
     uninterrupted run.  ``orthogonality_tol`` enables the per-update
-    factor drift guard.
+    factor drift guard.  ``profile_out`` receives the flight rings, as
+    in :func:`mp_hooi_dt`.
     """
     options = options or RankAdaptiveOptions()
     if eps <= 0 or eps >= 1:
@@ -815,7 +701,6 @@ def mp_rahosi_dt(
         max_iters=options.max_iters,
     )
 
-    rings: dict[int, object] = {}
     events: list = []
     outs = run_elastic(
         _rahosi_rank_program,
@@ -827,7 +712,6 @@ def mp_rahosi_dt(
         float(eps),
         tensor_norm(x),
         options,
-        rule,
         x_dig,
         checkpoint_path,
         orthogonality_tol,
@@ -836,14 +720,11 @@ def mp_rahosi_dt(
         transport=transport,
         config=comm_config,
         collective_timeout=collective_timeout,
-        profile_out=rings,
+        profile_out=profile_out,
         events_out=events,
         monitor=monitor,
     )
-    if profile_out is not None:
-        profile_out.update(rings)
     core, factors, stats = outs[0]
     assert core is not None and factors is not None
-    stats.profile = RunProfile.from_ranks(rings) if rings else None
     stats.recovery_events = events
     return TuckerTensor(core=core, factors=factors), stats

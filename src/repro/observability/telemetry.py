@@ -542,13 +542,24 @@ class TelemetryMonitor:
     """Launcher-side aggregator behind ``repro top`` and the JSONL log.
 
     Thread-safe: samples arrive from the launcher's drain loop while the
-    console renderer reads.  Stalls are flagged when a heartbeat shows a
-    collective open longer than ``stall_after`` seconds — deliberately far
-    below ``CommConfig.collective_timeout`` so operators see the hang while
-    it is still live.
+    console renderer reads.  ``interval`` is the seconds between the
+    heartbeats every rank pushes while this monitor is attached to a
+    run; it must be positive.  Stalls are flagged when a heartbeat shows
+    a collective open longer than ``stall_after`` seconds — deliberately
+    far below ``CommConfig.collective_timeout`` so operators see the
+    hang while it is still live.
     """
 
-    def __init__(self, *, stall_after: float = 5.0, max_events: int = 20000) -> None:
+    def __init__(
+        self,
+        *,
+        interval: float = 0.5,
+        stall_after: float = 5.0,
+        max_events: int = 20000,
+    ) -> None:
+        if not interval > 0:
+            raise ValueError(f"interval must be positive, got {interval!r}")
+        self.interval = float(interval)
         self.stall_after = float(stall_after)
         self._lock = threading.Lock()
         self.latest: dict[int, dict] = {}

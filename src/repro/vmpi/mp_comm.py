@@ -284,10 +284,10 @@ class CommConfig:
         bounded ring of structured events -- collective begin/end with
         group and sequence number, transport posts, sweep, phase and
         kernel spans, checkpoint/replication/recovery steps, guard-rail
-        trips -- plus a metrics registry (bytes moved, TTM flops, cache
-        hits/evictions, checkpoint write time, collective
-        wait-vs-transfer split).  Each event costs one clock read and
-        one deque append and nothing on the payload path is touched, so
+        trips -- plus a metrics registry (bytes moved, TTM flops and
+        count, checkpoint write time, collective wait-vs-transfer
+        split).  Each event costs one clock read and one deque append
+        and nothing on the payload path is touched, so
         recorder-on runs stay bit- and trace-identical
         (``bench_overhead.py`` measures the cost).  :func:`run_spmd`
         gathers every rank's ring (``profile_out``), and on failure
@@ -297,13 +297,6 @@ class CommConfig:
         rank.  On by default; off, no recorder exists and every
         boundary pays a single ``is None`` test, like ``fault_plan`` --
         the baseline of overhead measurements.
-    telemetry_interval:
-        Seconds between out-of-band telemetry heartbeats pushed from
-        every rank to the launcher over the control plane (sweep
-        progress, residual/rank trajectory, current phase,
-        blocked-collective info).  ``0`` (default) pushes nothing;
-        passing a monitor to :func:`run_spmd` arms it at 0.5 s when
-        unset.
     """
 
     collective_timeout: float = 60.0
@@ -316,7 +309,6 @@ class CommConfig:
     verify: bool = False
     race_detect: bool = False
     flight: bool = True
-    telemetry_interval: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1272,6 +1264,7 @@ def _rank_worker(
     args: tuple,
     board: object | None = None,
     backend: str = "shm",
+    heartbeat: float | None = None,
 ) -> None:
     """One rank's process: transport, comm, program, report.
 
@@ -1279,7 +1272,8 @@ def _rank_worker(
     (:func:`~repro.vmpi.transport.connect_mesh`).  The fork copied every
     end into this process; all but this rank's own are closed first,
     since a peer's exit reads as EOF only once no other process holds
-    its end.
+    its end.  ``heartbeat`` is the seconds between telemetry samples
+    pushed to the launcher; ``None`` pushes none.
     """
     for r, ends in enumerate(mesh):
         if r != rank:
@@ -1293,13 +1287,13 @@ def _rank_worker(
         channel = ShmPoolTransport(rank, size, peers, run_token, config)
     comm = ProcessComm(rank, size, channel, config, board=board)
     pusher = None
-    if config.telemetry_interval > 0:
+    if heartbeat is not None:
         pusher = TelemetryPusher(
             comm.telemetry_sample,
             lambda sample, _r=rank: result_queue.put(
                 (_r, "telemetry", sample)
             ),
-            config.telemetry_interval,
+            heartbeat,
         )
         pusher.start()
 
@@ -1331,8 +1325,10 @@ def _rank_worker(
         if exc.hard:
             # Simulated node loss: skip channel.close() so any pooled
             # shm segments are orphaned — the launcher's sweep must
-            # reclaim them.
-            time.sleep(0.2)
+            # reclaim them.  The report must be out before os._exit
+            # kills the queue's feeder thread, so flush it first.
+            result_queue.close()
+            result_queue.join_thread()
             os._exit(EXIT_INJECTED_CRASH)
     except TransportClosedError as exc:
         # A peer died.  With elastic recovery armed, this survivor
@@ -1426,11 +1422,12 @@ def run_spmd(
         :class:`~repro.observability.profile.RunProfile` views them.
     monitor:
         A :class:`repro.observability.telemetry.TelemetryMonitor` (or
-        anything with its ``on_start``/``on_sample``/``on_done``/
-        ``on_postmortem`` surface).  Arms per-rank telemetry pushers
-        (``CommConfig.telemetry_interval``, defaulted to 0.5 s when
-        unset) whose heartbeats are routed to the monitor from the
-        launcher's drain loop — the live feed behind ``repro top``.
+        anything with its ``interval`` and its ``on_start``/
+        ``on_sample``/``on_done``/``on_postmortem`` surface).  Every
+        rank pushes a heartbeat each ``monitor.interval`` seconds, and
+        the launcher's drain loop routes them to the monitor — the live
+        feed behind ``repro top``.  Without a monitor no rank pushes
+        any.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -1454,9 +1451,9 @@ def run_spmd(
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
     fn_bytes = pickle.dumps(fn)  # an unpicklable program fails here
+    heartbeat = None
     if monitor is not None:
-        if cfg.telemetry_interval <= 0:
-            cfg = replace(cfg, telemetry_interval=0.5)
+        heartbeat = monitor.interval
         monitor.on_start(size, transport)
     ctx = mp.get_context("spawn" if mp.get_start_method() == "spawn" else "fork")
     result_queue: mp.Queue = ctx.Queue()
@@ -1488,6 +1485,7 @@ def run_spmd(
                 args,
                 board,
                 transport,
+                heartbeat,
             ),
         )
         for rank in range(size)

@@ -9,6 +9,7 @@ uninterrupted run — for ``mp_rahosi_dt``, ``mp_hooi_dt`` and
 ``mp_sthosvd``.
 """
 
+import io
 import json
 import os
 import time
@@ -19,6 +20,7 @@ import pytest
 from repro.core.errors import CheckpointError
 from repro.core.hooi import HOOIOptions
 from repro.core.rank_adaptive import IterationRecord, RankAdaptiveOptions
+from repro.distributed import checkpoint
 from repro.distributed.checkpoint import (
     SweepCheckpoint,
     decode_history,
@@ -40,7 +42,6 @@ def _example_checkpoint() -> SweepCheckpoint:
         grid_dims=(2, 1, 1),
         ranks=(3, 3, 2),
         factors=[rng.standard_normal((n, r)) for n, r in [(8, 3), (7, 3), (6, 2)]],
-        versions=[4, 5, 6],
         rng_state={
             "bit_generator": "PCG64",
             "state": {"state": 2**100 + 7, "inc": 2**90 + 3},
@@ -113,7 +114,6 @@ class TestSweepCheckpointIO:
         assert back.shape == ck.shape
         assert back.grid_dims == ck.grid_dims
         assert back.ranks == ck.ranks
-        assert back.versions == ck.versions
         # PCG64 state holds >64-bit ints; they must survive JSON
         assert back.rng_state == ck.rng_state
         assert back.x_digest == ck.x_digest
@@ -454,4 +454,55 @@ class TestKillAndResumeHOOI:
         )
         np.testing.assert_array_equal(plain.core, guarded.core)
         for a, b in zip(plain.factors, guarded.factors):
+            np.testing.assert_array_equal(a, b)
+
+
+def _with_cache_keys(blob: bytes) -> bytes:
+    """``blob`` as the dimension-tree engine wrote it while it kept a
+    contraction cache: factor ``versions`` and ``extra.cache_*`` in the
+    header, signed again over the header as stored."""
+    with np.load(io.BytesIO(blob)) as data:
+        arrays = dict(data)
+    header = json.loads(str(arrays["header"][()]))
+    header["versions"] = [2 * header["iteration"]] * header["n_factors"]
+    header["extra"].update(cache_hits=0, cache_misses=17)
+    factors = [arrays[f"factor{i}"] for i in range(header["n_factors"])]
+    header["digest"] = checkpoint._digest(header, factors)
+    arrays["header"] = np.array(json.dumps(header))
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+class TestCheckpointWithCacheKeys:
+    """A checkpoint that still carries the retired cache keys resumes
+    bit-identically: the keys are read and ignored."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda x, **kw: mp_hooi_dt(
+                x, (3, 3, 2), (2, 1, 1), HOOIOptions(max_iters=3), **kw
+            ),
+            lambda x, **kw: mp_rahosi_dt(
+                x, 0.3, (1, 1, 1), (2, 1, 1),
+                RankAdaptiveOptions(max_iters=3, seed=0), **kw,
+            ),
+        ],
+        ids=["mp_hooi_dt", "mp_rahosi_dt"],
+    )
+    def test_resumes_bit_identical(self, tmp_path, run):
+        x = np.random.default_rng(7).standard_normal((8, 7, 6))
+        ck = tmp_path / "ck.npz"
+        clean, _ = run(x, checkpoint_path=str(ck))
+        old = tmp_path / "old.npz"
+        old.write_bytes(_with_cache_keys(SweepCheckpoint.load(ck).to_bytes()))
+        back = SweepCheckpoint.load(old)
+        assert back.iteration >= 1
+        assert back.extra["cache_misses"] == 17
+
+        resumed, _ = run(x, resume_from=str(old))
+        np.testing.assert_array_equal(resumed.core, clean.core)
+        assert len(resumed.factors) == len(clean.factors)
+        for a, b in zip(resumed.factors, clean.factors):
             np.testing.assert_array_equal(a, b)

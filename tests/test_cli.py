@@ -352,6 +352,20 @@ class TestOneRequestPerFile:
         counts = validate_telemetry_jsonl(jsonl.read_text().splitlines())
         assert counts["final"] == 2
 
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_top_rejects_non_positive_interval(
+        self, tmp_path, capsys, interval
+    ):
+        pfile = _write(tmp_path, MP_HOOI_CFG)
+        argv = ["top", "hooi", "--parameter-file", pfile, "--no-ui"]
+        assert main([*argv, "--interval", interval]) == 2
+        captured = capsys.readouterr()
+        (error,) = captured.err.strip().splitlines()
+        assert error == (
+            f"repro top: error: --interval must be positive, got {interval}"
+        )
+        assert "Running" not in captured.out  # no rank started
+
 
 class TestRunFlags:
     @pytest.mark.parametrize(

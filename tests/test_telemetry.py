@@ -285,6 +285,11 @@ class TestTelemetryMonitor:
             sample["blocked"] = {"op": op, "op_id": op_id, "seconds": seconds}
         return sample
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_interval_must_be_positive(self, interval):
+        with pytest.raises(ValueError, match="interval must be positive"):
+            TelemetryMonitor(interval=interval)
+
     def test_stall_flagged_once_per_collective(self):
         mon = TelemetryMonitor(stall_after=0.5)
         mon.on_start(2, "shm")
@@ -487,11 +492,10 @@ class TestPostmortemCrossWire:
 
 class TestLiveTelemetryChannel:
     def test_monitor_heartbeats_and_stall_flag(self, backend):
-        mon = TelemetryMonitor(stall_after=0.4)
-        cfg = CommConfig(telemetry_interval=0.1)
+        mon = TelemetryMonitor(interval=0.1, stall_after=0.4)
         out = run_spmd(
             _prog_straggler, 2, timeout=60.0, transport=backend,
-            config=cfg, monitor=mon,
+            monitor=mon,
         )
         assert out == [0, 1]
         counts = validate_telemetry_jsonl(mon.jsonl())
@@ -513,10 +517,10 @@ class TestLiveTelemetryChannel:
         # The interval outlasts the run, so every rank's only beats are
         # the one at start and the one its pusher sends when stopped,
         # ahead of the rank's terminal status.
-        mon = TelemetryMonitor()
+        mon = TelemetryMonitor(interval=30.0)
         run_spmd(
             _prog_crash_site, 3, timeout=60.0, transport=backend,
-            config=CommConfig(telemetry_interval=30.0), monitor=mon,
+            monitor=mon,
         )
         events = list(mon.events)
         for rank in range(3):
@@ -534,11 +538,11 @@ class TestLiveTelemetryChannel:
             assert last["metrics"]["histograms"]
 
     def test_monitor_sees_postmortem_on_failure(self):
-        mon = TelemetryMonitor(stall_after=5.0)
+        mon = TelemetryMonitor(interval=0.1, stall_after=5.0)
         with pytest.raises(RankFailureError):
             run_spmd(
                 _prog_deadlock, 3, timeout=60.0, collective_timeout=2.0,
-                config=CommConfig(telemetry_interval=0.1), monitor=mon,
+                monitor=mon,
             )
         counts = validate_telemetry_jsonl(mon.jsonl())
         assert counts.get("postmortem") == 1
