@@ -1265,6 +1265,7 @@ def _rank_worker(
     board: object | None = None,
     backend: str = "shm",
     heartbeat: float | None = None,
+    cpu: int | None = None,
 ) -> None:
     """One rank's process: transport, comm, program, report.
 
@@ -1273,8 +1274,11 @@ def _rank_worker(
     end into this process; all but this rank's own are closed first,
     since a peer's exit reads as EOF only once no other process holds
     its end.  ``heartbeat`` is the seconds between telemetry samples
-    pushed to the launcher; ``None`` pushes none.
+    pushed to the launcher; ``None`` pushes none.  ``cpu`` is the CPU
+    this rank is bound to; ``None`` leaves it unbound.
     """
+    if cpu is not None:
+        os.sched_setaffinity(0, (cpu,))
     for r, ends in enumerate(mesh):
         if r != rank:
             for sock in ends.values():
@@ -1393,7 +1397,10 @@ def run_spmd(
 
     Every rank pair's stream is connected before the fork
     (:func:`~repro.vmpi.transport.connect_mesh`), so the ranks start
-    with their communicator wired, as under an MPI launcher.
+    with their communicator wired, as under an MPI launcher.  When
+    this process may run on at least ``size`` CPUs, rank ``r`` is
+    bound to the ``r``-th of them, as an MPI launcher binds ranks to
+    cores; with more ranks than CPUs none is bound.
 
     Parameters
     ----------
@@ -1471,6 +1478,11 @@ def run_spmd(
     if board is not None:
         for r in range(size):
             board[3 * r] = -1  # idle, not "waiting on rank 0"
+    # Unbound, a socket send wakes its receiver on the sender's CPU, so
+    # two communicating ranks share one CPU at half speed each, for
+    # seconds at a time.
+    has_affinity = hasattr(os, "sched_getaffinity")  # Linux
+    cpus = sorted(os.sched_getaffinity(0)) if has_affinity else []
     workers = [
         ctx.Process(
             target=_rank_worker,
@@ -1486,6 +1498,7 @@ def run_spmd(
                 board,
                 transport,
                 heartbeat,
+                cpus[rank] if size <= len(cpus) else None,
             ),
         )
         for rank in range(size)

@@ -69,6 +69,10 @@ def _prog_fail(comm: ProcessComm) -> None:
         raise ValueError("boom")
 
 
+def _prog_affinity(comm: ProcessComm) -> list[int]:
+    return sorted(os.sched_getaffinity(0))
+
+
 def _prog_config_timeout(comm: ProcessComm) -> float:
     return float(comm.config.collective_timeout)
 
@@ -241,6 +245,27 @@ class TestRunSPMD:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             run_spmd(_prog_allreduce, 0)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="Linux CPU affinity"
+    )
+    def test_each_rank_is_bound_to_its_own_cpu(self):
+        """Unbound, two communicating ranks drift onto one CPU and run
+        at half speed; with a CPU for each, rank r gets the r-th."""
+        cpus = sorted(os.sched_getaffinity(0))
+        size = min(2, len(cpus))
+        out = run_spmd(_prog_affinity, size)
+        assert out == [[c] for c in cpus[:size]]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity")
+        or len(os.sched_getaffinity(0)) > 4,
+        reason="needs Linux CPU affinity and at most 4 CPUs",
+    )
+    def test_ranks_outnumbering_the_cpus_stay_unbound(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        out = run_spmd(_prog_affinity, len(cpus) + 1)
+        assert out == [cpus] * (len(cpus) + 1)
 
     @pytest.mark.parametrize(
         "kwargs, match",
